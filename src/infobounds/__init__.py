@@ -42,14 +42,12 @@ from .numerics import (
 )
 from .quantum_metrology import (
     DensityMatrix,
-    KrausChannel,
     PhaseChannelFamily,
     Povm,
     asymptotic_fi_cap,
     channel_outcome_model,
     classical_fi_of_povm,
     finite_n_fi_cap,
-    make_channel,
     mi_cap,
     noon_family,
     noon_outcome_model,

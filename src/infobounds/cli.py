@@ -111,12 +111,20 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
             raise ValueError(f"{path}: missing {key!r} in {where}")
         return mapping[key]
 
-    gspec = need(cfg, "grid", "model")
+    def section(key):
+        value = need(cfg, key, "model")
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {key!r} must be a JSON object, got {type(value).__name__}")
+        return value
+
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: the model must be a JSON object, got {type(cfg).__name__}")
+    gspec = section("grid")
     points = grid_points or int(need(gspec, "points", "grid"))
     grid = ParameterGrid(float(need(gspec, "lower", "grid")),
                          float(need(gspec, "upper", "grid")), points)
 
-    pspec = need(cfg, "prior", "model")
+    pspec = section("prior")
     kind = need(pspec, "kind", "prior")
     if kind == "rectangle":
         prior = PriorDensity.rectangle(grid)
@@ -131,7 +139,7 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
     else:
         raise ValueError(f"{path}: unknown prior kind {kind!r}")
 
-    cspec = need(cfg, "conditional", "model")
+    cspec = section("conditional")
     if "builtin" in cspec:
         name = cspec["builtin"]
         if name == "cos2":
@@ -269,11 +277,12 @@ def _verify_one(joint: JointModel) -> list[dict]:
     rows = []
     for report in checks:
         if report.value is None:
-            rows.append({"bound": report.name, "value": None, "oracle": None,
-                         "margin": None, "flags": ";".join(report.flags)})
+            rows.append({"bound": report.name, "direction": report.direction, "value": None,
+                         "oracle": None, "margin": None, "flags": ";".join(report.flags)})
             continue
         target = oracle.mi if report.direction == bnd.UPPER_MI else oracle.bayes_mse
-        rows.append({"bound": report.name, "value": report.value, "oracle": target,
+        rows.append({"bound": report.name, "direction": report.direction,
+                     "value": report.value, "oracle": target,
                      "margin": bnd.oracle_margin(report, target), "flags": ""})
     return rows
 
@@ -295,8 +304,7 @@ def cmd_verify(args) -> int:
                 continue
             name = row["bound"]
             worst[name] = min(worst.get(name, math.inf), row["margin"])
-            tol = MI_MARGIN_TOL if name.startswith("mi") or "efroimovich" in name \
-                else MSE_MARGIN_TOL
+            tol = MI_MARGIN_TOL if row["direction"] == bnd.UPPER_MI else MSE_MARGIN_TOL
             if row["margin"] < tol:
                 failures += 1
                 print(f"VIOLATION model={index} bound={name} margin={row['margin']:.3e}",

@@ -47,6 +47,8 @@ class ParameterGrid:
             raise ValueError("grid bounds must be finite")
         if self.upper <= self.lower:
             raise ValueError(f"upper must exceed lower, got [{self.lower}, {self.upper}]")
+        if not isinstance(self.points, (int, np.integer)):
+            raise TypeError(f"grid points must be an integer, got {self.points!r}")
         if self.points < 3:
             raise ValueError(f"grid needs at least 3 points, got {self.points}")
         if self.points % 2 == 0:

@@ -3,15 +3,18 @@
 The phase is imprinted by the gate U_phi = diag(1, e^{i phi}, 1, ...) and
 degraded by one of three Kraus families (dephasing, amplitude damping,
 erasure) parameterized by a noise strength eta in (0, 1], eta = 1 noiseless.
-Known Fisher-information caps for N noisy gates translate into global
-mutual-information caps ln(1 + pi sqrt(F_cap)) on the phase interval
-[0, 2 pi), which is where the Heisenberg-to-SQL transition shows up.
+:class:`PhaseChannelFamily` is the one channel value: the noise acts after
+the gate and does not depend on phi, so every outcome probability is an
+exact trigonometric polynomial in phi.  Known Fisher-information caps for N
+noisy gates translate into global mutual-information caps
+ln(1 + pi sqrt(F_cap)) on the phase interval [0, 2 pi), which is where the
+Heisenberg-to-SQL transition shows up.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,14 +24,12 @@ from .stat_model import ConditionalModel
 
 __all__ = [
     "DensityMatrix",
-    "KrausChannel",
     "PhaseChannelFamily",
     "Povm",
     "asymptotic_fi_cap",
     "channel_outcome_model",
     "classical_fi_of_povm",
     "finite_n_fi_cap",
-    "make_channel",
     "mi_cap",
     "noon_family",
     "noon_outcome_model",
@@ -80,34 +81,6 @@ class DensityMatrix:
         psi = np.asarray(statevector, dtype=complex)
         psi = psi / np.linalg.norm(psi)
         return cls(np.outer(psi, psi.conj()))
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """CPTP map given by Kraus operators; sum_k K_k^dag K_k = identity."""
-
-    kraus: tuple
-    eta: float
-    kind: str
-    phi: float = 0.0
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(dim))) > MATRIX_TOL:
-            raise ValueError("Kraus operators do not resolve the identity")
-        object.__setattr__(self, "kraus", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[0]
-
-    def apply(self, rho) -> np.ndarray:
-        r = _as_matrix(rho)
-        return sum(k @ r @ k.conj().T for k in self.kraus)
 
 
 @dataclass(frozen=True)
@@ -173,34 +146,24 @@ def _noise_kraus(kind: str, eta: float) -> tuple:
     raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
 
 
-def make_channel(kind: str, eta: float, phi: float) -> KrausChannel:
-    """Phase-encoding noisy channel rho -> sum_k K_k U_phi rho U_phi^dag K_k^dag.
-
-    The returned Kraus operators are the noise operators composed with the
-    phase gate; erasure lives on a qutrit whose third level marks the loss.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
-    noise = _noise_kraus(kind, eta)
-    u = phase_gate(phi, noise[0].shape[0])
-    return KrausChannel(tuple(k @ u for k in noise), eta, kind, phi)
-
-
 @dataclass(frozen=True)
 class PhaseChannelFamily:
-    """phi -> Lambda(U_{g phi} rho0 U^dag) with an analytic phi-derivative.
+    """phi -> sum_k K_k U_{g phi} rho0 U_{g phi}^dag K_k^dag with an analytic phi-derivative.
 
     ``gates`` winds the phase g times before the single noise application,
     which is exactly the N00N-subspace equivalence of g sequential noiseless
-    gates.  The derivative uses d(U rho U^dag)/d phi = i g [G, U rho U^dag]
-    with G the |1><1| projector, then pushes through the (phi-independent)
-    noise.
+    gates.  The gate acts on rho0 entrywise: (U rho0 U^dag)_ab =
+    rho0_ab e^{i W_ab phi} with the winding W_ab = g (n_a - n_b), where n is
+    the |1><1| occupation of each level, so the derivative multiplies the
+    same entries by i W before the (phi-independent) noise ``kraus``.
     """
 
     kind: str
     eta: float
     rho0: np.ndarray
     gates: int = 1
+    kraus: tuple = field(init=False, repr=False, compare=False)
+    winding: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gates < 1:
@@ -209,31 +172,26 @@ class PhaseChannelFamily:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         noise = _noise_kraus(self.kind, self.eta)  # validates kind
         rho = _as_matrix(self.rho0)
-        if rho.shape[0] != noise[0].shape[0]:
-            raise ValueError(
-                f"input state dim {rho.shape[0]} does not match channel dim {noise[0].shape[0]}")
+        dim = noise[0].shape[0]
+        if rho.shape[0] != dim:
+            raise ValueError(f"input state dim {rho.shape[0]} does not match channel dim {dim}")
+        n = np.zeros(dim)
+        n[1] = 1.0
         object.__setattr__(self, "rho0", rho)
+        object.__setattr__(self, "kraus", noise)
+        object.__setattr__(self, "winding", self.gates * (n[:, None] - n[None, :]))
 
-    def _unitary_state(self, phi: float) -> np.ndarray:
-        u = phase_gate(self.gates * phi, self.rho0.shape[0])
-        return u @ self.rho0 @ u.conj().T
+    def _noisy(self, r: np.ndarray) -> np.ndarray:
+        return sum(k @ r @ k.conj().T for k in self.kraus)
+
+    def _wound(self, phi: float) -> np.ndarray:
+        return self.rho0 * np.exp(1j * self.winding * phi)
 
     def state(self, phi: float) -> np.ndarray:
-        noise = _noise_kraus(self.kind, self.eta)
-        r = self._unitary_state(phi)
-        return sum(k @ r @ k.conj().T for k in noise)
+        return self._noisy(self._wound(phi))
 
     def derivative(self, phi: float) -> np.ndarray:
-        dim = self.rho0.shape[0]
-        g = np.zeros((dim, dim), dtype=complex)
-        g[1, 1] = 1.0
-        r = self._unitary_state(phi)
-        dr = 1j * self.gates * (g @ r - r @ g)
-        noise = _noise_kraus(self.kind, self.eta)
-        return sum(k @ dr @ k.conj().T for k in noise)
-
-    def __call__(self, phi: float) -> np.ndarray:
-        return self.state(phi)
+        return self._noisy(1j * self.winding * self._wound(phi))
 
 
 def noon_family(n: int) -> PhaseChannelFamily:
@@ -242,26 +200,23 @@ def noon_family(n: int) -> PhaseChannelFamily:
     return PhaseChannelFamily("dephasing", 1.0, plus, gates=n)
 
 
-def _state_and_derivative(family, phi: float, derivative, step: float):
-    if derivative is None and hasattr(family, "state") and hasattr(family, "derivative"):
-        return _as_matrix(family.state(phi)), _as_matrix(family.derivative(phi))
-    rho = _as_matrix(family(phi) if not hasattr(family, "state") else family.state(phi))
-    if derivative is not None:
-        return rho, _as_matrix(derivative(phi))
-    call = family if not hasattr(family, "state") else family.state
-    drho = (_as_matrix(call(phi + step)) - _as_matrix(call(phi - step))) / (2.0 * step)
+def _state_and_derivative(family, phi: float, step: float):
+    if isinstance(family, PhaseChannelFamily):
+        return family.state(phi), family.derivative(phi)
+    rho = _as_matrix(family(phi))
+    drho = (_as_matrix(family(phi + step)) - _as_matrix(family(phi - step))) / (2.0 * step)
     return rho, drho
 
 
-def qfi(state_family, phi: float, *, derivative=None, step: float = 1e-5) -> float:
+def qfi(state_family, phi: float, *, step: float = 1e-5) -> float:
     """Quantum Fisher information of a phi-differentiable state family.
 
     QFI = 2 sum_{j,k: l_j + l_k > eps} |<j| d rho |k>|^2 / (l_j + l_k) over
     the eigendecomposition of rho(phi), with eps = 1e-12 handling rank
-    deficiency.  The derivative is analytic when the family provides one
-    (or via ``derivative``), else a central difference of the entries.
+    deficiency.  The derivative is analytic for a :class:`PhaseChannelFamily`;
+    any other callable phi -> rho gets a central difference of the entries.
     """
-    rho, drho = _state_and_derivative(state_family, phi, derivative, step)
+    rho, drho = _state_and_derivative(state_family, phi, step)
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
         raise ValueError("state family returned a non-Hermitian matrix")
     evals, evecs = np.linalg.eigh(rho)
@@ -272,13 +227,13 @@ def qfi(state_family, phi: float, *, derivative=None, step: float = 1e-5) -> flo
 
 
 def classical_fi_of_povm(state_family, povm: Povm, phi: float, *,
-                         derivative=None, step: float = 1e-5) -> float:
+                         step: float = 1e-5) -> float:
     """Fisher information of the outcome distribution p(x|phi) = tr(rho_phi M_x).
 
     Never exceeds the QFI of the family.  Returns inf when some outcome has
     zero probability but a nonzero probability derivative.
     """
-    rho, drho = _state_and_derivative(state_family, phi, derivative, step)
+    rho, drho = _state_and_derivative(state_family, phi, step)
     fi = 0.0
     for m in povm.elements:
         p = float(np.trace(rho @ m).real)
@@ -425,18 +380,19 @@ def transition_sweep(eta: float, n_values, regime: str = "finite-N") -> list[dic
 
 def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
                           grid: ParameterGrid) -> ConditionalModel:
+    """p(x|phi) = sum_ab rho0_ab (E_x)_ba e^{i W_ab phi}, E_x = sum_k K_k^dag M_x K_k.
+
+    The noise is folded into the measurement once; the table and its
+    derivative (the same coefficients times i W) are one sum over the grid.
+    """
     if povm.dim != family.rho0.shape[0]:
         raise ValueError(f"POVM dim {povm.dim} does not match state dim {family.rho0.shape[0]}")
-    probs = np.empty((povm.n_outcomes, grid.points))
-    dprobs = np.empty_like(probs)
-    for g, phi in enumerate(grid.values):
-        rho = family.state(phi)
-        drho = family.derivative(phi)
-        for x, m in enumerate(povm.elements):
-            probs[x, g] = np.trace(rho @ m).real
-            dprobs[x, g] = np.trace(drho @ m).real
-    np.clip(probs, 0.0, None, out=probs)
-    probs /= probs.sum(axis=0, keepdims=True)
+    heisenberg = np.array([sum(k.conj().T @ m @ k for k in family.kraus)
+                           for m in povm.elements])
+    coeff = family.rho0[None, :, :] * heisenberg.transpose(0, 2, 1)
+    phase = np.exp(1j * family.winding[None, :, :] * grid.values[:, None, None])
+    probs, dprobs = np.einsum("sxab,pab->sxp", np.stack([coeff, 1j * family.winding * coeff]),
+                              phase).real
     return ConditionalModel(grid, probs, dprobs, "analytic")
 
 

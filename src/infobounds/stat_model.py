@@ -179,6 +179,14 @@ class ConditionalModel:
             raise ValueError("dprobs must match probs in shape")
         if self.derivative_source not in ("analytic", "finite-difference"):
             raise ValueError(f"unknown derivative source {self.derivative_source!r}")
+        dsums = dp.sum(axis=0)
+        for label, table, sums in (("probs", p, p.sum(axis=0)), ("dprobs", dp, dsums)):
+            # a NaN or inf entry leaves its column sum non-finite, so search only then
+            if not np.isfinite(sums).all():
+                bad = np.argwhere(~np.isfinite(table))
+                if bad.size:
+                    raise ValueError(
+                        f"{label} has a non-finite value at index {tuple(bad[0].tolist())}")
         if np.any(p < -1e-12):
             raise ValueError("outcome probabilities must be nonnegative")
         p = np.where(p < 0.0, 0.0, p)
@@ -187,7 +195,7 @@ class ConditionalModel:
         worst = np.max(np.abs(colsums - 1.0))
         if worst > OUTCOME_TOL:
             raise ValueError(f"outcome probabilities sum to 1 +/- {worst:.2e} > {OUTCOME_TOL}")
-        dworst = np.max(np.abs(dp.sum(axis=0)))
+        dworst = np.max(np.abs(dsums))
         if dworst > DERIV_SUM_TOL:
             raise ValueError(f"outcome derivatives sum to {dworst:.2e} > {DERIV_SUM_TOL}")
         outcomes = self.outcomes or tuple(range(p.shape[0]))

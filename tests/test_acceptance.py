@@ -28,7 +28,6 @@ from infobounds.numerics import ParameterGrid, integrate
 from infobounds.quantum_metrology import (
     PhaseChannelFamily,
     classical_fi_of_povm,
-    make_channel,
     mi_cap,
     noon_family,
     noon_outcome_model,
@@ -145,10 +144,17 @@ def test_04_rectangle_case():
 def test_05_quantum_channel_suite():
     etas = [round(0.1 * k, 1) for k in range(1, 10)] + [0.99]
     for kind in ("dephasing", "amplitude-damping", "erasure"):
+        dim = 3 if kind == "erasure" else 2
         for eta in etas:
-            channel = make_channel(kind, eta, phi=0.4)
-            total = sum(k.conj().T @ k for k in channel.kraus)
-            assert np.max(np.abs(total - np.eye(channel.dim))) <= 1e-12
+            # tr state(phi) over the matrix units |a><b| is the identity
+            # exactly when the Kraus operators resolve the identity
+            total = np.empty((dim, dim), dtype=complex)
+            for a in range(dim):
+                for b in range(dim):
+                    unit = np.zeros((dim, dim), dtype=complex)
+                    unit[a, b] = 1.0
+                    total[a, b] = np.trace(PhaseChannelFamily(kind, eta, unit).state(0.4))
+            assert np.max(np.abs(total - np.eye(dim))) <= 1e-12
 
     plus = np.full((2, 2), 0.5, dtype=complex)
     for eta in etas:

@@ -129,6 +129,19 @@ class TestModelFiles:
         assert run(["bounds", "--model", str(path)]) == 1
         assert "prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["grid", "prior", "conditional"])
+    def test_non_object_section_reported(self, tmp_path, capsys, key):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema(**{key: [1, 2]})))
+        assert run(["bounds", "--model", str(path)]) == 1
+        assert f"'{key}' must be a JSON object, got list" in capsys.readouterr().err
+
+    def test_non_object_model_reported(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(["grid", "prior", "conditional"]))
+        assert run(["bounds", "--model", str(path)]) == 1
+        assert "the model must be a JSON object, got list" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert run(["bounds", "--model", "nosuch.json"]) == 1
         assert "error" in capsys.readouterr().err

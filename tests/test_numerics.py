@@ -27,6 +27,10 @@ class TestParameterGrid:
         with pytest.raises(ValueError, match="at least 3"):
             ParameterGrid(0.0, 1.0, 1)
 
+    def test_rejects_non_integer_points(self):
+        with pytest.raises(TypeError, match="integer"):
+            ParameterGrid(0.0, 1.0, 2001.0)
+
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError, match="exceed"):
             ParameterGrid(1.0, 0.0, 11)

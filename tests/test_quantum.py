@@ -7,14 +7,12 @@ from infobounds.mi_oracle import mutual_information
 from infobounds.numerics import ParameterGrid
 from infobounds.quantum_metrology import (
     DensityMatrix,
-    KrausChannel,
     PhaseChannelFamily,
     Povm,
     asymptotic_fi_cap,
     channel_outcome_model,
     classical_fi_of_povm,
     finite_n_fi_cap,
-    make_channel,
     mi_cap,
     noon_family,
     noon_outcome_model,
@@ -23,6 +21,7 @@ from infobounds.quantum_metrology import (
     qfi,
     random_povm,
     transition_sweep,
+    _family_outcome_model,
 )
 from infobounds.stat_model import JointModel, PriorDensity
 
@@ -79,62 +78,71 @@ class TestPhaseGate:
             phase_gate(0.1, 1)
 
 
+def transfer_trace(kind, eta, phi):
+    """tr state(phi) for every matrix unit |a><b| as input state.
+
+    It equals the identity exactly when the Kraus operators resolve the
+    identity, i.e. when the channel preserves the trace of every input.
+    """
+    dim = 3 if kind == "erasure" else 2
+    out = np.empty((dim, dim), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[a, b] = 1.0
+            out[a, b] = np.trace(PhaseChannelFamily(kind, eta, unit).state(phi))
+    return out
+
+
 class TestChannels:
     @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping", "erasure"])
     @pytest.mark.parametrize("eta", ETAS)
     def test_kraus_completeness(self, kind, eta):
-        channel = make_channel(kind, eta, phi=0.7)
-        total = sum(k.conj().T @ k for k in channel.kraus)
-        assert np.max(np.abs(total - np.eye(channel.dim))) < 1e-12
+        total = transfer_trace(kind, eta, phi=0.7)
+        assert np.max(np.abs(total - np.eye(total.shape[0]))) < 1e-12
 
     def test_eta_domain(self):
         with pytest.raises(ValueError, match="eta"):
-            make_channel("dephasing", 0.0, 0.0)
+            PhaseChannelFamily("dephasing", 0.0, PLUS)
         with pytest.raises(ValueError, match="eta"):
-            make_channel("dephasing", 1.5, 0.0)
+            PhaseChannelFamily("dephasing", 1.5, PLUS)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown channel kind"):
-            make_channel("bitflip", 0.5, 0.0)
+            PhaseChannelFamily("bitflip", 0.5, PLUS)
 
     def test_noiseless_dephasing_equals_unitary(self):
         rng = np.random.default_rng(11)
-        channel = make_channel("dephasing", 1.0, phi=0.9)
         u = phase_gate(0.9, 2)
         for _ in range(100):
             psi = rng.normal(size=2) + 1j * rng.normal(size=2)
             rho = DensityMatrix.pure(psi).matrix
-            assert np.max(np.abs(channel.apply(rho) - u @ rho @ u.conj().T)) < 1e-12
+            out = PhaseChannelFamily("dephasing", 1.0, rho).state(0.9)
+            assert np.max(np.abs(out - u @ rho @ u.conj().T)) < 1e-12
 
     def test_dephasing_scales_coherence_by_sqrt_eta(self):
         eta = 0.64
-        out = make_channel("dephasing", eta, phi=0.0).apply(PLUS)
+        out = PhaseChannelFamily("dephasing", eta, PLUS).state(0.0)
         assert abs(out[0, 1]) == pytest.approx(math.sqrt(eta) * 0.5, abs=1e-12)
 
     def test_amplitude_damping_decays_excited_population(self):
         eta = 0.36
         rho = DensityMatrix.pure([0.0, 1.0]).matrix
-        out = make_channel("amplitude-damping", eta, phi=0.2).apply(rho)
+        out = PhaseChannelFamily("amplitude-damping", eta, rho).state(0.2)
         assert out[1, 1].real == pytest.approx(eta, abs=1e-12)
         assert out[0, 0].real == pytest.approx(1.0 - eta, abs=1e-12)
 
     def test_erasure_loss_probability(self):
         eta = 0.7
         rng = np.random.default_rng(3)
-        channel = make_channel("erasure", eta, phi=0.5)
         loss = np.zeros((3, 3), dtype=complex)
         loss[2, 2] = 1.0
         for _ in range(10):
             psi = np.zeros(3, dtype=complex)
             psi[:2] = rng.normal(size=2) + 1j * rng.normal(size=2)
             rho = DensityMatrix.pure(psi).matrix
-            out = channel.apply(rho)
+            out = PhaseChannelFamily("erasure", eta, rho).state(0.5)
             assert np.trace(loss @ out).real == pytest.approx(1.0 - eta, abs=1e-12)
-
-    def test_incomplete_kraus_rejected(self):
-        half = (0.5 * np.eye(2),)
-        with pytest.raises(ValueError, match="identity"):
-            KrausChannel(half, eta=1.0, kind="dephasing")
 
 
 class TestQfi:
@@ -370,3 +378,93 @@ class TestChannelOutcomeModel:
         cond = channel_outcome_model("erasure", 0.6, grid)
         assert cond.n_outcomes == 3
         np.testing.assert_allclose(cond.probs[2], 0.4, atol=1e-12)
+
+
+def reference_kraus(kind, eta):
+    """Noise Kraus operators written out here, independently of the package."""
+    s, r = math.sqrt(eta), math.sqrt(1.0 - eta)
+    if kind == "dephasing":
+        return (math.sqrt((1.0 + s) / 2.0) * np.eye(2),
+                math.sqrt((1.0 - s) / 2.0) * np.diag([1.0, -1.0]))
+    if kind == "amplitude-damping":
+        return (np.array([[1.0, 0.0], [0.0, s]]), np.array([[0.0, r], [0.0, 0.0]]))
+    lost = [np.zeros((3, 3)) for _ in range(3)]
+    lost[0][2, 2], lost[1][2, 0], lost[2][2, 1] = 1.0, r, r
+    return (np.diag([s, s, 0.0]), *lost)
+
+
+def reference_table(kind, eta, rho0, povm, grid, gates):
+    """p(x|phi) and its derivative point by point from sum_k K_k U rho0 U^dag K_k^dag."""
+    kraus = reference_kraus(kind, eta)
+    dim = rho0.shape[0]
+    gen = np.zeros((dim, dim))
+    gen[1, 1] = gates
+    probs = np.empty((povm.n_outcomes, grid.points))
+    dprobs = np.empty_like(probs)
+    for j, phi in enumerate(grid.values):
+        u = phase_gate(gates * phi, dim)
+        r = u @ rho0 @ u.conj().T
+        dr = 1j * (gen @ r - r @ gen)
+        rho = sum(k @ r @ k.conj().T for k in kraus)
+        drho = sum(k @ dr @ k.conj().T for k in kraus)
+        for x, m in enumerate(povm.elements):
+            probs[x, j] = np.trace(rho @ m).real
+            dprobs[x, j] = np.trace(drho @ m).real
+    return probs, dprobs
+
+
+def random_state(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real).matrix
+
+
+class TestOutcomeTableEquivalence:
+    GRID = ParameterGrid(0.0, 2.0 * PI, 201)
+    TOL = 1e-13
+
+    def assert_matches(self, cond, reference):
+        probs, dprobs = reference
+        assert np.max(np.abs(cond.probs - probs)) <= self.TOL
+        assert np.max(np.abs(cond.dprobs - dprobs)) <= self.TOL
+
+    @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping", "erasure"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_channel_outcome_model(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        dim = 3 if kind == "erasure" else 2
+        eta = float(rng.uniform(0.1, 1.0))
+        rho0 = random_state(rng, dim)
+        povm = random_povm(rng, dim, int(rng.integers(2, 5)))
+        cond = channel_outcome_model(kind, eta, self.GRID, rho0=rho0, povm=povm)
+        self.assert_matches(cond, reference_table(kind, eta, rho0, povm, self.GRID, 1))
+
+    @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping", "erasure"])
+    def test_channel_outcome_model_defaults(self, kind):
+        dim = 3 if kind == "erasure" else 2
+        psi = np.zeros(dim)
+        psi[:2] = 1.0
+        rho0 = DensityMatrix.pure(psi).matrix
+        cond = channel_outcome_model(kind, 0.7, self.GRID)
+        self.assert_matches(cond, reference_table(kind, 0.7, rho0, plus_minus_povm(dim),
+                                                  self.GRID, 1))
+
+    @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping", "erasure"])
+    @pytest.mark.parametrize("gates", [1, 3, 16])
+    def test_wound_family(self, kind, gates):
+        rng = np.random.default_rng(gates)
+        dim = 3 if kind == "erasure" else 2
+        eta = float(rng.uniform(0.1, 1.0))
+        rho0 = random_state(rng, dim)
+        povm = random_povm(rng, dim, int(rng.integers(2, 5)))
+        family = PhaseChannelFamily(kind, eta, rho0, gates=gates)
+        cond = _family_outcome_model(family, povm, self.GRID)
+        self.assert_matches(cond, reference_table(kind, eta, rho0, povm, self.GRID, gates))
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_noon_outcome_model(self, n):
+        rng = np.random.default_rng(n)
+        for povm in (plus_minus_povm(2), random_povm(rng, 2, 3)):
+            cond = noon_outcome_model(n, povm, self.GRID)
+            self.assert_matches(cond, reference_table("dephasing", 1.0, PLUS, povm,
+                                                      self.GRID, n))

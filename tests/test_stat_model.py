@@ -117,6 +117,15 @@ class TestConditionalModel:
         with pytest.raises(ValueError, match="derivatives"):
             ConditionalModel(pi_grid, probs, dprobs, "analytic")
 
+    @pytest.mark.parametrize("label", ["probs", "dprobs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_naming_array_and_index(self, pi_grid, label, value):
+        tables = {"probs": np.full((2, pi_grid.points), 0.5),
+                  "dprobs": np.zeros((2, pi_grid.points))}
+        tables[label][1, 7] = value
+        with pytest.raises(ValueError, match=rf"{label} has a non-finite value at index \(1, 7\)"):
+            ConditionalModel(pi_grid, tables["probs"], tables["dprobs"], "analytic")
+
     def test_from_probs_finite_difference_tag(self, pi_grid):
         model = ConditionalModel.from_probs(pi_grid, cos2_model(pi_grid).probs)
         assert model.derivative_source == "finite-difference"
