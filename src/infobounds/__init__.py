@@ -8,6 +8,7 @@ checks every one of them against exact quadrature oracles.
 
 from .bounds import (
     BoundReport,
+    all_bounds,
     efroimovich_mi_bound,
     entropy_mse_floor,
     gaussian_prior_mse_bounds,

@@ -28,7 +28,7 @@ from .stat_model import (
     PriorDensity,
     ZERO_DERIV_TOL,
     average_fisher,
-    fisher_information,
+    fisher_under_prior,
     jeffreys_length,
     prior_entropy,
 )
@@ -40,6 +40,7 @@ __all__ = [
     "NATS",
     "SQUARED_UNITS",
     "UPPER_MI",
+    "all_bounds",
     "efroimovich_mi_bound",
     "entropy_mse_floor",
     "gaussian_prior_mse_bounds",
@@ -96,15 +97,6 @@ def oracle_margin(report: BoundReport, oracle_value: float) -> float:
     return oracle_value - report.value
 
 
-def _fisher_with_prior(joint: JointModel) -> np.ndarray:
-    """F(phi) masked against the prior: divergent F under zero prior mass is dropped."""
-    profile = fisher_information(joint.conditional)
-    p = joint.prior.density
-    if np.any(profile.divergent & (p > 0.0)):
-        raise NumericError("Fisher information diverges where the prior has mass")
-    return np.where(profile.divergent, 0.0, profile.values)
-
-
 def joint_derivative_l1(joint: JointModel) -> np.ndarray:
     """Left side of the pointwise Cauchy-Schwarz step: sum_x |d p(x,phi)/d phi|."""
     return np.abs(joint.joint_derivative()).sum(axis=0)
@@ -112,7 +104,7 @@ def joint_derivative_l1(joint: JointModel) -> np.ndarray:
 
 def joint_derivative_l1_bound(joint: JointModel) -> np.ndarray:
     """Right side of the pointwise Cauchy-Schwarz step: sqrt(F p^2 + pdot^2)."""
-    F = _fisher_with_prior(joint)
+    F = fisher_under_prior(joint)
     p = joint.prior.density
     pdot = joint.prior.derivative
     return np.sqrt(F * p * p + pdot * pdot)
@@ -136,8 +128,13 @@ def mi_bound_finite_support(profile: FisherProfile, support: tuple | None = None
     )
 
 
-def _edge_jump_mass(prior: PriorDensity) -> float:
-    return float(sum(abs(j) for _, j in prior.edge_jumps))
+def _l1_total(joint: JointModel) -> float:
+    """int sqrt(F p^2 + pdot^2) dphi plus the magnitudes of the declared edge jumps."""
+    prior = joint.prior
+    if not prior.smooth and not prior.edge_jumps:
+        raise ValueError("prior is not smooth and declares no edge locations")
+    jumps = float(sum(abs(j) for _, j in prior.edge_jumps))
+    return integrate(joint_derivative_l1_bound(joint), joint.grid) + jumps
 
 
 def mi_bound_general_prior(joint: JointModel) -> BoundReport:
@@ -147,18 +144,14 @@ def mi_bound_general_prior(joint: JointModel) -> BoundReport:
     logarithm (subadditivity of the square root); undeclared non-smooth
     priors are rejected.
     """
-    prior = joint.prior
-    if not prior.smooth and not prior.edge_jumps:
-        raise ValueError("prior is not smooth and declares no edge locations")
-    integrand = joint_derivative_l1_bound(joint)
-    half_l1 = 0.5 * (integrate(integrand, joint.grid) + _edge_jump_mass(prior))
-    entropy = prior_entropy(prior)
+    half_l1 = 0.5 * _l1_total(joint)
+    entropy = prior_entropy(joint.prior)
     return BoundReport(
         name="mi-bound-general-prior",
         value=math.log(half_l1) + entropy,
         units=NATS,
         direction=UPPER_MI,
-        inputs={"half_l1": half_l1, "prior_entropy": entropy, "prior_kind": prior.kind},
+        inputs={"half_l1": half_l1, "prior_entropy": entropy, "prior_kind": joint.prior.kind},
     )
 
 
@@ -178,7 +171,7 @@ def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport
     if not np.any(fv > 0.0):
         raise ValueError("f must be positive somewhere on the grid")
     df = central_difference(fv, grid) if f_derivative is None else np.asarray(f_derivative, float)
-    F = _fisher_with_prior(joint)
+    F = fisher_under_prior(joint)
     half_l1 = 0.5 * integrate(np.sqrt(F * fv * fv + df * df), grid)
     p = joint.prior.density
     if np.any((p > 0.0) & (fv <= 0.0)):
@@ -214,21 +207,28 @@ def prior_information(prior: PriorDensity) -> float:
     return integrate(integrand, prior.grid)
 
 
+def _fisher_plus_prior_bound(joint: JointModel, name: str, units: str, direction: str,
+                             value_of) -> BoundReport:
+    """A bound on int F p + P: ``value_of(total)``, or flagged and valueless when P diverges."""
+    P = prior_information(joint.prior)
+    inputs = {"prior_information": P, "prior_kind": joint.prior.kind}
+    if math.isinf(P):
+        return BoundReport(name, None, units, direction,
+                           inputs=inputs, flags=(DIVERGENT_PRIOR_INFORMATION,))
+    inputs["average_fisher"] = average_fisher(joint)
+    return BoundReport(name, value_of(inputs["average_fisher"] + P), units, direction,
+                       inputs=inputs)
+
+
 def efroimovich_mi_bound(joint: JointModel) -> BoundReport:
     """Efroimovich MI bound: (1/2) ln[ (int F p + P) / (2 pi e) ] + H(phi).
 
     Reported with a divergence flag and no value when P diverges (uniform
     priors), the case the finite-support bound is built to cover.
     """
-    P = prior_information(joint.prior)
-    inputs = {"prior_information": P, "prior_kind": joint.prior.kind}
-    if math.isinf(P):
-        return BoundReport("efroimovich-mi-bound", None, NATS, UPPER_MI,
-                           inputs=inputs, flags=(DIVERGENT_PRIOR_INFORMATION,))
-    avg_f = average_fisher(joint)
-    value = 0.5 * math.log((avg_f + P) / (2.0 * math.pi * math.e)) + prior_entropy(joint.prior)
-    inputs["average_fisher"] = avg_f
-    return BoundReport("efroimovich-mi-bound", value, NATS, UPPER_MI, inputs=inputs)
+    return _fisher_plus_prior_bound(
+        joint, "efroimovich-mi-bound", NATS, UPPER_MI,
+        lambda total: 0.5 * math.log(total / (2.0 * math.pi * math.e)) + prior_entropy(joint.prior))
 
 
 def entropy_mse_floor(conditional_entropy: float) -> float:
@@ -238,14 +238,8 @@ def entropy_mse_floor(conditional_entropy: float) -> float:
 
 def van_trees(joint: JointModel) -> BoundReport:
     """van Trees MSE lower bound: 1 / (int F p dphi + P); flagged when P diverges."""
-    P = prior_information(joint.prior)
-    inputs = {"prior_information": P, "prior_kind": joint.prior.kind}
-    if math.isinf(P):
-        return BoundReport("van-trees", None, SQUARED_UNITS, LOWER_MSE,
-                           inputs=inputs, flags=(DIVERGENT_PRIOR_INFORMATION,))
-    avg_f = average_fisher(joint)
-    inputs["average_fisher"] = avg_f
-    return BoundReport("van-trees", 1.0 / (avg_f + P), SQUARED_UNITS, LOWER_MSE, inputs=inputs)
+    return _fisher_plus_prior_bound(joint, "van-trees", SQUARED_UNITS, LOWER_MSE,
+                                    lambda total: 1.0 / total)
 
 
 def _support_slice(prior: PriorDensity) -> tuple[int, int]:
@@ -271,22 +265,17 @@ def mse_bound_finite_support(joint: JointModel) -> BoundReport:
     (2 / pi e) / (2/d + sqrt(F))^2 is reported in ``extras``.
     """
     prior = joint.prior
-    profile = fisher_information(joint.conditional)
+    profile = joint.conditional.fisher
     grid = joint.grid
     i0, i1 = _support_slice(prior)
     length = jeffreys_length(profile, (grid.values[i0], grid.values[i1]))
     entropy = prior_entropy(prior)
     value = entropy_mse_floor(entropy) / (1.0 + 0.5 * length) ** 2
     extras = {}
-    if prior.kind == "rectangle":
-        # constancy judged on interior points: the 0/0 -> 0 convention can
-        # zero F at an exact endpoint of analytic families
-        interior = profile.values[1:-1][~profile.divergent[1:-1]]
-        if interior.size and np.ptp(interior) <= 1e-6 * max(1.0, float(np.max(interior))):
-            d = prior.params["width"]
-            f_const = float(np.median(interior))
-            extras["rectangle-closed-form"] = (
-                2.0 / (math.pi * math.e) / (2.0 / d + math.sqrt(f_const)) ** 2)
+    f_const = profile.constant_value() if prior.kind == "rectangle" else None
+    if f_const is not None:
+        extras["rectangle-closed-form"] = (
+            2.0 / (math.pi * math.e) / (2.0 / prior.params["width"] + math.sqrt(f_const)) ** 2)
     return BoundReport(
         name="mse-bound-finite-support",
         value=value,
@@ -304,16 +293,13 @@ def mse_bound_general_prior(joint: JointModel) -> BoundReport:
     edge jumps added at full magnitude to the integral (subadditivity), which
     only loosens the bound.
     """
-    prior = joint.prior
-    if not prior.smooth and not prior.edge_jumps:
-        raise ValueError("prior is not smooth and declares no edge locations")
-    total = integrate(joint_derivative_l1_bound(joint), joint.grid) + _edge_jump_mass(prior)
+    total = _l1_total(joint)
     return BoundReport(
         name="mse-bound-general-prior",
         value=2.0 / (math.pi * math.e) / total ** 2,
         units=SQUARED_UNITS,
         direction=LOWER_MSE,
-        inputs={"l1_total": total, "prior_kind": prior.kind},
+        inputs={"l1_total": total, "prior_kind": joint.prior.kind},
     )
 
 
@@ -342,3 +328,21 @@ def gaussian_prior_mse_bounds(F: float, sigma: float) -> tuple[BoundReport, Boun
     simplified = BoundReport("gaussian-prior-mse-simplified", coeff / (F + 1.0 / sigma ** 2),
                              SQUARED_UNITS, LOWER_MSE, inputs=dict(inputs))
     return exact, simplified
+
+
+def all_bounds(joint: JointModel) -> list[BoundReport]:
+    """Every bound that applies to ``joint``, MI upper bounds first.
+
+    Efroimovich and van Trees stay in with their flag when P diverges; the
+    closed forms need constant F and a rectangle or Gaussian prior.
+    """
+    reports = [mi_bound_finite_support(joint.conditional.fisher), mi_bound_general_prior(joint),
+               efroimovich_mi_bound(joint), van_trees(joint), mse_bound_finite_support(joint)]
+    closed = reports[-1].extras.get("rectangle-closed-form")
+    if closed is not None:
+        reports.append(BoundReport("mse-rectangle-closed-form", closed, SQUARED_UNITS, LOWER_MSE))
+    reports.append(mse_bound_general_prior(joint))
+    f_const = joint.conditional.fisher.constant_value() if joint.prior.kind == "gaussian" else None
+    if f_const is not None:
+        reports.extend(gaussian_prior_mse_bounds(f_const, joint.prior.params["sigma"]))
+    return reports

@@ -30,7 +30,7 @@ from .mi_oracle import mutual_information
 from .numerics import NumericError, ParameterGrid
 from .quantum_metrology import channel_outcome_model, noon_outcome_model, transition_sweep
 from .random_models import random_joint_model
-from .stat_model import ConditionalModel, JointModel, PriorDensity, cos2_model, fisher_information
+from .stat_model import ConditionalModel, JointModel, PriorDensity, cos2_model
 
 DEFAULT_SEED = 42
 DEFAULT_GRID_POINTS = 2001
@@ -120,7 +120,9 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: the model must be a JSON object, got {type(cfg).__name__}")
     gspec = section("grid")
-    points = grid_points or int(need(gspec, "points", "grid"))
+    points = grid_points or need(gspec, "points", "grid")
+    if not isinstance(points, int) or isinstance(points, bool):
+        raise ValueError(f"{path}: grid 'points' must be an integer, got {points!r}")
     grid = ParameterGrid(float(need(gspec, "lower", "grid")),
                          float(need(gspec, "upper", "grid")), points)
 
@@ -205,39 +207,19 @@ def _report_row(report: bnd.BoundReport) -> dict:
 
 def _bounds_rows(joint: JointModel) -> list[dict]:
     oracle = mutual_information(joint)
-    profile = fisher_information(joint.conditional)
-    rows = [
-        _report_row(bnd.mi_bound_finite_support(profile)),
-        _report_row(bnd.mi_bound_general_prior(joint)),
-        _report_row(bnd.efroimovich_mi_bound(joint)),
-        {"name": "oracle-mi", "value": oracle.mi, "units": "nats", "direction": "oracle"},
-        _report_row(bnd.van_trees(joint)),
-    ]
-    mse_fs = bnd.mse_bound_finite_support(joint)
-    rows.append(_report_row(mse_fs))
-    if "rectangle-closed-form" in mse_fs.extras:
-        rows.append({"name": "mse-rectangle-closed-form",
-                     "value": mse_fs.extras["rectangle-closed-form"],
-                     "units": bnd.SQUARED_UNITS, "direction": bnd.LOWER_MSE})
-    rows.append(_report_row(bnd.mse_bound_general_prior(joint)))
+    reports = bnd.all_bounds(joint)
+    rows = [_report_row(r) for r in reports if r.direction == bnd.UPPER_MI]
+    rows.append({"name": "oracle-mi", "value": oracle.mi, "units": "nats", "direction": "oracle"})
+    rows += [_report_row(r) for r in reports if r.direction == bnd.LOWER_MSE]
     rows.append({"name": "entropy-mse-floor", "value": bnd.entropy_mse_floor(oracle.h_posterior),
                  "units": bnd.SQUARED_UNITS, "direction": bnd.LOWER_MSE})
     rows.append({"name": "oracle-bayes-mse", "value": oracle.bayes_mse,
                  "units": bnd.SQUARED_UNITS, "direction": "oracle"})
 
-    fin = profile.values[1:-1][~profile.divergent[1:-1]]
-    f_constant = fin.size > 0 and np.ptp(fin) <= 1e-6 * max(1.0, float(np.max(fin)))
-    if joint.prior.kind == "gaussian" and f_constant:
-        exact, simplified = bnd.gaussian_prior_mse_bounds(
-            float(np.median(fin)), joint.prior.params["sigma"])
-        rows.append(_report_row(exact))
-        rows.append(_report_row(simplified))
-
-    vt = next(r for r in rows if r["name"] == "van-trees")
+    vt = next(r["value"] for r in rows if r["name"] == "van-trees")
     for row in rows:
-        if row.get("units") == bnd.SQUARED_UNITS and isinstance(row.get("value"), float) \
-                and isinstance(vt.get("value"), float) and row["value"] > 0:
-            row["vt_ratio"] = vt["value"] / row["value"]
+        if vt is not None and row["units"] == bnd.SQUARED_UNITS and (row["value"] or 0.0) > 0:
+            row["vt_ratio"] = vt / row["value"]
     return rows
 
 
@@ -265,25 +247,14 @@ def cmd_mi(args) -> int:
 
 def _verify_one(joint: JointModel) -> list[dict]:
     oracle = mutual_information(joint)
-    profile = fisher_information(joint.conditional)
-    checks = [
-        bnd.mi_bound_finite_support(profile),
-        bnd.mi_bound_general_prior(joint),
-        bnd.efroimovich_mi_bound(joint),
-        bnd.mse_bound_finite_support(joint),
-        bnd.mse_bound_general_prior(joint),
-        bnd.van_trees(joint),
-    ]
     rows = []
-    for report in checks:
-        if report.value is None:
-            rows.append({"bound": report.name, "direction": report.direction, "value": None,
-                         "oracle": None, "margin": None, "flags": ";".join(report.flags)})
-            continue
-        target = oracle.mi if report.direction == bnd.UPPER_MI else oracle.bayes_mse
-        rows.append({"bound": report.name, "direction": report.direction,
-                     "value": report.value, "oracle": target,
-                     "margin": bnd.oracle_margin(report, target), "flags": ""})
+    for report in bnd.all_bounds(joint):
+        row = {"bound": report.name, "direction": report.direction, "value": report.value,
+               "oracle": None, "margin": None, "flags": ";".join(report.flags)}
+        if report.value is not None:
+            row["oracle"] = oracle.mi if report.direction == bnd.UPPER_MI else oracle.bayes_mse
+            row["margin"] = bnd.oracle_margin(report, row["oracle"])
+        rows.append(row)
     return rows
 
 

@@ -146,12 +146,9 @@ def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
     if len(labels) != model.n_outcomes:
         raise ValueError("need one label per outcome")
     groups = sorted(set(labels), key=labels.index)
-    probs = np.vstack([
-        model.probs[[i for i, g in enumerate(labels) if g == grp]].sum(axis=0)
-        for grp in groups])
-    dprobs = np.vstack([
-        model.dprobs[[i for i, g in enumerate(labels) if g == grp]].sum(axis=0)
-        for grp in groups])
+    members = [[i for i, g in enumerate(labels) if g == grp] for grp in groups]
+    probs = np.vstack([model.probs[rows].sum(axis=0) for rows in members])
+    dprobs = np.vstack([model.dprobs[rows].sum(axis=0) for rows in members])
     return ConditionalModel(model.grid, probs, dprobs, model.derivative_source, tuple(groups))
 
 

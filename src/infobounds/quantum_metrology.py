@@ -166,6 +166,8 @@ class PhaseChannelFamily:
     winding: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.gates, (int, np.integer)) or isinstance(self.gates, bool):
+            raise TypeError(f"gates must be an integer, got {self.gates!r}")
         if self.gates < 1:
             raise ValueError(f"gates must be >= 1, got {self.gates}")
         if not 0.0 < self.eta <= 1.0:
@@ -302,6 +304,13 @@ def finite_n_fi_cap(n: int, eta: float) -> float:
     return n * n * eta / (eta + n * (1.0 - eta))
 
 
+def _fi_cap_function(regime: str):
+    caps = {"finite-N": finite_n_fi_cap, "asymptotic": asymptotic_fi_cap}
+    if regime not in caps:
+        raise ValueError(f"unknown regime {regime!r}; expected 'asymptotic' or 'finite-N'")
+    return caps[regime]
+
+
 def mi_cap(n: int, eta: float, regime: str = "finite-N", kind: str = "dephasing",
            fi_cap: float | None = None) -> BoundReport:
     """Global MI cap for N noisy phase gates on phi in [0, 2 pi): ln(1 + pi sqrt(F_cap)).
@@ -321,12 +330,8 @@ def mi_cap(n: int, eta: float, regime: str = "finite-N", kind: str = "dephasing"
             raise ValueError(f"fi_cap must be nonnegative, got {fi_cap}")
         cap = float(fi_cap)
         flags += ("configured-fi-cap",)
-    elif regime == "asymptotic":
-        cap = asymptotic_fi_cap(n, eta)
-    elif regime == "finite-N":
-        cap = finite_n_fi_cap(n, eta)
     else:
-        raise ValueError(f"unknown regime {regime!r}; expected 'asymptotic' or 'finite-N'")
+        cap = _fi_cap_function(regime)(n, eta)
     if kind == "amplitude-damping" and fi_cap is None:
         flags += ("amplitude-damping-default-cap",)
     if eta == 1.0:
@@ -356,12 +361,7 @@ def transition_sweep(eta: float, n_values, regime: str = "finite-N") -> list[dic
         raise ValueError("need at least two distinct N values for a sweep")
     if ns[0] < 1:
         raise ValueError("N values must be >= 1")
-    if regime == "finite-N":
-        cap_fn = finite_n_fi_cap
-    elif regime == "asymptotic":
-        cap_fn = asymptotic_fi_cap
-    else:
-        raise ValueError(f"unknown regime {regime!r}; expected 'asymptotic' or 'finite-N'")
+    cap_fn = _fi_cap_function(regime)
     caps = np.array([cap_fn(int(n), eta) for n in ns])
     arg = math.pi * np.sqrt(caps)
     slope = np.gradient(np.log(arg), np.log(ns.astype(float)))
@@ -384,9 +384,18 @@ def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
 
     The noise is folded into the measurement once; the table and its
     derivative (the same coefficients times i W) are one sum over the grid.
+    Grids with fewer than 8 points per period of the fastest winding alias it and are rejected.
     """
     if povm.dim != family.rho0.shape[0]:
         raise ValueError(f"POVM dim {povm.dim} does not match state dim {family.rho0.shape[0]}")
+    fastest = float(np.max(np.abs(family.winding)))
+    if fastest * grid.spacing > math.pi / 4.0:
+        span = grid.upper - grid.lower
+        points = 2 * math.floor(2.0 * fastest * span / math.pi) + 1
+        while fastest * (span / (points - 1)) > math.pi / 4.0:
+            points += 2
+        raise ValueError(f"phase winding {fastest:g} is aliased by grid spacing {grid.spacing:.6g} "
+                         f"(fewer than 8 points per period); use at least {points} grid points")
     heisenberg = np.array([sum(k.conj().T @ m @ k for k in family.kraus)
                            for m in povm.elements])
     coeff = family.rho0[None, :, :] * heisenberg.transpose(0, 2, 1)
@@ -421,5 +430,5 @@ def channel_outcome_model(kind: str, eta: float, grid: ParameterGrid,
         rho0 = DensityMatrix.pure(psi).matrix
     if povm is None:
         povm = plus_minus_povm(dim)
-    family = PhaseChannelFamily(kind, eta, rho0)
+    family = PhaseChannelFamily(kind, eta, DensityMatrix(_as_matrix(rho0)))
     return _family_outcome_model(family, povm, grid)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "cos2_model",
     "cosine_plateau",
     "fisher_information",
+    "fisher_under_prior",
     "jeffreys_length",
     "marginal_outcome",
     "prior_entropy",
@@ -209,6 +211,11 @@ class ConditionalModel:
     def n_outcomes(self) -> int:
         return self.probs.shape[0]
 
+    @cached_property
+    def fisher(self) -> "FisherProfile":
+        """F(phi) of this model, computed on first access (the tables are read-only)."""
+        return fisher_information(self)
+
     @classmethod
     def from_probs(cls, grid: ParameterGrid, probs, dprobs=None,
                    outcomes: tuple = ()) -> "ConditionalModel":
@@ -288,6 +295,14 @@ class FisherProfile:
     def constant(cls, grid: ParameterGrid, value: float) -> "FisherProfile":
         return cls(grid, np.full(grid.points, float(value)), np.zeros(grid.points, dtype=bool))
 
+    def constant_value(self) -> float | None:
+        """Median of F if its interior points agree to 1e-6 relative, else None."""
+        # endpoints skipped: the 0/0 -> 0 rule can zero F at an end of an analytic family
+        interior = self.values[1:-1][~self.divergent[1:-1]]
+        if interior.size and np.ptp(interior) <= 1e-6 * max(1.0, float(np.max(interior))):
+            return float(np.median(interior))
+        return None
+
 
 def fisher_information(model: ConditionalModel) -> FisherProfile:
     """F(phi) = sum_x pdot(x|phi)^2 / p(x|phi), pointwise on the grid.
@@ -305,14 +320,17 @@ def fisher_information(model: ConditionalModel) -> FisherProfile:
     return FisherProfile(model.grid, values, divergent)
 
 
+def fisher_under_prior(joint: JointModel) -> np.ndarray:
+    """F(phi) masked against the prior: divergent F under zero prior mass is dropped."""
+    profile = joint.conditional.fisher
+    if np.any(profile.divergent & (joint.prior.density > 0.0)):
+        raise NumericError("Fisher information diverges where the prior has mass")
+    return np.where(profile.divergent, 0.0, profile.values)
+
+
 def average_fisher(joint: JointModel) -> float:
     """Prior-averaged Fisher information, int F(phi) p(phi) dphi."""
-    profile = fisher_information(joint.conditional)
-    bad = profile.divergent & (joint.prior.density > 0.0)
-    if np.any(bad):
-        raise NumericError("Fisher information diverges where the prior has mass")
-    integrand = np.where(profile.divergent, 0.0, profile.values) * joint.prior.density
-    return integrate(integrand, joint.grid)
+    return integrate(fisher_under_prior(joint) * joint.prior.density, joint.grid)
 
 
 def jeffreys_length(profile: FisherProfile, support: tuple | None = None) -> float:

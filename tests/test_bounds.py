@@ -9,6 +9,7 @@ from infobounds.bounds import (
     LOWER_MSE,
     NATS,
     UPPER_MI,
+    all_bounds,
     efroimovich_mi_bound,
     entropy_mse_floor,
     gaussian_prior_mse_bounds,
@@ -460,3 +461,50 @@ class TestRandomModelProperties:
         for joint in models:
             oracle = mutual_information(joint)
             assert entropy_mse_floor(oracle.h_posterior) <= oracle.bayes_mse + 1e-12
+
+
+VERIFIED_BOUNDS = ["mi-bound-finite-support", "mi-bound-general-prior", "efroimovich-mi-bound",
+                   "van-trees", "mse-bound-finite-support", "mse-bound-general-prior"]
+
+
+class TestBoundRegistry:
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: JointModel(PriorDensity.rectangle(ParameterGrid(0.0, PI, 2001)),
+                            cos2_model(ParameterGrid(0.0, PI, 2001))),
+         VERIFIED_BOUNDS[:5] + ["mse-rectangle-closed-form", "mse-bound-general-prior"]),
+        (gaussian_joint,
+         VERIFIED_BOUNDS + ["gaussian-prior-mse-exact", "gaussian-prior-mse-simplified"]),
+        (lambda: random_joint_model(np.random.default_rng(5), ParameterGrid(0.0, 1.0, 1001)),
+         VERIFIED_BOUNDS),
+    ], ids=["cos2", "cos2-gaussian", "random"])
+    def test_applicable_bounds(self, make, expected):
+        assert [r.name for r in all_bounds(make())] == expected
+
+    def test_rectangle_flags_kept(self):
+        reports = {r.name: r for r in all_bounds(
+            JointModel(PriorDensity.rectangle(ParameterGrid(0.0, PI, 201)),
+                       cos2_model(ParameterGrid(0.0, PI, 201))))}
+        for name in ("efroimovich-mi-bound", "van-trees"):
+            assert reports[name].value is None
+            assert reports[name].flags == (DIVERGENT_PRIOR_INFORMATION,)
+
+    def test_values_match_the_single_bounds(self):
+        joint = gaussian_joint()
+        reports = {r.name: r for r in all_bounds(joint)}
+        assert reports["mi-bound-general-prior"].value == mi_bound_general_prior(joint).value
+        assert reports["van-trees"].value == van_trees(joint).value
+        exact, simplified = gaussian_prior_mse_bounds(1.0, 0.5)
+        assert reports["gaussian-prior-mse-exact"].value == pytest.approx(exact.value, rel=1e-9)
+        assert reports["gaussian-prior-mse-simplified"].value == pytest.approx(
+            simplified.value, rel=1e-9)
+
+    def test_one_fisher_evaluation(self, monkeypatch):
+        import infobounds.stat_model as stat_model
+        calls = []
+        original = stat_model.fisher_information
+        monkeypatch.setattr(stat_model, "fisher_information",
+                            lambda model: calls.append(model) or original(model))
+        joint = gaussian_joint(points=401)
+        all_bounds(joint)
+        all_bounds(joint)
+        assert calls == [joint.conditional]

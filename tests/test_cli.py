@@ -2,9 +2,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from infobounds.cli import DEFAULT_SEED, build_builtin, load_model_file, main
+import infobounds.stat_model as stat_model
+from infobounds.cli import DEFAULT_SEED, _verify_one, build_builtin, load_model_file, main
+from infobounds.numerics import ParameterGrid
+from infobounds.random_models import random_joint_model
 
 PI = math.pi
 
@@ -16,6 +20,16 @@ def read_csv(path):
 
 def run(argv):
     return main(argv)
+
+
+@pytest.fixture
+def fisher_calls(monkeypatch):
+    """Records every fisher_information call made through the package."""
+    calls = []
+    original = stat_model.fisher_information
+    monkeypatch.setattr(stat_model, "fisher_information",
+                        lambda model: calls.append(model) or original(model))
+    return calls
 
 
 class TestBuiltinModels:
@@ -76,11 +90,31 @@ class TestBoundsCommand:
         # squared-units rows are untouched by the display conversion
         assert bits["oracle-bayes-mse"]["value"] == nats["oracle-bayes-mse"]["value"]
 
+    def test_aliased_winding_reported(self, capsys):
+        assert run(["bounds", "--model", "noon:n=100000", "--grid-points", "101"]) == 1
+        err = capsys.readouterr().err
+        assert "phase winding 100000 is aliased" in err
+        assert "diverges" not in err
+
     def test_stdout_table(self, capsys):
         assert run(["bounds", "--model", "cos2", "--grid-points", "401"]) == 0
         captured = capsys.readouterr().out
         assert "mi-bound-finite-support" in captured
         assert "oracle-mi" in captured
+
+
+class TestFisherOnce:
+    @pytest.mark.parametrize("model", ["cos2", "cos2-gaussian"])
+    def test_bounds_command(self, model, fisher_calls, capsys):
+        assert run(["bounds", "--model", model, "--grid-points", "401"]) == 0
+        assert len(fisher_calls) == 1
+
+    def test_verify_one(self, fisher_calls):
+        rng = np.random.default_rng(7)
+        grid = ParameterGrid(0.0, 1.0, 401)
+        for count in range(1, 4):
+            _verify_one(random_joint_model(rng, grid))
+            assert len(fisher_calls) == count
 
 
 class TestModelFiles:
@@ -141,6 +175,15 @@ class TestModelFiles:
         path.write_text(json.dumps(["grid", "prior", "conditional"]))
         assert run(["bounds", "--model", str(path)]) == 1
         assert "the model must be a JSON object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [401.9, 401.0, "401", True])
+    def test_non_integer_points_rejected(self, tmp_path, capsys, points):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema(grid={"lower": 0.0, "upper": PI,
+                                                     "points": points})))
+        assert run(["bounds", "--model", str(path)]) == 1
+        assert (f"{path}: grid 'points' must be an integer, got {points!r}"
+                in capsys.readouterr().err)
 
     def test_missing_file(self, capsys):
         assert run(["bounds", "--model", "nosuch.json"]) == 1

@@ -468,3 +468,58 @@ class TestOutcomeTableEquivalence:
             cond = noon_outcome_model(n, povm, self.GRID)
             self.assert_matches(cond, reference_table("dephasing", 1.0, PLUS, povm,
                                                       self.GRID, n))
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("gates", [2.5, 2.0, "2", True])
+    def test_non_integer_gates_rejected(self, gates):
+        with pytest.raises(TypeError, match="gates must be an integer"):
+            PhaseChannelFamily("dephasing", 0.9, PLUS, gates=gates)
+
+    def test_numpy_integer_gates_accepted(self):
+        assert PhaseChannelFamily("dephasing", 0.9, PLUS, gates=np.int64(3)).gates == 3
+
+    @pytest.mark.parametrize("rho0, message", [
+        ([[0.5, 0.9], [0.0, 0.5]], "not Hermitian"),
+        ([[0.6, 0.0], [0.0, 0.6]], "trace"),
+        ([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"),
+    ])
+    def test_channel_model_rejects_invalid_state(self, rho0, message):
+        grid = ParameterGrid(0.0, 2.0 * PI, 101)
+        with pytest.raises(ValueError, match=message):
+            channel_outcome_model("dephasing", 0.9, grid, rho0=rho0)
+
+    def test_channel_model_accepts_density_matrix(self):
+        grid = ParameterGrid(0.0, 2.0 * PI, 101)
+        plain = channel_outcome_model("dephasing", 0.9, grid, rho0=PLUS)
+        wrapped = channel_outcome_model("dephasing", 0.9, grid, rho0=DensityMatrix(PLUS))
+        np.testing.assert_array_equal(plain.probs, wrapped.probs)
+
+
+class TestWindingAliasing:
+    GRID = ParameterGrid(0.0, 2.0 * PI, 101)
+
+    @pytest.mark.parametrize("n", [13, 100000])
+    def test_coarse_grid_rejected(self, n):
+        with pytest.raises(ValueError, match=f"phase winding {n} is aliased by grid spacing"):
+            noon_outcome_model(n, grid=self.GRID)
+
+    def test_eight_points_per_period_accepted(self):
+        cond = noon_outcome_model(12, grid=self.GRID)
+        joint = JointModel(PriorDensity.rectangle(cond.grid), cond)
+        assert mutual_information(joint).mi == pytest.approx(1.0 - math.log(2.0), abs=1e-3)
+
+    @pytest.mark.parametrize("n", [13, 25, 1000])
+    def test_suggested_points_are_the_smallest_that_pass(self, n):
+        with pytest.raises(ValueError) as info:
+            noon_outcome_model(n, grid=self.GRID)
+        points = int(str(info.value).rsplit("at least ", 1)[1].split()[0])
+        assert points % 2 == 1
+        noon_outcome_model(n, grid=ParameterGrid(0.0, 2.0 * PI, points))
+        with pytest.raises(ValueError, match="aliased"):
+            noon_outcome_model(n, grid=ParameterGrid(0.0, 2.0 * PI, points - 2))
+
+    def test_wound_family_rejected(self):
+        family = PhaseChannelFamily("dephasing", 0.9, PLUS, gates=13)
+        with pytest.raises(ValueError, match="aliased"):
+            _family_outcome_model(family, plus_minus_povm(2), self.GRID)

@@ -15,6 +15,7 @@ from infobounds.stat_model import (
     cos2_model,
     cosine_plateau,
     fisher_information,
+    fisher_under_prior,
     jeffreys_length,
     marginal_outcome,
     prior_entropy,
@@ -167,6 +168,57 @@ class TestFisherInformation:
         assert profile.divergent[0] and profile.divergent[-1]
         assert np.isinf(profile.values[0])
         assert not profile.divergent[1:-1].any()
+
+
+class TestCachedFisher:
+    def test_matches_a_fresh_profile_and_is_cached(self, pi_grid):
+        model = cos2_model(pi_grid)
+        fresh = fisher_information(model)
+        np.testing.assert_array_equal(model.fisher.values, fresh.values)
+        np.testing.assert_array_equal(model.fisher.divergent, fresh.divergent)
+        assert model.fisher is model.fisher
+
+    def test_computed_lazily(self, pi_grid, monkeypatch):
+        import infobounds.stat_model as stat_model
+        calls = []
+        original = stat_model.fisher_information
+        monkeypatch.setattr(stat_model, "fisher_information",
+                            lambda model: calls.append(model) or original(model))
+        model = cos2_model(pi_grid)
+        assert calls == []
+        model.fisher
+        model.fisher
+        assert calls == [model]
+
+    def test_constant_value(self, pi_grid):
+        # cos2 has F = 1 inside (0, pi) and F = 0 at the endpoints by the 0/0 rule
+        assert fisher_information(cos2_model(pi_grid)).constant_value() == pytest.approx(1.0)
+        assert FisherProfile.constant(pi_grid, 2.5).constant_value() == 2.5
+        ramp = FisherProfile(pi_grid, np.linspace(1.0, 2.0, pi_grid.points),
+                             np.zeros(pi_grid.points, dtype=bool))
+        assert ramp.constant_value() is None
+
+    def test_constant_value_tolerance(self, pi_grid):
+        values = np.full(pi_grid.points, 1000.0)
+        values[5] += 0.5e-3   # ptp 5e-7 relative to max F
+        assert FisherProfile(pi_grid, values, np.zeros(pi_grid.points, dtype=bool)) \
+            .constant_value() == 1000.0
+        values[5] += 1e-3
+        assert FisherProfile(pi_grid, values, np.zeros(pi_grid.points, dtype=bool)) \
+            .constant_value() is None
+
+    def test_fisher_under_prior_masks_divergence_outside_support(self):
+        grid = ParameterGrid(0.0, 1.0, 11)
+        p1 = np.linspace(0.0, 1.0, 11)
+        model = ConditionalModel(grid, np.vstack([1.0 - p1, p1]),
+                                 np.vstack([-np.ones(11), np.ones(11)]), "analytic")
+        inside = JointModel(PriorDensity.rectangle(grid), model)
+        with pytest.raises(NumericError, match="diverges where the prior has mass"):
+            fisher_under_prior(inside)
+        window = PriorDensity.cosine_window(grid, 0.5, 0.8)
+        masked = fisher_under_prior(JointModel(window, model))
+        assert masked[0] == 0.0 and masked[-1] == 0.0
+        np.testing.assert_array_equal(masked[1:-1], model.fisher.values[1:-1])
 
 
 class TestJeffreysLength:
