@@ -26,7 +26,6 @@ from .stat_model import (
     FisherProfile,
     JointModel,
     PriorDensity,
-    ZERO_DERIV_TOL,
     average_fisher,
     fisher_under_prior,
     jeffreys_length,
@@ -189,22 +188,11 @@ def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport
 
 
 def prior_information(prior: PriorDensity) -> float:
-    """Prior information P = int pdot^2 / p dphi; inf flags divergence.
+    """Prior information P = int pdot^2 / p dphi of ``prior`` (its cached ``information``).
 
-    Sharp-edged priors (declared edge jumps) are divergent by construction:
-    P measures edge sharpness rather than width, which is exactly the
-    failure mode the MI-based bounds avoid.
+    inf flags divergence, which every sharp-edged prior has by construction.
     """
-    if prior.edge_jumps:
-        return math.inf
-    p = prior.density
-    pdot = prior.derivative
-    pos = p > 0.0
-    if np.any(~pos & (np.abs(pdot) > ZERO_DERIV_TOL)):
-        return math.inf
-    integrand = np.zeros_like(p)
-    np.divide(pdot * pdot, p, out=integrand, where=pos)
-    return integrate(integrand, prior.grid)
+    return prior.information
 
 
 def _fisher_plus_prior_bound(joint: JointModel, name: str, units: str, direction: str,

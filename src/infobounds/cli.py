@@ -120,11 +120,12 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: the model must be a JSON object, got {type(cfg).__name__}")
     gspec = section("grid")
-    points = grid_points or need(gspec, "points", "grid")
+    # the file's own count is checked even when ``grid_points`` overrides it
+    points = need(gspec, "points", "grid")
     if not isinstance(points, int) or isinstance(points, bool):
         raise ValueError(f"{path}: grid 'points' must be an integer, got {points!r}")
     grid = ParameterGrid(float(need(gspec, "lower", "grid")),
-                         float(need(gspec, "upper", "grid")), points)
+                         float(need(gspec, "upper", "grid")), grid_points or points)
 
     pspec = section("prior")
     kind = need(pspec, "kind", "prior")

@@ -3,8 +3,11 @@
 Every integral in the package is a composite-Simpson sum over a uniform
 grid with an odd number of points, which keeps the rule exact for cubics
 and makes grid-doubling convergence checks cheap.  ``tricomi_u`` is the one
-special function the Gaussian-prior bounds need; it is evaluated through a
-convergent integral representation reached by a Kummer transformation.
+special function the Gaussian-prior bounds need, and only at
+U(-1/2, 0, z), which has a closed form in the exponentially scaled
+modified Bessel functions K0 and K1.  Those come from SciPy, imported
+inside ``tricomi_u`` on first use: this module, and so the whole package,
+loads only NumPy.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _quadpack
-from scipy import special as _special
 
 __all__ = [
     "NumericError",
@@ -129,49 +130,31 @@ def central_difference(samples, grid: ParameterGrid) -> np.ndarray:
     return d
 
 
-def _tricomi_u_direct(a: float, b: float, z: float) -> float:
-    # Integral representation, valid for a > 0:
-    #   U(a,b,z) = (1/Gamma(a)) Int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt.
-    # Substituting t = u^2/z keeps the integrand O(1)-scaled for every z and
-    # removes the endpoint singularity for the a = 1/2 pattern used here.
-    power = b - a - 1.0
-
-    def f(u):
-        return 2.0 * np.exp(-u * u) * u ** (2.0 * a - 1.0) * (1.0 + u * u / z) ** power
-
-    value, abserr, *_ = _quadpack.quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12,
-                                       limit=400, full_output=1)
-    if abserr > max(1e-10, 1e-8 * abs(value)):
-        raise NumericError(f"tricomi_u quadrature did not converge for a={a}, b={b}, z={z}")
-    return z ** (-a) * value / _special.gamma(a)
-
-
 def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi confluent hypergeometric function U(a, b, z) for z > 0.
+    """Tricomi confluent hypergeometric function U(a, b, z), for (a, b) = (-1/2, 0) and z > 0.
 
-    For a <= 0 the integral representation does not converge, so the
-    evaluation is continued through the Kummer transformation
-    ``U(a, b, z) = z^(1-b) U(a-b+1, 2-b, z)``, which covers the
-    ``U(-1/2, 0, z)`` pattern the Gaussian-prior bounds use.
+    That is the one case the Gaussian-prior bounds use, evaluated in closed
+    form through the exponentially scaled modified Bessel functions,
+    ``U(-1/2, 0, z) = z / (2 sqrt(pi)) * (k0e(z/2) + k1e(z/2))``.
+    SciPy is imported here, on first use, so that importing the package does
+    not pay for it.
 
     Raises
     ------
     ValueError
-        If ``z <= 0``.
+        If ``(a, b)`` is not ``(-0.5, 0.0)``, or ``z`` is not a finite
+        positive number.
     NumericError
-        If no convergent evaluation route exists or quadrature fails.
+        If the evaluation is not finite.
     """
+    if (a, b) != (-0.5, 0.0):
+        raise ValueError(f"tricomi_u supports only (a, b) = (-0.5, 0.0), got ({a}, {b})")
     if not math.isfinite(z) or z <= 0.0:
         raise ValueError(f"tricomi_u requires z > 0, got {z}")
-    if a > 0.0:
-        result = _tricomi_u_direct(a, b, z)
-    else:
-        a2, b2 = a - b + 1.0, 2.0 - b
-        if a2 <= 0.0:
-            raise NumericError(
-                f"no convergent integral representation for a={a}, b={b} "
-                "(Kummer transform still has a non-positive first parameter)")
-        result = z ** (1.0 - b) * _tricomi_u_direct(a2, b2, z)
+    from scipy import special
+
+    half = 0.5 * z
+    result = float(z / (2.0 * math.sqrt(math.pi)) * (special.k0e(half) + special.k1e(half)))
     if not math.isfinite(result):
         raise NumericError(f"tricomi_u evaluation returned {result} for a={a}, b={b}, z={z}")
     return result

@@ -324,6 +324,7 @@ def mi_cap(n: int, eta: float, regime: str = "finite-N", kind: str = "dephasing"
     """
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
+    cap_function = _fi_cap_function(regime)
     flags: tuple = ()
     if fi_cap is not None:
         if fi_cap < 0.0:
@@ -331,7 +332,7 @@ def mi_cap(n: int, eta: float, regime: str = "finite-N", kind: str = "dephasing"
         cap = float(fi_cap)
         flags += ("configured-fi-cap",)
     else:
-        cap = _fi_cap_function(regime)(n, eta)
+        cap = cap_function(n, eta)
     if kind == "amplitude-damping" and fi_cap is None:
         flags += ("amplitude-damping-default-cap",)
     if eta == 1.0:
@@ -383,7 +384,8 @@ def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
     """p(x|phi) = sum_ab rho0_ab (E_x)_ba e^{i W_ab phi}, E_x = sum_k K_k^dag M_x K_k.
 
     The noise is folded into the measurement once; the table and its
-    derivative (the same coefficients times i W) are one sum over the grid.
+    derivative (the same coefficients times i W) are real matrix products of
+    the coefficients with cos(W phi) and sin(W phi) over the grid.
     Grids with fewer than 8 points per period of the fastest winding alias it and are rejected.
     """
     if povm.dim != family.rho0.shape[0]:
@@ -398,10 +400,14 @@ def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
                          f"(fewer than 8 points per period); use at least {points} grid points")
     heisenberg = np.array([sum(k.conj().T @ m @ k for k in family.kraus)
                            for m in povm.elements])
-    coeff = family.rho0[None, :, :] * heisenberg.transpose(0, 2, 1)
-    phase = np.exp(1j * family.winding[None, :, :] * grid.values[:, None, None])
-    probs, dprobs = np.einsum("sxab,pab->sxp", np.stack([coeff, 1j * family.winding * coeff]),
-                              phase).real
+    coeff = (family.rho0[None, :, :] * heisenberg.transpose(0, 2, 1)).reshape(len(heisenberg), -1)
+    winding = family.winding.reshape(-1)
+    # Re(c e^{iW phi}) = Re c cos(W phi) - Im c sin(W phi): real (d^2, points) arrays
+    # instead of complex (points, d, d) ones keep every temporary of a build small
+    angle = np.outer(winding, grid.values)
+    cos, sin = np.cos(angle), np.sin(angle)
+    probs = coeff.real @ cos - coeff.imag @ sin
+    dprobs = -((coeff.real * winding) @ sin + (coeff.imag * winding) @ cos)
     return ConditionalModel(grid, probs, dprobs, "analytic")
 
 

@@ -80,6 +80,37 @@ class PriorDensity:
         object.__setattr__(self, "density", dens)
         object.__setattr__(self, "derivative", deriv)
 
+    @cached_property
+    def entropy(self) -> float:
+        """Differential entropy H(phi) = -int p ln p in nats, with 0 ln 0 = 0.
+
+        Computed on first access; the density is read-only.
+        """
+        p = self.density
+        integrand = np.zeros_like(p)
+        pos = p > 0.0
+        integrand[pos] = -p[pos] * np.log(p[pos])
+        return integrate(integrand, self.grid)
+
+    @cached_property
+    def information(self) -> float:
+        """Prior information P = int pdot^2 / p dphi; inf flags divergence.
+
+        Sharp-edged priors (declared edge jumps) are divergent by construction:
+        P measures edge sharpness rather than width, which is exactly the
+        failure mode the MI-based bounds avoid.  Computed on first access.
+        """
+        if self.edge_jumps:
+            return math.inf
+        p = self.density
+        pdot = self.derivative
+        pos = p > 0.0
+        if np.any(~pos & (np.abs(pdot) > ZERO_DERIV_TOL)):
+            return math.inf
+        integrand = np.zeros_like(p)
+        np.divide(pdot * pdot, p, out=integrand, where=pos)
+        return integrate(integrand, self.grid)
+
     @classmethod
     def rectangle(cls, grid: ParameterGrid) -> "PriorDensity":
         """Uniform prior over the whole grid interval (width = upper - lower)."""
@@ -357,12 +388,8 @@ def jeffreys_length(profile: FisherProfile, support: tuple | None = None) -> flo
 
 
 def prior_entropy(prior: PriorDensity) -> float:
-    """Differential entropy H(phi) = -int p ln p in nats, with 0 ln 0 = 0."""
-    p = prior.density
-    integrand = np.zeros_like(p)
-    pos = p > 0.0
-    integrand[pos] = -p[pos] * np.log(p[pos])
-    return integrate(integrand, prior.grid)
+    """Differential entropy H(phi) of ``prior`` in nats (its cached ``entropy``)."""
+    return prior.entropy
 
 
 def marginal_outcome(joint: JointModel) -> np.ndarray:

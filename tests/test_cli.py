@@ -1,10 +1,16 @@
 import csv
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import infobounds
 import infobounds.stat_model as stat_model
 from infobounds.cli import DEFAULT_SEED, _verify_one, build_builtin, load_model_file, main
 from infobounds.numerics import ParameterGrid
@@ -30,6 +36,60 @@ def fisher_calls(monkeypatch):
     monkeypatch.setattr(stat_model, "fisher_information",
                         lambda model: calls.append(model) or original(model))
     return calls
+
+
+@pytest.fixture
+def prior_calls(monkeypatch):
+    """Records every computation of a prior's entropy and information."""
+    calls = {"entropy": [], "information": []}
+    for name, seen in calls.items():
+        original = getattr(stat_model.PriorDensity, name).func
+        counted = functools.cached_property(
+            lambda prior, original=original, seen=seen: seen.append(prior) or original(prior))
+        counted.__set_name__(stat_model.PriorDensity, name)
+        monkeypatch.setattr(stat_model.PriorDensity, name, counted)
+    return calls
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import infobounds, infobounds.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert infobounds.cli.main(["bounds", "--model", "cos2"]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert infobounds.cli.main(["bounds", "--model", "cos2-gaussian"]) == 0
+print(json.dumps({"scipy_after_cos2": loaded, "gaussian_table": out.getvalue()}))
+"""
+
+
+class TestStartup:
+    def test_scipy_loaded_only_for_the_gaussian_closed_form(self):
+        src = str(Path(infobounds.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["scipy_after_cos2"] == []
+        table = result["gaussian_table"]
+        assert "gaussian-prior-mse-exact" in table
+        assert "gaussian-prior-mse-simplified" in table
+
+
+class TestPriorQuantitiesOnce:
+    @pytest.mark.parametrize("model", ["cos2", "cos2-gaussian"])
+    def test_bounds_command(self, model, prior_calls, capsys):
+        assert run(["bounds", "--model", model, "--grid-points", "401"]) == 0
+        assert [len(seen) for seen in prior_calls.values()] == [1, 1]
+
+    def test_verify_one(self, prior_calls):
+        rng = np.random.default_rng(7)
+        grid = ParameterGrid(0.0, 1.0, 401)
+        for count in range(1, 4):
+            _verify_one(random_joint_model(rng, grid))
+            assert [len(seen) for seen in prior_calls.values()] == [count, count]
 
 
 class TestBuiltinModels:
@@ -184,6 +244,22 @@ class TestModelFiles:
         assert run(["bounds", "--model", str(path)]) == 1
         assert (f"{path}: grid 'points' must be an integer, got {points!r}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("points", ["junk", 401.9, None])
+    def test_file_points_checked_under_override(self, tmp_path, capsys, points):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema(grid={"lower": 0.0, "upper": PI,
+                                                     "points": points})))
+        with pytest.raises(ValueError, match="grid 'points' must be an integer"):
+            load_model_file(str(path), grid_points=201)
+        assert run(["bounds", "--model", str(path), "--grid-points", "201"]) == 1
+        assert (f"{path}: grid 'points' must be an integer, got {points!r}"
+                in capsys.readouterr().err)
+
+    def test_override_regrids_a_valid_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema()))
+        assert load_model_file(str(path), grid_points=201).grid.points == 201
 
     def test_missing_file(self, capsys):
         assert run(["bounds", "--model", "nosuch.json"]) == 1

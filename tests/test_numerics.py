@@ -128,10 +128,13 @@ class TestTricomiU:
         with pytest.raises(ValueError):
             tricomi_u(-0.5, 0.0, -1.0)
 
-    def test_known_value_u_1_2(self):
-        # U(1, 2, z) = 1/z
-        for z in (0.3, 2.0, 50.0):
-            assert tricomi_u(1.0, 2.0, z) == pytest.approx(1.0 / z, rel=1e-10)
+    def test_mpmath_golden_values(self):
+        import mpmath
+
+        with mpmath.workdps(30):
+            for z in np.logspace(-8, 8, 161):
+                golden = float(mpmath.hyperu(-0.5, 0, mpmath.mpf(float(z))))
+                assert tricomi_u(-0.5, 0.0, float(z)) == pytest.approx(golden, rel=1e-14)
 
     def test_asymptotic_sqrt_z(self):
         for z in (1e3, 1e5, 1e7):
@@ -156,7 +159,7 @@ class TestTricomiU:
         via_u = math.sqrt(2.0) / sigma * tricomi_u(-0.5, 0.0, 0.5 * f_const * sigma ** 2)
         assert via_u == pytest.approx(direct, rel=1e-5)
 
-    def test_no_convergent_route(self):
-        # after the Kummer transform the first parameter is still nonpositive
-        with pytest.raises(NumericError, match="convergent"):
-            tricomi_u(-1.0, 1.0, 2.0)
+    def test_unsupported_parameters_rejected(self):
+        for a, b in ((1.0, 2.0), (-1.0, 1.0), (-0.5, 1.0), (0.5, 0.0)):
+            with pytest.raises(ValueError, match=r"only \(a, b\) = \(-0.5, 0.0\)"):
+                tricomi_u(a, b, 2.0)

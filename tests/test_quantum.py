@@ -295,6 +295,10 @@ class TestMiCap:
         with pytest.raises(ValueError, match="regime"):
             mi_cap(10, 0.5, "exact")
 
+    def test_unknown_regime_with_fi_cap(self):
+        with pytest.raises(ValueError, match="unknown regime 'bogus'"):
+            mi_cap(1, 0.9, regime="bogus", fi_cap=1.0)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             mi_cap(10, 0.5, kind="bitflip")
