@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 
+MLE_CHUNK = 1024  # trials per random stream in mle_convergence_study
+
+
 class BudgetError(RuntimeError):
     """An exact construction would exceed its configured size budget."""
 
@@ -53,35 +56,33 @@ class OracleResult:
     estimator: str = "posterior-mean"
 
 
-def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = x[pos] * np.log(y[pos])
-    return out
-
-
 def mutual_information(joint: JointModel) -> OracleResult:
     """I(x, phi) = sum_x int p(x,phi) ln[ p(x,phi) / (pbar_x p(phi)) ] dphi, in nats.
 
-    All terms with p(x,phi) = 0 contribute 0.  The conditional entropy
-    H(phi|x) is quadratured from its own integrand rather than derived from
-    the identity, so mi = h_prior - h_posterior is a genuine consistency
-    check on the result.
+    With q = w p(phi), w the Simpson weights, the integrand splits into
+    terms that need one pass over the conditional table p(x|phi):
+
+        I        =  sum_phi q sum_x p ln p  -  sum_x pbar_x ln pbar_x,
+        H(phi|x) = -I - sum_phi q ln p(phi) s(phi),
+
+    where pbar = p @ q and s(phi) = sum_x p(x|phi) are the measured column
+    sums (1 to within validation tolerance; using them keeps H(phi|x) equal
+    to the quadrature of its own integrand).  Terms with p(x|phi) = 0,
+    p(phi) = 0 or pbar_x = 0 contribute 0.  The joint table p(x|phi) p(phi)
+    is never formed.
     """
-    w = simpson_weights(joint.grid)
-    jp = joint.joint_probs()
-    pbar = jp @ w
+    p = joint.conditional.probs
     prior = joint.prior.density
-
-    ratio_mi = np.ones_like(jp)
-    pos = jp > 0.0
-    denom = pbar[:, None] * prior[None, :]
-    ratio_mi[pos] = jp[pos] / denom[pos]
-    mi = float(np.sum(_xlogy(jp, ratio_mi) @ w))
-
-    ratio_cond = np.ones_like(jp)
-    ratio_cond[pos] = jp[pos] / np.broadcast_to(pbar[:, None], jp.shape)[pos]
-    h_posterior = -float(np.sum(_xlogy(jp, ratio_cond) @ w))
+    q = simpson_weights(joint.grid) * prior
+    plogp = np.zeros(p.shape)
+    np.log(p, out=plogp, where=p > 0.0)
+    plogp *= p
+    pbar = p @ q
+    pbar = pbar[pbar > 0.0]
+    mi = float((plogp @ q).sum()) - float(pbar @ np.log(pbar))
+    log_prior = np.zeros_like(prior)
+    np.log(prior, out=log_prior, where=prior > 0.0)
+    h_posterior = -mi - float((q * log_prior) @ p.sum(axis=0))
 
     return OracleResult(
         mi=mi,
@@ -205,41 +206,40 @@ def mle_convergence_study(joint: JointModel, n_list, trials: int,
     For each n: draw phi from the prior, draw n iid outcomes, take the
     grid-restricted maximum-likelihood estimate (ties broken toward the
     smallest grid index), and estimate H(phi | phi_ML) by a plug-in histogram
-    with bin width equal to the grid spacing.  The random stream is split per
-    (n, trial) via seed sequences, so results are reproducible for a fixed
-    seed regardless of how trials are scheduled.
+    with bin width equal to the grid spacing.  Trials are drawn in chunks of
+    ``MLE_CHUNK``, each from its own stream seeded by (seed, n index, chunk
+    index), so results are reproducible for a fixed seed regardless of how
+    chunks are scheduled, and a row does not depend on the other rows.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     grid = joint.grid
-    cond = joint.conditional
+    probs = joint.conditional.probs
     # large finite penalty instead of -inf so unobserved outcomes (count 0)
     # cannot produce 0 * inf
-    logp = np.full_like(cond.probs, -1e15)
-    pos = cond.probs > 0.0
-    logp[pos] = np.log(cond.probs[pos])
+    logp = np.full(probs.shape, -1e15)
+    np.log(probs, out=logp, where=probs > 0.0)
     sampler = _prior_cdf_sampler(joint)
     avg_f1 = average_fisher(joint)
-    values = grid.values
 
     results = []
     for n_index, n in enumerate(n_list):
         if n < 1:
             raise ValueError(f"sample sizes must be >= 1, got {n}")
-        counts = np.empty((trials, cond.n_outcomes), dtype=np.int64)
         phi_true = np.empty(trials)
-        for t in range(trials):
-            rng = np.random.default_rng([seed, n_index, t])
-            phi = sampler(rng.random())
-            phi_true[t] = phi
+        mle_idx = np.empty(trials, dtype=np.int64)
+        for chunk, start in enumerate(range(0, trials, MLE_CHUNK)):
+            rng = np.random.default_rng([seed, n_index, chunk])
+            phi = sampler(rng.random(min(MLE_CHUNK, trials - start)))
             # linear interpolation of the outcome distribution between grid nodes
             x = (phi - grid.lower) / grid.spacing
-            i0 = min(int(x), grid.points - 2)
+            i0 = np.minimum(x.astype(np.int64), grid.points - 2)
             frac = x - i0
-            pvec = (1.0 - frac) * cond.probs[:, i0] + frac * cond.probs[:, i0 + 1]
-            counts[t] = rng.multinomial(n, pvec / pvec.sum())
-        loglik = counts @ logp  # (trials, points); -inf marks impossible phi
-        mle_idx = np.argmax(loglik, axis=1)
+            pvals = ((1.0 - frac) * probs[:, i0] + frac * probs[:, i0 + 1]).T
+            counts = rng.multinomial(n, pvals / pvals.sum(axis=1, keepdims=True))
+            stop = start + phi.size
+            phi_true[start:stop] = phi
+            mle_idx[start:stop] = np.argmax(counts @ logp, axis=1)
         h_est, occupied = _plugin_conditional_entropy(phi_true, mle_idx, grid)
         asymptote = -0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e))
         results.append(MleStudyPoint(

@@ -13,6 +13,7 @@ loads only NumPy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,9 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     That is the one case the Gaussian-prior bounds use, evaluated in closed
     form through the exponentially scaled modified Bessel functions,
     ``U(-1/2, 0, z) = z / (2 sqrt(pi)) * (k0e(z/2) + k1e(z/2))``.
+    Below the smallest normal double, where k1e(z/2) ~ 2/z overflows, U
+    returns its z -> 0 limit 1/sqrt(pi), which it equals there to double
+    precision (U - 1/sqrt(pi) = O(z ln z)).
     SciPy is imported here, on first use, so that importing the package does
     not pay for it.
 
@@ -151,6 +155,8 @@ def tricomi_u(a: float, b: float, z: float) -> float:
         raise ValueError(f"tricomi_u supports only (a, b) = (-0.5, 0.0), got ({a}, {b})")
     if not math.isfinite(z) or z <= 0.0:
         raise ValueError(f"tricomi_u requires z > 0, got {z}")
+    if z < sys.float_info.min:
+        return 1.0 / math.sqrt(math.pi)
     from scipy import special
 
     half = 0.5 * z

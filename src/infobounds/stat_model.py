@@ -204,7 +204,8 @@ class ConditionalModel:
     outcomes: tuple = ()
 
     def __post_init__(self):
-        p = _readonly(self.probs)
+        # one private copy per table; probs is made read-only after the clip below
+        p = np.array(self.probs, dtype=float, copy=True)
         dp = _readonly(self.dprobs)
         if p.ndim != 2 or p.shape[1] != self.grid.points:
             raise ValueError(f"probs must be (K, {self.grid.points}), got {p.shape}")
@@ -212,19 +213,22 @@ class ConditionalModel:
             raise ValueError("dprobs must match probs in shape")
         if self.derivative_source not in ("analytic", "finite-difference"):
             raise ValueError(f"unknown derivative source {self.derivative_source!r}")
+        colsums = p.sum(axis=0)
         dsums = dp.sum(axis=0)
-        for label, table, sums in (("probs", p, p.sum(axis=0)), ("dprobs", dp, dsums)):
+        for label, table, sums in (("probs", p, colsums), ("dprobs", dp, dsums)):
             # a NaN or inf entry leaves its column sum non-finite, so search only then
             if not np.isfinite(sums).all():
                 bad = np.argwhere(~np.isfinite(table))
                 if bad.size:
                     raise ValueError(
                         f"{label} has a non-finite value at index {tuple(bad[0].tolist())}")
-        if np.any(p < -1e-12):
+        lowest = p.min() if p.size else 0.0
+        if lowest < -1e-12:
             raise ValueError("outcome probabilities must be nonnegative")
-        p = np.where(p < 0.0, 0.0, p)
+        if lowest < 0.0:
+            np.copyto(p, 0.0, where=p < 0.0)
+            colsums = p.sum(axis=0)
         p.setflags(write=False)
-        colsums = p.sum(axis=0)
         worst = np.max(np.abs(colsums - 1.0))
         if worst > OUTCOME_TOL:
             raise ValueError(f"outcome probabilities sum to 1 +/- {worst:.2e} > {OUTCOME_TOL}")

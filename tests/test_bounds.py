@@ -363,6 +363,14 @@ class TestGaussianPriorMseBounds:
         assert simplified.value == pytest.approx(TWO_OVER_PIE * sigma ** 2, rel=1e-12)
         assert exact.value == pytest.approx(sigma ** 2 / math.e, rel=1e-9)
 
+    def test_subnormal_fisher_takes_the_zero_limit(self):
+        # F sigma^2 / 2 below the smallest normal double: the Tricomi closed
+        # form would overflow, and U(-1/2, 0, z) -> 1/sqrt(pi) as z -> 0
+        tiny = gaussian_prior_mse_bounds(1e-309, 1.0)
+        zero = gaussian_prior_mse_bounds(0.0, 1.0)
+        for got, want in zip(tiny, zero):
+            assert got.value == pytest.approx(want.value, abs=1e-12)
+
     def test_ratio_near_one_for_large_f_sigma2(self):
         exact, simplified = gaussian_prior_mse_bounds(10.0, 1.0)
         ratio = exact.value / simplified.value

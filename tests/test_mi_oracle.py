@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from infobounds.mi_oracle import (
+    MLE_CHUNK,
     BudgetError,
     bayes_quadratic_cost,
     merge_outcomes,
@@ -11,7 +12,8 @@ from infobounds.mi_oracle import (
     mutual_information,
     repeat_model,
 )
-from infobounds.numerics import ParameterGrid
+from infobounds.numerics import ParameterGrid, simpson_weights
+from infobounds.random_models import near_deterministic_model, random_joint_model
 from infobounds.stat_model import (
     ConditionalModel,
     JointModel,
@@ -70,6 +72,58 @@ class TestMutualInformation:
         coarse = mutual_information(cos2_uniform(2001)).mi
         fine = mutual_information(cos2_uniform(4001)).mi
         assert abs(coarse - fine) < 1e-4
+
+
+def two_ratio_reference(joint):
+    """(mi, h_posterior) from the joint table, each ratio quadratured on its own."""
+    w = simpson_weights(joint.grid)
+    jp = joint.conditional.probs * joint.prior.density[None, :]
+    pbar = jp @ w
+    pos = jp > 0.0
+
+    def xlogy_sum(ratio):
+        terms = np.zeros_like(jp)
+        terms[pos] = jp[pos] * np.log(ratio[pos])
+        return float(np.sum(terms @ w))
+
+    ratio_mi = np.ones_like(jp)
+    denom = pbar[:, None] * joint.prior.density[None, :]
+    ratio_mi[pos] = jp[pos] / denom[pos]
+    ratio_cond = np.ones_like(jp)
+    ratio_cond[pos] = jp[pos] / np.broadcast_to(pbar[:, None], jp.shape)[pos]
+    return xlogy_sum(ratio_mi), -xlogy_sum(ratio_cond)
+
+
+def equivalence_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(6):
+        # the prior is a Gaussian or a cosine window at random; the window has zero-mass regions
+        joint = random_joint_model(rng)
+        kind = joint.prior.params.get("window", joint.prior.kind)
+        cases.append(pytest.param(joint, id=f"random-{kind}-{i}"))
+    grid = ParameterGrid(0.0, PI, 2001)
+    cos2 = cos2_model(grid)
+    # column sums off by 5e-10, inside the validation tolerance: H(phi|x) must use them
+    scaled = ConditionalModel(grid, cos2.probs * (1.0 + 5e-10), cos2.dprobs, "analytic")
+    rep = repeat_model(gaussian_cos2(501), 3)
+    merged = merge_outcomes(rep.conditional, [0, 1, 1, 2, 1, 2, 2, 0])
+    return cases + [
+        pytest.param(cos2_uniform(2001), id="cos2"),
+        pytest.param(JointModel(PriorDensity.rectangle(grid), scaled), id="cos2-column-sums"),
+        pytest.param(near_deterministic_model(ParameterGrid(0.0, 1.0, 2001)),
+                     id="near-deterministic"),
+        pytest.param(repeat_model(cos2_uniform(1001), 8), id="cos2-x8"),
+        pytest.param(JointModel(rep.prior, merged), id="merged"),
+    ]
+
+
+@pytest.mark.parametrize("joint", equivalence_cases())
+def test_matches_two_ratio_quadrature(joint):
+    mi, h_posterior = two_ratio_reference(joint)
+    result = mutual_information(joint)
+    assert result.mi == pytest.approx(mi, abs=1e-12)
+    assert result.h_posterior == pytest.approx(h_posterior, abs=1e-12)
 
 
 class TestBayesQuadraticCost:
@@ -167,6 +221,26 @@ class TestMleConvergenceStudy:
         a = mle_convergence_study(joint, [8], trials=500, seed=1)
         b = mle_convergence_study(joint, [8], trials=500, seed=2)
         assert a[0].h_conditional != b[0].h_conditional
+
+    def test_row_independent_of_other_rows(self):
+        joint = gaussian_cos2(points=201)
+        a = mle_convergence_study(joint, [8, 16], trials=1500, seed=11)
+        b = mle_convergence_study(joint, [4, 16], trials=1500, seed=11)
+        assert a[1] == b[1]
+        assert a[0] != b[0]
+
+    def test_deterministic_across_chunks(self):
+        # two full chunks of MLE_CHUNK trials and a remainder
+        assert MLE_CHUNK == 1024
+        joint = gaussian_cos2(points=201)
+        a = mle_convergence_study(joint, [8, 32], trials=2500, seed=5)
+        b = mle_convergence_study(joint, [8, 32], trials=2500, seed=5)
+        assert a == b
+        assert all(p.trials == 2500 for p in a)
+        # a repeated chunk would leave the histogram's proportions, and so the estimate, unchanged
+        one = mle_convergence_study(joint, [8], trials=MLE_CHUNK, seed=5)[0]
+        two = mle_convergence_study(joint, [8], trials=2 * MLE_CHUNK, seed=5)[0]
+        assert two.h_conditional != pytest.approx(one.h_conditional, abs=1e-9)
 
     def test_low_resolution_flag(self):
         joint = gaussian_cos2(points=201)

@@ -136,6 +136,12 @@ class TestTricomiU:
                 golden = float(mpmath.hyperu(-0.5, 0, mpmath.mpf(float(z))))
                 assert tricomi_u(-0.5, 0.0, float(z)) == pytest.approx(golden, rel=1e-14)
 
+    def test_small_z_limit(self):
+        # U(-1/2, 0, z) = 1/sqrt(pi) + O(z ln z), also below the smallest normal double
+        limit = 1.0 / math.sqrt(math.pi)
+        for z in (1e-300, 2.3e-308, 1.1e-308, 1e-309, 5e-324):
+            assert tricomi_u(-0.5, 0.0, z) == pytest.approx(limit, rel=1e-15)
+
     def test_asymptotic_sqrt_z(self):
         for z in (1e3, 1e5, 1e7):
             ratio = tricomi_u(-0.5, 0.0, z) / math.sqrt(z)

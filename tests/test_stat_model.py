@@ -127,6 +127,23 @@ class TestConditionalModel:
         with pytest.raises(ValueError, match=rf"{label} has a non-finite value at index \(1, 7\)"):
             ConditionalModel(pi_grid, tables["probs"], tables["dprobs"], "analytic")
 
+    def test_tables_are_private_copies(self, pi_grid):
+        probs = np.full((2, pi_grid.points), 0.5)
+        dprobs = np.zeros_like(probs)
+        model = ConditionalModel(pi_grid, probs, dprobs, "analytic")
+        probs[0, 3] = 0.9
+        dprobs[1, 4] = 1.0
+        assert model.probs[0, 3] == 0.5 and model.dprobs[1, 4] == 0.0
+        assert not model.probs.flags.writeable and not model.dprobs.flags.writeable
+
+    def test_clips_roundoff_negatives_to_zero(self, pi_grid):
+        probs = np.vstack([np.zeros(pi_grid.points), np.ones(pi_grid.points)])
+        probs[0, 5] = -5e-13
+        model = ConditionalModel(pi_grid, probs, np.zeros_like(probs), "analytic")
+        assert model.probs[0, 5] == 0.0
+        assert model.probs.min() == 0.0
+        np.testing.assert_array_equal(model.probs[1], 1.0)
+
     def test_from_probs_finite_difference_tag(self, pi_grid):
         model = ConditionalModel.from_probs(pi_grid, cos2_model(pi_grid).probs)
         assert model.derivative_source == "finite-difference"
