@@ -64,3 +64,14 @@ for n in (1, 2, 4, 8):
     rep_bound = mi_bound_finite_support(fisher_information(rep.conditional))
     rep_mi = mutual_information(rep).mi
     print(f"  N={n}:  oracle MI {rep_mi:.4f}  <=  bound {rep_bound.value:.4f}")
+
+# Clarke & Barron (1990): I ~ (1/2) ln(n / 2 pi e) + h(phi) + (1/2) E ln F, so with
+# F = 1 on [0, pi] the slack of ln(1 + sqrt(n) pi / 2) tends to (1/2) ln(pi e / 2)
+limit = 0.5 * math.log(math.pi * math.e / 2.0)
+print()
+print(f"Over many samples the slack tends to (1/2) ln(pi e / 2) = {limit:.4f} (2001-point grid):")
+coarse_grid = ParameterGrid(0.0, math.pi, 2001)
+coarse = JointModel(PriorDensity.rectangle(coarse_grid), cos2_model(coarse_grid))
+for n in (100, 1000):
+    gap = math.log1p(math.sqrt(n) * math.pi / 2.0) - mutual_information(repeat_model(coarse, n)).mi
+    print(f"  N={n}:  bound - oracle MI {gap:.4f}  vs  limit {limit:.4f}")

@@ -2,8 +2,15 @@
 
 Everything here is an independent oracle for the bounds module: plain
 quadrature of the defining integrals, the posterior-mean estimator for the
-quadratic cost, and a seeded Monte-Carlo study of the maximum-likelihood
-estimator's conditional entropy.
+quadratic cost, exact n-sample models, and a seeded Monte-Carlo study of the
+maximum-likelihood estimator's conditional entropy.
+
+An n-sample model (:func:`repeat_model`) is indexed by types, the outcome
+count vectors t with sum_x t_x = n (method of types, Cover & Thomas,
+*Elements of Information Theory*, ch. 11).  Counts are a sufficient
+statistic for iid samples, so its C(n+K-1, K-1) rows give the same oracle
+values as the K^n outcome sequences: a binary model reaches n in the
+thousands within the default budget of 4096 types.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
 
 
 MLE_CHUNK = 1024  # trials per random stream in mle_convergence_study
+LOG_TINY = math.log(np.finfo(float).tiny)  # below this exp(.) is subnormal
 
 
 class BudgetError(RuntimeError):
@@ -104,12 +112,63 @@ def bayes_quadratic_cost(joint: JointModel) -> float:
     return second - float(np.sum(first[pos] ** 2 / pbar[pos]))
 
 
+def _types(n: int, k: int) -> np.ndarray:
+    """Every count vector of n samples over k outcomes, as a (count, k) int array.
+
+    Rows are in descending lexicographic order, so row 0 is (n, 0, ..., 0)
+    and the last row is (0, ..., 0, n).
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        reps = left + 1
+        offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        first = np.repeat(left, reps) - offset  # left, left - 1, ..., 0 per prefix
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), first])
+        left = np.repeat(left, reps) - first
+    return np.column_stack([rows, left])
+
+
+def _type_probs(types: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """p(t|phi) = exp(ln C(t) + sum_x t_x ln p_x(phi)) for every type row t.
+
+    C(t) = n! / prod_x t_x! is taken from a cumulative sum of logarithms.  An
+    entry is exactly 0 where some t_x > 0 meets p_x = 0 (its exponent could
+    overflow), or where it would be subnormal (an exp that underflows runs
+    many times slower than a normal one); ``exp`` only runs on the others.
+    """
+    n = int(types[0].sum())
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
+    log_coef = log_fact[n] - log_fact[types].sum(axis=1)
+    positive = probs > 0.0
+    log_p = np.zeros(probs.shape)
+    np.log(probs, out=log_p, where=positive)
+    out = types.astype(float) @ log_p
+    out += log_coef[:, None]
+    out[(types > 0) @ ~positive] = -np.inf
+    live = out > LOG_TINY
+    np.exp(out, out=out, where=live)
+    out[~live] = 0.0
+    return out
+
+
 def repeat_model(joint: JointModel, n: int, budget: int = 4096) -> JointModel:
     """Joint model of n independent samples from the same conditional model.
 
-    The outcome alphabet is the n-fold product (K^n outcomes); its Fisher
-    information is n times the single-sample one.  Exceeding ``budget``
-    outcomes raises :class:`BudgetError` pointing at the Monte-Carlo path
+    The outcomes of the repeated model are types: count vectors t with t_x
+    samples of the base outcome ``outcomes[x]`` and sum_x t_x = n.  Counts are
+    a sufficient statistic for iid samples, so the C(n+K-1, K-1) types carry
+    the same mutual information, posterior entropy, Bayes cost and Fisher
+    information (n times the single-sample one) as the K^n sequences.  The
+    labels are the count tuples in descending lexicographic order: row 0 is
+    (n, 0, ..., 0), the last row (0, ..., 0, n).
+
+        p(t|phi)  = C(t) prod_x p_x^{t_x},      C(t) = n! / prod_x t_x!
+        pdot(t)   = n sum_{x: t_x >= 1} pdot_x p_{n-1}(t - e_x|phi)
+
+    the second from C(t) t_x = n C(t - e_x), with no division by p_x.
+    ``n = 1`` returns ``joint`` itself.  More than ``budget`` types raise
+    :class:`BudgetError` pointing at the Monte-Carlo path
     (:func:`mle_convergence_study`) instead.
     """
     if n < 1:
@@ -118,38 +177,43 @@ def repeat_model(joint: JointModel, n: int, budget: int = 4096) -> JointModel:
         return joint
     cond = joint.conditional
     k = cond.n_outcomes
-    if k ** n > budget:
+    count = math.comb(n + k - 1, k - 1)
+    if count > budget:
         raise BudgetError(
-            f"{k}^{n} outcomes exceed the budget of {budget}; "
-            "use mle_convergence_study for a Monte-Carlo treatment")
-    probs = cond.probs
-    dprobs = cond.dprobs
-    rep_p = probs
-    rep_d = dprobs
-    labels = [(x,) for x in cond.outcomes]
-    for _ in range(n - 1):
-        # product rule: d(ab) = (da) b + a (db), tensored over the alphabet
-        rep_d = (rep_d[:, None, :] * probs[None, :, :]
-                 + rep_p[:, None, :] * dprobs[None, :, :]).reshape(-1, probs.shape[1])
-        rep_p = (rep_p[:, None, :] * probs[None, :, :]).reshape(-1, probs.shape[1])
-        labels = [prev + (x,) for prev in labels for x in cond.outcomes]
-    product = ConditionalModel(cond.grid, rep_p, rep_d, cond.derivative_source, tuple(labels))
-    return JointModel(joint.prior, product)
+            f"C(n+K-1, K-1) = C({n + k - 1}, {k - 1}) = {count} types exceed the "
+            f"budget of {budget}; use mle_convergence_study for a Monte-Carlo treatment")
+    types = _types(n, k)
+    probs = _type_probs(types, cond.probs)
+    # the rows with t_x >= 1, minus e_x, are the (n-1)-types in table order:
+    # subtracting one fixed vector keeps the lexicographic order of the rows
+    prev = types[types[:, 0] >= 1]
+    prev[:, 0] -= 1
+    prev_probs = _type_probs(prev, cond.probs)
+    dprobs = np.zeros_like(probs)
+    for x in range(k):
+        dprobs[types[:, x] >= 1] += prev_probs * cond.dprobs[x]
+    dprobs *= n
+    labels = tuple(map(tuple, types.tolist()))
+    counted = ConditionalModel(cond.grid, probs, dprobs, cond.derivative_source, labels)
+    return JointModel(joint.prior, counted)
 
 
 def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
     """Coarse-grain outcomes by a deterministic labeling (data processing).
 
-    ``labels[i]`` is the group of outcome i; rows with equal labels are
-    summed.  Mutual information can only decrease under this map.
+    ``labels[i]`` is the group of outcome i, any hashable value; rows with
+    equal labels are summed, and the groups keep the order in which their
+    labels first appear.  Mutual information can only decrease under this map.
     """
     labels = list(labels)
     if len(labels) != model.n_outcomes:
         raise ValueError("need one label per outcome")
-    groups = sorted(set(labels), key=labels.index)
-    members = [[i for i, g in enumerate(labels) if g == grp] for grp in groups]
-    probs = np.vstack([model.probs[rows].sum(axis=0) for rows in members])
-    dprobs = np.vstack([model.dprobs[rows].sum(axis=0) for rows in members])
+    groups: dict = {}
+    rows = np.array([groups.setdefault(g, len(groups)) for g in labels], dtype=np.intp)
+    probs = np.zeros((len(groups), model.grid.points))
+    dprobs = np.zeros_like(probs)
+    np.add.at(probs, rows, model.probs)
+    np.add.at(dprobs, rows, model.dprobs)
     return ConditionalModel(model.grid, probs, dprobs, model.derivative_source, tuple(groups))
 
 

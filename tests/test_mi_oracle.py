@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from infobounds.mi_oracle import (
 from infobounds.numerics import ParameterGrid, simpson_weights
 from infobounds.random_models import near_deterministic_model, random_joint_model
 from infobounds.stat_model import (
+    OUTCOME_TOL,
     ConditionalModel,
     JointModel,
     PriorDensity,
@@ -37,6 +39,31 @@ def cos2_uniform(points=2001):
 def gaussian_cos2(points=2001, sigma=0.3, mean=PI / 2):
     grid = ParameterGrid(0.0, PI, points)
     return JointModel(PriorDensity.gaussian(grid, mean, sigma), cos2_model(grid))
+
+
+def sequence_product(joint, n):
+    """Reference n-sample model over all K^n outcome sequences, labels in product order."""
+    cond = joint.conditional
+    probs, dprobs = cond.probs, cond.dprobs
+    rep_p, rep_d = probs, dprobs
+    labels = [(x,) for x in cond.outcomes]
+    for _ in range(n - 1):
+        # product rule: d(ab) = (da) b + a (db), tensored over the alphabet
+        rep_d = (rep_d[:, None, :] * probs[None, :, :]
+                 + rep_p[:, None, :] * dprobs[None, :, :]).reshape(-1, probs.shape[1])
+        rep_p = (rep_p[:, None, :] * probs[None, :, :]).reshape(-1, probs.shape[1])
+        labels = [prev + (x,) for prev in labels for x in cond.outcomes]
+    product = ConditionalModel(cond.grid, rep_p, rep_d, cond.derivative_source, tuple(labels))
+    return JointModel(joint.prior, product)
+
+
+def random_k3_model():
+    """The first seeded random model with three outcomes."""
+    rng = np.random.default_rng(7)
+    while True:
+        joint = random_joint_model(rng, max_outcomes=3)
+        if joint.conditional.n_outcomes == 3:
+            return joint
 
 
 class TestMutualInformation:
@@ -106,7 +133,7 @@ def equivalence_cases():
     cos2 = cos2_model(grid)
     # column sums off by 5e-10, inside the validation tolerance: H(phi|x) must use them
     scaled = ConditionalModel(grid, cos2.probs * (1.0 + 5e-10), cos2.dprobs, "analytic")
-    rep = repeat_model(gaussian_cos2(501), 3)
+    rep = sequence_product(gaussian_cos2(501), 3)
     merged = merge_outcomes(rep.conditional, [0, 1, 1, 2, 1, 2, 2, 0])
     return cases + [
         pytest.param(cos2_uniform(2001), id="cos2"),
@@ -154,7 +181,7 @@ class TestRepeatModel:
         from infobounds.stat_model import fisher_information
         joint = cos2_uniform(501)
         doubled = repeat_model(joint, 2)
-        assert doubled.conditional.n_outcomes == 4
+        assert doubled.conditional.n_outcomes == 3
         f1 = fisher_information(joint.conditional).values
         f2 = fisher_information(doubled.conditional).values
         np.testing.assert_allclose(f2[1:-1], 2.0 * f1[1:-1], atol=1e-6)
@@ -166,12 +193,57 @@ class TestRepeatModel:
 
     def test_budget_error_mentions_monte_carlo(self):
         joint = cos2_uniform(501)
-        with pytest.raises(BudgetError, match="Monte-Carlo"):
-            repeat_model(joint, 13)  # 2^13 > 4096
+        with pytest.raises(BudgetError, match=r"C\(14, 1\) = 14 types.*Monte-Carlo"):
+            repeat_model(joint, 13, budget=13)
+        assert repeat_model(joint, 13, budget=14).conditional.n_outcomes == 14
 
     def test_outcome_labels_are_tuples(self):
         rep = repeat_model(cos2_uniform(501), 2)
-        assert rep.conditional.outcomes == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert rep.conditional.outcomes == ((2, 0), (1, 1), (0, 2))
+
+    def test_labels_count_every_type_once(self):
+        joint = random_k3_model()
+        labels = repeat_model(joint, 4).conditional.outcomes
+        assert len(labels) == math.comb(4 + 2, 2)
+        assert labels[0] == (4, 0, 0) and labels[-1] == (0, 0, 4)
+        assert list(labels) == sorted(set(labels), reverse=True)
+        assert all(sum(t) == 4 for t in labels)
+
+    @pytest.mark.parametrize("case, n", [
+        *[("cos2", n) for n in (2, 4, 8, 10)],
+        *[("random-k3", n) for n in (2, 3, 4, 5, 6)],
+        *[("near-deterministic", n) for n in (2, 3, 4, 5, 6)],
+    ])
+    def test_types_match_sequence_product(self, case, n):
+        joint = {
+            "cos2": lambda: cos2_uniform(2001),
+            "random-k3": random_k3_model,
+            "near-deterministic": lambda: near_deterministic_model(ParameterGrid(0.0, 1.0, 2001)),
+        }[case]()
+        types, sequences = repeat_model(joint, n), sequence_product(joint, n)
+        have, want = mutual_information(types), mutual_information(sequences)
+        assert have.mi == pytest.approx(want.mi, abs=1e-12)
+        assert have.h_posterior == pytest.approx(want.h_posterior, abs=1e-12)
+        assert have.bayes_mse == pytest.approx(want.bayes_mse, rel=1e-12)
+        f_have, f_want = types.conditional.fisher, sequences.conditional.fisher
+        np.testing.assert_array_equal(f_have.divergent, f_want.divergent)
+        np.testing.assert_allclose(f_have.values[1:-1], f_want.values[1:-1], rtol=1e-12)
+
+    def test_thousands_of_samples_on_a_binary_model(self):
+        joint = cos2_uniform(2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = repeat_model(joint, 4000)
+        assert rep.conditional.n_outcomes == 4001
+        assert np.max(np.abs(rep.conditional.probs.sum(axis=0) - 1.0)) <= OUTCOME_TOL
+
+    def test_bound_tight_up_to_clarke_barron_constant(self):
+        # F = 1, so L = pi; ln(1 + sqrt(n) L / 2) - I -> (1/2) ln(pi e / 2) from above
+        joint = cos2_uniform(2001)
+        limit = 0.5 * math.log(PI * math.e / 2.0)
+        gap = math.log1p(math.sqrt(1000) * PI / 2.0) - mutual_information(
+            repeat_model(joint, 1000)).mi
+        assert limit < gap < limit + 0.005
 
 
 class TestMergeOutcomes:
@@ -193,6 +265,28 @@ class TestMergeOutcomes:
         assert merged.n_outcomes == 1
         assert mutual_information(JointModel(joint.prior, merged)).mi == pytest.approx(
             0.0, abs=1e-12)
+
+    def test_matches_per_group_sums(self):
+        # group the 65 types of 64 samples by their maximum-likelihood grid index
+        joint = gaussian_cos2(201)
+        base, rep = joint.conditional, repeat_model(joint, 64).conditional
+        logp = np.where(base.probs > 0.0, np.log(np.maximum(base.probs, 1e-300)), -1e15)
+        labels = [int(i) for i in np.argmax(np.array(rep.outcomes) @ logp, axis=1)]
+        merged = merge_outcomes(rep, labels)
+        groups = sorted(set(labels), key=labels.index)
+        assert merged.outcomes == tuple(groups)
+        for row, group in enumerate(groups):
+            members = [i for i, g in enumerate(labels) if g == group]
+            np.testing.assert_allclose(merged.probs[row], rep.probs[members].sum(axis=0),
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(merged.dprobs[row], rep.dprobs[members].sum(axis=0),
+                                       rtol=0, atol=1e-15)
+
+    def test_groups_keep_first_seen_order(self):
+        rep = repeat_model(cos2_uniform(501), 3).conditional
+        merged = merge_outcomes(rep, ["odd", ("even", 2), "odd", ("even", 2)])
+        assert merged.outcomes == ("odd", ("even", 2))
+        np.testing.assert_array_equal(merged.probs[0], rep.probs[0] + rep.probs[2])
 
     def test_label_count_mismatch(self):
         joint = cos2_uniform(501)
