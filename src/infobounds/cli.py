@@ -65,7 +65,7 @@ def _parse_model_name(spec: str):
 def build_builtin(spec: str, grid_points: int | None = None) -> JointModel:
     """Instantiate a builtin model, e.g. ``cos2`` or ``dephasing-qubit:eta=0.8``."""
     name, params = _parse_model_name(spec)
-    points = grid_points or DEFAULT_GRID_POINTS
+    points = DEFAULT_GRID_POINTS if grid_points is None else grid_points
     if name == "cos2":
         grid = ParameterGrid(0.0, math.pi, points)
         return JointModel(PriorDensity.rectangle(grid), cos2_model(grid))
@@ -125,7 +125,8 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
     if not isinstance(points, int) or isinstance(points, bool):
         raise ValueError(f"{path}: grid 'points' must be an integer, got {points!r}")
     grid = ParameterGrid(float(need(gspec, "lower", "grid")),
-                         float(need(gspec, "upper", "grid")), grid_points or points)
+                         float(need(gspec, "upper", "grid")),
+                         points if grid_points is None else grid_points)
 
     pspec = section("prior")
     kind = need(pspec, "kind", "prior")
@@ -263,7 +264,8 @@ def cmd_verify(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
-    grid = ParameterGrid(0.0, 1.0, args.grid_points or DEFAULT_GRID_POINTS)
+    points = DEFAULT_GRID_POINTS if args.grid_points is None else args.grid_points
+    grid = ParameterGrid(0.0, 1.0, points)
     rows = []
     worst: dict[str, float] = {}
     failures = 0

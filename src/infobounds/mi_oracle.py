@@ -132,13 +132,15 @@ def _types(n: int, k: int) -> np.ndarray:
 def _type_probs(types: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """p(t|phi) = exp(ln C(t) + sum_x t_x ln p_x(phi)) for every type row t.
 
-    C(t) = n! / prod_x t_x! is taken from a cumulative sum of logarithms.  An
+    C(t) = n! / prod_x t_x! is taken from ``math.lgamma``, accurate to a few
+    ulps per factorial, so its error does not grow with n as a running sum of
+    logarithms would; what is left is the rounding of the exponent.  An
     entry is exactly 0 where some t_x > 0 meets p_x = 0 (its exponent could
     overflow), or where it would be subnormal (an exp that underflows runs
     many times slower than a normal one); ``exp`` only runs on the others.
     """
     n = int(types[0].sum())
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
+    log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
     log_coef = log_fact[n] - log_fact[types].sum(axis=1)
     positive = probs > 0.0
     log_p = np.zeros(probs.shape)

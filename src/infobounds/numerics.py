@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class ParameterGrid:
     """Uniform discretization of a closed parameter interval.
 
     ``points`` must be odd (and at least 3) so that composite Simpson
-    quadrature covers the grid end to end.
+    quadrature covers the grid end to end.  The sample points and Simpson
+    weights are computed on first use and kept as read-only arrays.
     """
 
     lower: float
@@ -60,9 +62,20 @@ class ParameterGrid:
     def spacing(self) -> float:
         return (self.upper - self.lower) / (self.points - 1)
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.linspace(self.lower, self.upper, self.points)
+        values = np.linspace(self.lower, self.upper, self.points)
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def _simpson_weights(self) -> np.ndarray:
+        w = np.ones(self.points)
+        w[1:-1:2] = 4.0
+        w[2:-2:2] = 2.0
+        w *= self.spacing / 3.0
+        w.setflags(write=False)
+        return w
 
     def refine(self, factor: int = 2) -> "ParameterGrid":
         """Same interval with ``factor`` times as many subintervals."""
@@ -80,15 +93,12 @@ class ParameterGrid:
 
 
 def simpson_weights(grid: ParameterGrid) -> np.ndarray:
-    """Composite-Simpson quadrature weights aligned to ``grid``.
+    """Composite-Simpson quadrature weights aligned to ``grid`` (read-only, cached).
 
     ``weights @ samples`` equals :func:`integrate` without the per-call
     validation, which is what the inner loops of the oracles use.
     """
-    w = np.ones(grid.points)
-    w[1:-1:2] = 4.0
-    w[2:-2:2] = 2.0
-    return w * (grid.spacing / 3.0)
+    return grid._simpson_weights
 
 
 def integrate(samples, grid: ParameterGrid) -> float:

@@ -4,6 +4,11 @@ Conditional models are built from squared trigonometric polynomials plus a
 positive floor, normalized across outcomes.  That keeps every probability
 bounded away from zero, the derivatives analytic, and the Fisher information
 finite, so the brute-force oracles stay cheap and exact.
+
+A model takes from its generator the outcome count K, then every trig
+coefficient in one normal draw ``coef`` of shape (K, 2, degree + 1), with
+``coef[x, 0]`` the cosine and ``coef[x, 1]`` the sine coefficients of
+outcome x, then the prior's centre, kind and width.
 """
 
 from __future__ import annotations
@@ -22,19 +27,16 @@ def _trig_rows(rng: np.random.Generator, grid: ParameterGrid, n_outcomes: int,
     span = grid.upper - grid.lower
     tau = 2.0 * np.pi * (grid.values - grid.lower) / span
     dtau = 2.0 * np.pi / span
-    w = np.empty((n_outcomes, grid.points))
-    dw = np.empty_like(w)
-    for x in range(n_outcomes):
-        coef_a = rng.normal(size=degree + 1)
-        coef_b = rng.normal(size=degree + 1)
-        poly = np.full(grid.points, coef_a[0])
-        dpoly = np.zeros(grid.points)
-        for m in range(1, degree + 1):
-            poly += coef_a[m] * np.cos(m * tau) + coef_b[m] * np.sin(m * tau)
-            dpoly += m * dtau * (-coef_a[m] * np.sin(m * tau) + coef_b[m] * np.cos(m * tau))
-        w[x] = poly ** 2 + floor
-        dw[x] = 2.0 * poly * dpoly
-    return w, dw
+    coef = rng.normal(size=(n_outcomes, 2, degree + 1))
+    poly = np.repeat(coef[:, 0, :1], grid.points, axis=1)
+    dpoly = np.zeros_like(poly)
+    for m in range(1, degree + 1):
+        cos_m, sin_m = np.cos(m * tau), np.sin(m * tau)
+        a_m, b_m = coef[:, 0, m, None], coef[:, 1, m, None]
+        # elementwise, in a fixed order: a matmul would re-associate the sums
+        poly += a_m * cos_m + b_m * sin_m
+        dpoly += m * dtau * (-a_m * sin_m + b_m * cos_m)
+    return poly ** 2 + floor, 2.0 * poly * dpoly
 
 
 def random_joint_model(rng: np.random.Generator, grid: ParameterGrid | None = None,

@@ -261,6 +261,12 @@ class TestModelFiles:
         path.write_text(json.dumps(self.schema()))
         assert load_model_file(str(path), grid_points=201).grid.points == 201
 
+    def test_zero_points_override_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema()))
+        with pytest.raises(ValueError, match="at least 3 points, got 0"):
+            load_model_file(str(path), grid_points=0)
+
     def test_missing_file(self, capsys):
         assert run(["bounds", "--model", "nosuch.json"]) == 1
         assert "error" in capsys.readouterr().err
@@ -273,6 +279,15 @@ class TestModelFiles:
         path.write_text(json.dumps(cfg))
         assert run(["bounds", "--model", str(path), "--grid-points", "201"]) == 1
         assert "re-gridded" in capsys.readouterr().err
+
+
+class TestGridPointsOption:
+    @pytest.mark.parametrize("argv", [["bounds", "--model", "cos2"],
+                                      ["mi", "--model", "cos2"],
+                                      ["verify", "--count", "1"]])
+    def test_zero_points_rejected(self, capsys, argv):
+        assert run([*argv, "--grid-points", "0"]) == 1
+        assert "grid needs at least 3 points, got 0" in capsys.readouterr().err
 
 
 class TestMiCommand:

@@ -237,6 +237,11 @@ class TestRepeatModel:
         assert rep.conditional.n_outcomes == 4001
         assert np.max(np.abs(rep.conditional.probs.sum(axis=0) - 1.0)) <= OUTCOME_TOL
 
+    def test_type_table_rounding_stays_small_at_large_n(self):
+        # the log-multinomial coefficient must not add an error growing with n
+        probs = repeat_model(cos2_uniform(2001), 4000).conditional.probs
+        assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-11
+
     def test_bound_tight_up_to_clarke_barron_constant(self):
         # F = 1, so L = pi; ln(1 + sqrt(n) L / 2) - I -> (1/2) ln(pi e / 2) from above
         joint = cos2_uniform(2001)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -46,6 +47,48 @@ class TestParameterGrid:
         assert grid.index_of(0.3) == 3
         with pytest.raises(ValueError):
             grid.index_of(0.35)
+
+
+class TestGridArrays:
+    def test_computed_once(self):
+        grid = ParameterGrid(0.0, 1.0, 101)
+        assert grid.values is grid.values
+        assert simpson_weights(grid) is simpson_weights(grid)
+
+    def test_read_only(self):
+        grid = ParameterGrid(0.0, 1.0, 101)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            simpson_weights(grid)[0] = 1.0
+
+    @pytest.mark.parametrize("lower, upper, points", [(0.0, 1.0, 3), (0.0, math.pi, 2001),
+                                                      (-3.7, 2.9, 401)])
+    def test_bitwise_equal_to_fresh_arrays(self, lower, upper, points):
+        grid = ParameterGrid(lower, upper, points)
+        assert np.array_equal(grid.values, np.linspace(lower, upper, points))
+        w = np.ones(points)
+        w[1:-1:2] = 4.0
+        w[2:-2:2] = 2.0
+        assert np.array_equal(simpson_weights(grid), w * (grid.spacing / 3.0))
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        grid, fresh = ParameterGrid(0.0, 1.0, 101), ParameterGrid(0.0, 1.0, 101)
+        simpson_weights(grid)
+        assert grid == fresh and hash(grid) == hash(fresh)
+        assert repr(grid) == repr(fresh)
+
+    def test_derived_grids_have_their_own_arrays(self):
+        grid = ParameterGrid(0.0, 1.0, 101)
+        values, weights = grid.values, simpson_weights(grid)
+        for derived in (dataclasses.replace(grid), dataclasses.replace(grid, upper=2.0),
+                        grid.refine()):
+            assert derived.values is not values
+            assert simpson_weights(derived) is not weights
+            assert np.array_equal(derived.values,
+                                  np.linspace(derived.lower, derived.upper, derived.points))
+        assert dataclasses.replace(grid, upper=2.0).values[-1] == 2.0
+        assert simpson_weights(grid.refine()).size == 201
 
 
 class TestIntegrate:
