@@ -44,7 +44,7 @@ def _readonly(array) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorDensity:
     """Prior p(phi) on a grid, with its derivative and sharp-edge bookkeeping.
 
@@ -52,7 +52,8 @@ class PriorDensity:
     priors) are never represented as delta spikes on the grid; their jump
     heights are kept in ``edge_jumps`` as ``(grid index, jump)`` pairs and the
     bounds absorb them analytically.  ``smooth`` is False when the derivative
-    array alone does not describe the prior.
+    array alone does not describe the prior.  Priors compare and hash by
+    identity, as conditional and joint models do.
     """
 
     grid: ParameterGrid
@@ -64,13 +65,16 @@ class PriorDensity:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        dens = _readonly(self.density)
+        # one private copy of the density; it is made read-only after the clip below
+        dens = np.array(self.density, dtype=float, copy=True)
         deriv = _readonly(self.derivative)
         if dens.shape != (self.grid.points,) or deriv.shape != (self.grid.points,):
             raise ValueError("density and derivative must be grid-aligned 1-D arrays")
-        if np.any(dens < -1e-12):
+        lowest = dens.min()
+        if lowest < -1e-12:
             raise ValueError("prior density must be nonnegative")
-        dens = np.where(dens < 0.0, 0.0, dens)
+        if lowest < 0.0:
+            np.copyto(dens, 0.0, where=dens < 0.0)
         dens.setflags(write=False)
         mass = integrate(dens, self.grid)
         if abs(mass - 1.0) > MASS_TOL:
@@ -188,13 +192,14 @@ def cosine_plateau(grid: ParameterGrid, flat_lower: float, flat_upper: float,
     return f, df
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalModel:
     """Outcome distribution p(x|phi) over a finite alphabet, with derivatives.
 
     ``probs`` and ``dprobs`` are (K, points) arrays over the grid.
     ``derivative_source`` records whether ``dprobs`` came from an analytic
     closure or from :func:`~infobounds.numerics.central_difference`.
+    Models compare and hash by identity: their fields include arrays.
     """
 
     grid: ParameterGrid
@@ -281,9 +286,12 @@ def cos2_model(grid: ParameterGrid) -> ConditionalModel:
     return ConditionalModel(grid, probs, np.vstack([-d1, d1]), "analytic")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointModel:
-    """Joint p(x, phi) = p(x|phi) p(phi) of a prior and a conditional model."""
+    """Joint p(x, phi) = p(x|phi) p(phi) of a prior and a conditional model.
+
+    Compared and hashed by identity, like its parts.
+    """
 
     prior: PriorDensity
     conditional: ConditionalModel

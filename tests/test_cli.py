@@ -53,27 +53,37 @@ def prior_calls(monkeypatch):
 
 STARTUP_SCRIPT = """
 import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
 import infobounds, infobounds.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert infobounds.cli.main(["bounds", "--model", "cos2"]) == 0
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    assert infobounds.cli.main(["bounds", "--model", "cos2-gaussian"]) == 0
-print(json.dumps({"scipy_after_cos2": loaded, "gaussian_table": out.getvalue()}))
+runs = {}
+for argv in (["bounds", "--model", "cos2"], ["bounds", "--model", "cos2-gaussian"],
+             ["mi", "--model", "noon:n=16"], ["metrology"], ["verify", "--count", "5"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = infobounds.cli.main(argv)
+    runs[" ".join(argv)] = {"code": code, "stdout": out.getvalue()}
+print(json.dumps(runs))
 """
 
 
 class TestStartup:
-    def test_scipy_loaded_only_for_the_gaussian_closed_form(self):
+    def test_no_command_needs_scipy(self):
         src = str(Path(infobounds.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
-        assert result["scipy_after_cos2"] == []
-        table = result["gaussian_table"]
+        runs = json.loads(proc.stdout)
+        assert len(runs) == 5
+        assert {command: run["code"] for command, run in runs.items()} == dict.fromkeys(runs, 0)
+        table = runs["bounds --model cos2-gaussian"]["stdout"]
         assert "gaussian-prior-mse-exact" in table
         assert "gaussian-prior-mse-simplified" in table
 

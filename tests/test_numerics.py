@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from infobounds import numerics
 from infobounds.numerics import (
     NumericError,
     ParameterGrid,
@@ -162,6 +164,34 @@ class TestCentralDifference:
             err = abs(integrate(central_difference(f, grid), grid)
                       - (math.sin(2.0) - math.sin(0.0)))
             assert err < grid.spacing ** 2
+
+
+BESSEL_POINTS = sorted(
+    [float(x) for x in np.logspace(-300, 300, 121)]
+    + [float(x) for x in np.linspace(1.5, 3.0, 62)[1:-1]]
+    + [math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0)])
+
+
+class TestBesselK:
+    def test_against_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(30):
+            for x in BESSEL_POINTS:
+                scale = mpmath.exp(mpmath.mpf(x))
+                golden = [float(mpmath.besselk(nu, x) * scale) for nu in (0, 1)]
+                # abs=0: pytest.approx would otherwise accept any error below 1e-12
+                assert list(numerics._k01e(x)) == pytest.approx(golden, rel=1e-14, abs=0.0), x
+
+    @pytest.mark.parametrize("cap, x", [("_SERIES_CAP", 1.5), ("_CF2_CAP", 2.5)])
+    def test_unconverged_loop_raises(self, monkeypatch, cap, x):
+        monkeypatch.setattr(numerics, cap, 4)
+        with pytest.raises(NumericError, match="did not converge"):
+            numerics._k01e(x)
+
+    @pytest.mark.parametrize("z", [sys.float_info.min, 1e300])
+    def test_tricomi_finite_at_the_range_ends(self, z):
+        assert math.isfinite(tricomi_u(-0.5, 0.0, z))
 
 
 class TestTricomiU:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from infobounds.mi_oracle import repeat_model
 from infobounds.numerics import NumericError, ParameterGrid, integrate
@@ -65,6 +64,18 @@ class TestPriorDensity:
         dens[3] = -0.5
         with pytest.raises(ValueError, match="nonnegative"):
             PriorDensity.tabulated(pi_grid, dens)
+
+    def test_clips_roundoff_negatives_to_zero(self):
+        grid = ParameterGrid(0.0, 2.0, 2001)
+        window = PriorDensity.cosine_window(grid, 1.0, 1.2)
+        dens = window.density.copy()
+        dens[5] = -1e-13
+        prior = PriorDensity.tabulated(grid, dens, window.derivative)
+        assert prior.density[5] == 0.0
+        assert dens[5] == -1e-13
+        assert not prior.density.flags.writeable
+        dens[1000] = 0.0
+        np.testing.assert_array_equal(prior.density, window.density)
 
     def test_cosine_window_mass_and_support(self):
         grid = ParameterGrid(0.0, 2.0, 2001)
@@ -270,7 +281,13 @@ class TestJeffreysLength:
         length_phi = jeffreys_length(fisher_information(cos2_model(grid_phi)), (a, b))
 
         w = lambda u: u ** 3 + u
-        ua, ub = brentq(lambda u: w(u) - a, 0.0, 2.0), brentq(lambda u: w(u) - b, 0.0, 2.0)
+
+        def w_inverse(phi):
+            # the one real root of u^3 + u - phi = 0 (Cardano; the discriminant is positive)
+            r = math.sqrt(phi * phi / 4.0 + 1.0 / 27.0)
+            return float(np.cbrt(phi / 2.0 + r) + np.cbrt(phi / 2.0 - r))
+
+        ua, ub = w_inverse(a), w_inverse(b)
         grid_u = ParameterGrid(ua, ub, 2001)
         u = grid_u.values
         p1 = np.cos(w(u) / 2.0) ** 2
@@ -278,6 +295,18 @@ class TestJeffreysLength:
         model_u = ConditionalModel(grid_u, np.vstack([1.0 - p1, p1]), np.vstack([-d1, d1]))
         length_u = jeffreys_length(fisher_information(model_u))
         assert length_u == pytest.approx(length_phi, abs=1e-4)
+
+
+class TestIdentityEquality:
+    def test_model_values_compare_and_hash_by_identity(self, pi_grid):
+        def build():
+            prior, model = PriorDensity.rectangle(pi_grid), cos2_model(pi_grid)
+            return prior, model, JointModel(prior, model)
+
+        for first, second in zip(build(), build()):
+            assert first == first and first != second
+            assert hash(first) == hash(first)
+            assert len({first, second}) == 2
 
 
 class TestJointAndMarginal:
