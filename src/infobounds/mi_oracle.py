@@ -2,15 +2,17 @@
 
 Everything here is an independent oracle for the bounds module: plain
 quadrature of the defining integrals, the posterior-mean estimator for the
-quadratic cost, exact n-sample models, and a seeded Monte-Carlo study of the
-maximum-likelihood estimator's conditional entropy.
+quadratic cost, exact n-sample models, and the exact conditional entropy of
+the maximum-likelihood estimator given n samples.
 
 An n-sample model (:func:`repeat_model`) is indexed by types, the outcome
 count vectors t with sum_x t_x = n (method of types, Cover & Thomas,
 *Elements of Information Theory*, ch. 11).  Counts are a sufficient
 statistic for iid samples, so its C(n+K-1, K-1) rows give the same oracle
 values as the K^n outcome sequences: a binary model reaches n in the
-thousands within the default budget of 4096 types.
+thousands within the default budget of 4096 types.  The maximum-likelihood
+estimate is a function of the type too, so the MLE study groups the same
+rows by their estimate instead of sampling them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ParameterGrid, simpson_weights
+from .numerics import simpson_weights
 from .stat_model import (
     ConditionalModel,
     JointModel,
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 
-MLE_CHUNK = 1024  # trials per random stream in mle_convergence_study
+TYPE_BUDGET = 4096  # default cap on the rows of a type table
 LOG_TINY = math.log(np.finfo(float).tiny)  # below this exp(.) is subnormal
 
 
@@ -79,9 +81,19 @@ def mutual_information(joint: JointModel) -> OracleResult:
     p(phi) = 0 or pbar_x = 0 contribute 0.  The joint table p(x|phi) p(phi)
     is never formed.
     """
-    p = joint.conditional.probs
-    prior = joint.prior.density
-    q = simpson_weights(joint.grid) * prior
+    mi, h_posterior = _information(joint.conditional.probs, joint.prior.density,
+                                   simpson_weights(joint.grid))
+    return OracleResult(
+        mi=mi,
+        h_prior=prior_entropy(joint.prior),
+        h_posterior=h_posterior,
+        bayes_mse=bayes_quadratic_cost(joint),
+    )
+
+
+def _information(p: np.ndarray, prior: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """(I, H(phi|x)) of a bare (K, points) table p(x|phi), prior density and Simpson weights."""
+    q = w * prior
     plogp = np.zeros(p.shape)
     np.log(p, out=plogp, where=p > 0.0)
     plogp *= p
@@ -90,14 +102,7 @@ def mutual_information(joint: JointModel) -> OracleResult:
     mi = float((plogp @ q).sum()) - float(pbar @ np.log(pbar))
     log_prior = np.zeros_like(prior)
     np.log(prior, out=log_prior, where=prior > 0.0)
-    h_posterior = -mi - float((q * log_prior) @ p.sum(axis=0))
-
-    return OracleResult(
-        mi=mi,
-        h_prior=prior_entropy(joint.prior),
-        h_posterior=h_posterior,
-        bayes_mse=bayes_quadratic_cost(joint),
-    )
+    return mi, -mi - float((q * log_prior) @ p.sum(axis=0))
 
 
 def bayes_quadratic_cost(joint: JointModel) -> float:
@@ -112,12 +117,18 @@ def bayes_quadratic_cost(joint: JointModel) -> float:
     return second - float(np.sum(first[pos] ** 2 / pbar[pos]))
 
 
-def _types(n: int, k: int) -> np.ndarray:
+def _types(n: int, k: int, budget: int) -> np.ndarray:
     """Every count vector of n samples over k outcomes, as a (count, k) int array.
 
     Rows are in descending lexicographic order, so row 0 is (n, 0, ..., 0)
-    and the last row is (0, ..., 0, n).
+    and the last row is (0, ..., 0, n).  More than ``budget`` rows raise
+    :class:`BudgetError` before any is built.
     """
+    count = math.comb(n + k - 1, k - 1)
+    if count > budget:
+        raise BudgetError(
+            f"C(n+K-1, K-1) = C({n + k - 1}, {k - 1}) = {count} types exceed the "
+            f"budget of {budget}")
     rows = np.zeros((1, 0), dtype=np.int64)
     left = np.array([n], dtype=np.int64)
     for _ in range(k - 1):
@@ -154,7 +165,7 @@ def _type_probs(types: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def repeat_model(joint: JointModel, n: int, budget: int = 4096) -> JointModel:
+def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointModel:
     """Joint model of n independent samples from the same conditional model.
 
     The outcomes of the repeated model are types: count vectors t with t_x
@@ -170,8 +181,7 @@ def repeat_model(joint: JointModel, n: int, budget: int = 4096) -> JointModel:
 
     the second from C(t) t_x = n C(t - e_x), with no division by p_x.
     ``n = 1`` returns ``joint`` itself.  More than ``budget`` types raise
-    :class:`BudgetError` pointing at the Monte-Carlo path
-    (:func:`mle_convergence_study`) instead.
+    :class:`BudgetError`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -179,12 +189,7 @@ def repeat_model(joint: JointModel, n: int, budget: int = 4096) -> JointModel:
         return joint
     cond = joint.conditional
     k = cond.n_outcomes
-    count = math.comb(n + k - 1, k - 1)
-    if count > budget:
-        raise BudgetError(
-            f"C(n+K-1, K-1) = C({n + k - 1}, {k - 1}) = {count} types exceed the "
-            f"budget of {budget}; use mle_convergence_study for a Monte-Carlo treatment")
-    types = _types(n, k)
+    types = _types(n, k, budget)
     probs = _type_probs(types, cond.probs)
     # the rows with t_x >= 1, minus e_x, are the (n-1)-types in table order:
     # subtracting one fixed vector keeps the lexicographic order of the rows
@@ -200,6 +205,17 @@ def repeat_model(joint: JointModel, n: int, budget: int = 4096) -> JointModel:
     return JointModel(joint.prior, counted)
 
 
+def _group_sum(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``table`` that share a key: one row per distinct key, in key order.
+
+    The sort is stable, so each group adds its rows one by one in table order.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    ends = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    return np.array([rows.sum(axis=0) for rows in np.split(table[order], ends)])
+
+
 def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
     """Coarse-grain outcomes by a deterministic labeling (data processing).
 
@@ -212,10 +228,7 @@ def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
         raise ValueError("need one label per outcome")
     groups: dict = {}
     rows = np.array([groups.setdefault(g, len(groups)) for g in labels], dtype=np.intp)
-    probs = np.zeros((len(groups), model.grid.points))
-    dprobs = np.zeros_like(probs)
-    np.add.at(probs, rows, model.probs)
-    np.add.at(dprobs, rows, model.dprobs)
+    probs, dprobs = _group_sum(model.probs, rows), _group_sum(model.dprobs, rows)
     return ConditionalModel(model.grid, probs, dprobs, model.derivative_source, tuple(groups))
 
 
@@ -224,96 +237,42 @@ class MleStudyPoint:
     """One row of the MLE convergence study."""
 
     n: int
-    h_conditional: float   # plug-in estimate of H(phi | phi_ML)
+    h_conditional: float   # exact H(phi | phi_ML)
     asymptote: float       # -(1/2) ln[ n * int F p dphi / (2 pi e) ]
     gap: float
-    trials: int
-    low_resolution: bool   # too few trials for the histogram resolution
 
 
-def _prior_cdf_sampler(joint: JointModel):
-    """Inverse-CDF sampler over the prior (trapezoid CDF, linear interpolation)."""
-    grid = joint.grid
-    p = joint.prior.density
-    h = grid.spacing
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * h * (p[1:] + p[:-1]))])
-    cdf /= cdf[-1]
-    values = grid.values
+def mle_convergence_study(joint: JointModel, n_list, trials=None,
+                          seed=None) -> list[MleStudyPoint]:
+    """Exact H(phi | phi_ML) of n iid samples, against its asymptotic value.
 
-    def sample(u: np.ndarray) -> np.ndarray:
-        return np.interp(u, cdf, values)
-
-    return sample
-
-
-def _plugin_conditional_entropy(phi: np.ndarray, mle_idx: np.ndarray,
-                                grid: ParameterGrid) -> tuple[float, int]:
-    """Plug-in estimate of the differential H(phi | phi_hat).
-
-    phi is binned at the grid spacing; phi_hat is already a grid index.  The
-    estimator carries the usual negative sampling bias, which is accepted:
-    the study only asserts that the gap to the asymptote shrinks.
+    The grid-restricted maximum-likelihood estimate (ties broken toward the
+    smallest grid index) depends on the samples only through their type t,
+    so for each n the study takes the C(n+K-1, K-1) types of
+    :func:`repeat_model` (within its default budget, else
+    :class:`BudgetError`), sums the rows p(t|phi) that share an estimate,
+    and returns the posterior entropy of that table by quadrature.  Nothing
+    is sampled: ``trials`` and ``seed`` are accepted and ignored, so callers
+    that pass them keep working.
     """
-    h = grid.spacing
-    bins = np.clip(((phi - grid.lower) / h).astype(np.int64), 0, grid.points - 1)
-    key = bins * np.int64(grid.points) + mle_idx
-    _, joint_counts = np.unique(key, return_counts=True)
-    _, mle_counts = np.unique(mle_idx, return_counts=True)
-    t = float(phi.size)
-    h_joint = -np.sum(joint_counts / t * np.log(joint_counts / t))
-    h_mle = -np.sum(mle_counts / t * np.log(mle_counts / t))
-    return float(h_joint - h_mle + math.log(h)), int(joint_counts.size)
-
-
-def mle_convergence_study(joint: JointModel, n_list, trials: int,
-                          seed: int) -> list[MleStudyPoint]:
-    """Monte-Carlo check that H(phi | phi_ML) approaches its asymptotic value.
-
-    For each n: draw phi from the prior, draw n iid outcomes, take the
-    grid-restricted maximum-likelihood estimate (ties broken toward the
-    smallest grid index), and estimate H(phi | phi_ML) by a plug-in histogram
-    with bin width equal to the grid spacing.  Trials are drawn in chunks of
-    ``MLE_CHUNK``, each from its own stream seeded by (seed, n index, chunk
-    index), so results are reproducible for a fixed seed regardless of how
-    chunks are scheduled, and a row does not depend on the other rows.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    grid = joint.grid
     probs = joint.conditional.probs
+    prior = joint.prior.density
+    w = simpson_weights(joint.grid)
     # large finite penalty instead of -inf so unobserved outcomes (count 0)
     # cannot produce 0 * inf
     logp = np.full(probs.shape, -1e15)
     np.log(probs, out=logp, where=probs > 0.0)
-    sampler = _prior_cdf_sampler(joint)
     avg_f1 = average_fisher(joint)
 
     results = []
-    for n_index, n in enumerate(n_list):
+    for n in n_list:
         if n < 1:
             raise ValueError(f"sample sizes must be >= 1, got {n}")
-        phi_true = np.empty(trials)
-        mle_idx = np.empty(trials, dtype=np.int64)
-        for chunk, start in enumerate(range(0, trials, MLE_CHUNK)):
-            rng = np.random.default_rng([seed, n_index, chunk])
-            phi = sampler(rng.random(min(MLE_CHUNK, trials - start)))
-            # linear interpolation of the outcome distribution between grid nodes
-            x = (phi - grid.lower) / grid.spacing
-            i0 = np.minimum(x.astype(np.int64), grid.points - 2)
-            frac = x - i0
-            pvals = ((1.0 - frac) * probs[:, i0] + frac * probs[:, i0 + 1]).T
-            counts = rng.multinomial(n, pvals / pvals.sum(axis=1, keepdims=True))
-            stop = start + phi.size
-            phi_true[start:stop] = phi
-            mle_idx[start:stop] = np.argmax(counts @ logp, axis=1)
-        h_est, occupied = _plugin_conditional_entropy(phi_true, mle_idx, grid)
+        types = _types(n, len(probs), TYPE_BUDGET)
+        mle = np.argmax(types @ logp, axis=1)
+        by_mle = _group_sum(_type_probs(types, probs), mle)
+        h = _information(by_mle, prior, w)[1]
         asymptote = -0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e))
-        results.append(MleStudyPoint(
-            n=int(n),
-            h_conditional=h_est,
-            asymptote=asymptote,
-            gap=abs(h_est - asymptote),
-            trials=trials,
-            low_resolution=bool(trials < 5 * occupied),
-        ))
+        results.append(MleStudyPoint(n=int(n), h_conditional=h, asymptote=asymptote,
+                                     gap=abs(h - asymptote)))
     return results

@@ -53,9 +53,12 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density matrix: Hermitian, unit trace, positive semidefinite."""
+    """Validated density matrix: Hermitian, unit trace, positive semidefinite.
+
+    Compared and hashed by identity, like the other array-valued values.
+    """
 
     matrix: np.ndarray
 
@@ -83,9 +86,12 @@ class DensityMatrix:
         return cls(np.outer(psi, psi.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive operator-valued measure: M_x >= 0, sum_x M_x = identity."""
+    """Positive operator-valued measure: M_x >= 0, sum_x M_x = identity.
+
+    Compared and hashed by identity.
+    """
 
     elements: tuple
 
@@ -146,7 +152,7 @@ def _noise_kraus(kind: str, eta: float) -> tuple:
     raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseChannelFamily:
     """phi -> sum_k K_k U_{g phi} rho0 U_{g phi}^dag K_k^dag with an analytic phi-derivative.
 
@@ -156,14 +162,15 @@ class PhaseChannelFamily:
     rho0_ab e^{i W_ab phi} with the winding W_ab = g (n_a - n_b), where n is
     the |1><1| occupation of each level, so the derivative multiplies the
     same entries by i W before the (phi-independent) noise ``kraus``.
+    Families compare and hash by identity.
     """
 
     kind: str
     eta: float
     rho0: np.ndarray
     gates: int = 1
-    kraus: tuple = field(init=False, repr=False, compare=False)
-    winding: np.ndarray = field(init=False, repr=False, compare=False)
+    kraus: tuple = field(init=False, repr=False)
+    winding: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.gates, (int, np.integer)) or isinstance(self.gates, bool):

@@ -315,9 +315,12 @@ class JointModel:
                 + self.conditional.probs * self.prior.derivative[None, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FisherProfile:
-    """Pointwise Fisher information F(phi) >= 0 with a divergence mask."""
+    """Pointwise Fisher information F(phi) >= 0 with a divergence mask.
+
+    Compared and hashed by identity, like the models it is computed from.
+    """
 
     grid: ParameterGrid
     values: np.ndarray

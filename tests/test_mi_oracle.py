@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from infobounds.mi_oracle import (
-    MLE_CHUNK,
     BudgetError,
     bayes_quadratic_cost,
     merge_outcomes,
@@ -55,6 +54,18 @@ def sequence_product(joint, n):
         labels = [prev + (x,) for prev in labels for x in cond.outcomes]
     product = ConditionalModel(cond.grid, rep_p, rep_d, cond.derivative_source, tuple(labels))
     return JointModel(joint.prior, product)
+
+
+def sequence_mle_entropy(joint, n):
+    """Reference H(phi | phi_ML): the K^n sequences, merged by each sequence's own MLE."""
+    probs = joint.conditional.probs
+    logp = np.full(probs.shape, -1e15)
+    np.log(probs, out=logp, where=probs > 0.0)
+    row = {x: i for i, x in enumerate(joint.conditional.outcomes)}
+    sequences = sequence_product(joint, n).conditional
+    mle = [int(np.argmax(sum(logp[row[x]] for x in seq))) for seq in sequences.outcomes]
+    merged = merge_outcomes(sequences, mle)
+    return mutual_information(JointModel(joint.prior, merged)).h_posterior
 
 
 def random_k3_model():
@@ -191,9 +202,9 @@ class TestRepeatModel:
         values = [mutual_information(repeat_model(joint, n)).mi for n in range(1, 9)]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_budget_error_mentions_monte_carlo(self):
+    def test_budget_error_names_the_type_count(self):
         joint = cos2_uniform(501)
-        with pytest.raises(BudgetError, match=r"C\(14, 1\) = 14 types.*Monte-Carlo"):
+        with pytest.raises(BudgetError, match=r"C\(14, 1\) = 14 types"):
             repeat_model(joint, 13, budget=13)
         assert repeat_model(joint, 13, budget=14).conditional.n_outcomes == 14
 
@@ -287,6 +298,16 @@ class TestMergeOutcomes:
             np.testing.assert_allclose(merged.dprobs[row], rep.dprobs[members].sum(axis=0),
                                        rtol=0, atol=1e-15)
 
+    def test_groups_add_rows_one_by_one_in_table_order(self):
+        rep = repeat_model(gaussian_cos2(201), 64).conditional
+        labels = np.random.default_rng(0).integers(0, 7, rep.n_outcomes).tolist()
+        merged = merge_outcomes(rep, labels)
+        for row, group in enumerate(merged.outcomes):
+            total = np.zeros(rep.grid.points)
+            for i in (i for i, g in enumerate(labels) if g == group):
+                total = total + rep.probs[i]
+            np.testing.assert_array_equal(merged.probs[row], total)
+
     def test_groups_keep_first_seen_order(self):
         rep = repeat_model(cos2_uniform(501), 3).conditional
         merged = merge_outcomes(rep, ["odd", ("even", 2), "odd", ("even", 2)])
@@ -301,25 +322,16 @@ class TestMergeOutcomes:
 
 class TestMleConvergenceStudy:
     def test_gap_shrinks(self):
-        # the full three-point monotonicity at 20000 trials runs in the
-        # acceptance suite; at reduced trials the histogram bias still leaves
-        # the 8 -> 32 shrinkage intact
+        # the three-point monotonicity runs in the acceptance suite
         joint = gaussian_cos2(points=201)
         points = mle_convergence_study(joint, [8, 32], trials=4000, seed=42)
         assert points[0].gap > points[1].gap
-        assert not points[0].low_resolution
 
     def test_deterministic_for_fixed_seed(self):
         joint = gaussian_cos2(points=201)
         a = mle_convergence_study(joint, [8, 16], trials=500, seed=7)
         b = mle_convergence_study(joint, [8, 16], trials=500, seed=7)
         assert [p.h_conditional for p in a] == [p.h_conditional for p in b]
-
-    def test_seed_changes_the_draws(self):
-        joint = gaussian_cos2(points=201)
-        a = mle_convergence_study(joint, [8], trials=500, seed=1)
-        b = mle_convergence_study(joint, [8], trials=500, seed=2)
-        assert a[0].h_conditional != b[0].h_conditional
 
     def test_row_independent_of_other_rows(self):
         joint = gaussian_cos2(points=201)
@@ -328,23 +340,42 @@ class TestMleConvergenceStudy:
         assert a[1] == b[1]
         assert a[0] != b[0]
 
-    def test_deterministic_across_chunks(self):
-        # two full chunks of MLE_CHUNK trials and a remainder
-        assert MLE_CHUNK == 1024
+    def test_trials_and_seed_are_ignored(self):
         joint = gaussian_cos2(points=201)
-        a = mle_convergence_study(joint, [8, 32], trials=2500, seed=5)
-        b = mle_convergence_study(joint, [8, 32], trials=2500, seed=5)
-        assert a == b
-        assert all(p.trials == 2500 for p in a)
-        # a repeated chunk would leave the histogram's proportions, and so the estimate, unchanged
-        one = mle_convergence_study(joint, [8], trials=MLE_CHUNK, seed=5)[0]
-        two = mle_convergence_study(joint, [8], trials=2 * MLE_CHUNK, seed=5)[0]
-        assert two.h_conditional != pytest.approx(one.h_conditional, abs=1e-9)
+        rows = mle_convergence_study(joint, [1, 8, 32])
+        assert mle_convergence_study(joint, [1, 8, 32], trials=7, seed=1) == rows
+        assert mle_convergence_study(joint, [1, 8, 32], trials=20000, seed=2) == rows
 
-    def test_low_resolution_flag(self):
-        joint = gaussian_cos2(points=201)
-        points = mle_convergence_study(joint, [32], trials=40, seed=0)
-        assert points[0].low_resolution
+    @pytest.mark.parametrize("case, n", [
+        *[("cos2-gaussian", n) for n in (1, 2, 4, 8)],
+        *[("random-k3", n) for n in range(1, 7)],
+        *[("near-deterministic", n) for n in range(1, 9)],
+        # on 101 points several types share an estimate from n = 5 on
+        *[("near-deterministic-101", n) for n in (5, 8)],
+    ])
+    def test_matches_sequence_reference(self, case, n):
+        joint = {
+            "cos2-gaussian": gaussian_cos2,
+            "random-k3": random_k3_model,
+            "near-deterministic": lambda: near_deterministic_model(ParameterGrid(0.0, 1.0, 2001)),
+            "near-deterministic-101": lambda: near_deterministic_model(
+                ParameterGrid(0.0, 1.0, 101)),
+        }[case]()
+        row = mle_convergence_study(joint, [n])[0]
+        assert row.h_conditional == pytest.approx(sequence_mle_entropy(joint, n), abs=1e-12)
+
+    def test_converges_under_grid_refinement(self):
+        # demo 05's model at n = 512: the value settles once the grid resolves
+        # the posterior, whose standard deviation is about 1/sqrt(512) = 0.044
+        values = [mle_convergence_study(gaussian_cos2(points), [512])[0].h_conditional
+                  for points in (801, 1601)]
+        assert values[0] == pytest.approx(values[1], abs=1e-3)
+
+    def test_budget(self):
+        grid = ParameterGrid(0.0, 1.0, 201)
+        joint = JointModel(PriorDensity.rectangle(grid), flat_model(grid, 4))
+        with pytest.raises(BudgetError, match=r"C\(33, 3\) = 5456 types"):
+            mle_convergence_study(joint, [30])
 
     def test_processing_loses_information_exactly(self):
         # exact N = 1 sanity: pushing outcomes through the MLE cannot reduce
@@ -360,7 +391,5 @@ class TestMleConvergenceStudy:
 
     def test_rejects_bad_arguments(self):
         joint = gaussian_cos2(points=201)
-        with pytest.raises(ValueError, match="trials"):
-            mle_convergence_study(joint, [8], trials=0, seed=1)
         with pytest.raises(ValueError, match="sample sizes"):
             mle_convergence_study(joint, [0], trials=10, seed=1)

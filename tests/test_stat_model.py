@@ -5,6 +5,7 @@ import pytest
 
 from infobounds.mi_oracle import repeat_model
 from infobounds.numerics import NumericError, ParameterGrid, integrate
+from infobounds.quantum_metrology import DensityMatrix, PhaseChannelFamily, plus_minus_povm
 from infobounds.stat_model import (
     ConditionalModel,
     FisherProfile,
@@ -301,7 +302,10 @@ class TestIdentityEquality:
     def test_model_values_compare_and_hash_by_identity(self, pi_grid):
         def build():
             prior, model = PriorDensity.rectangle(pi_grid), cos2_model(pi_grid)
-            return prior, model, JointModel(prior, model)
+            fisher = FisherProfile(pi_grid, model.fisher.values, model.fisher.divergent)
+            return (prior, model, JointModel(prior, model), fisher,
+                    DensityMatrix.pure([1.0, 1.0]), plus_minus_povm(),
+                    PhaseChannelFamily("dephasing", 0.9, np.full((2, 2), 0.5)))
 
         for first, second in zip(build(), build()):
             assert first == first and first != second
