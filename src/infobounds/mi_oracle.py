@@ -13,6 +13,28 @@ values as the K^n outcome sequences: a binary model reaches n in the
 thousands within the default budget of 4096 types.  The maximum-likelihood
 estimate is a function of the type too, so the MLE study groups the same
 rows by their estimate instead of sampling them.
+
+Kernel contract: the type-table kernels may drop work but never change a
+bit of any table, :class:`OracleResult` or :class:`MleStudyPoint` (the
+tests keep the first versions as references).  Over a (rows, points)
+table they make these passes:
+
+* ``_type_probs``: one matmul for the exponent (the MLE study hands in its
+  scores, the same matrix), one add of ln C(t), -inf only on the zero
+  columns of outcomes that have zeros, one fill of the entries at or
+  below ``LOG_TINY`` with -inf, one plain ``exp`` in place;
+* ``repeat_model``'s derivative table: per outcome, one product into a
+  reused scratch table, added through a slice where its rows form one run
+  (always for the first outcome), else through an index array;
+* ``_group_sum``: one gather of each group's first row plus 0.0 in place;
+  only groups of more than one row are gathered whole and summed, each in
+  table order;
+* ``_information``: one log, one fill of the zero entries, one multiply,
+  then matrix-vector products.
+
+The tables ``repeat_model`` and ``merge_outcomes`` build are made
+read-only and handed to :class:`~infobounds.stat_model.ConditionalModel`,
+which keeps such tables without a copy.
 """
 
 from __future__ import annotations
@@ -94,8 +116,9 @@ def mutual_information(joint: JointModel) -> OracleResult:
 def _information(p: np.ndarray, prior: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     """(I, H(phi|x)) of a bare (K, points) table p(x|phi), prior density and Simpson weights."""
     q = w * prior
-    plogp = np.zeros(p.shape)
-    np.log(p, out=plogp, where=p > 0.0)
+    with np.errstate(divide="ignore"):
+        plogp = np.log(p)
+    plogp[p == 0.0] = 0.0  # 0 ln 0 = 0
     plogp *= p
     pbar = p @ q
     pbar = pbar[pbar > 0.0]
@@ -140,7 +163,8 @@ def _types(n: int, k: int, budget: int) -> np.ndarray:
     return np.column_stack([rows, left])
 
 
-def _type_probs(types: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def _type_probs(types: np.ndarray, probs: np.ndarray,
+                exponent: np.ndarray | None = None) -> np.ndarray:
     """p(t|phi) = exp(ln C(t) + sum_x t_x ln p_x(phi)) for every type row t.
 
     C(t) = n! / prod_x t_x! is taken from ``math.lgamma``, accurate to a few
@@ -148,20 +172,26 @@ def _type_probs(types: np.ndarray, probs: np.ndarray) -> np.ndarray:
     logarithms would; what is left is the rounding of the exponent.  An
     entry is exactly 0 where some t_x > 0 meets p_x = 0 (its exponent could
     overflow), or where it would be subnormal (an exp that underflows runs
-    many times slower than a normal one); ``exp`` only runs on the others.
+    many times slower than a normal one); those entries go to -inf before
+    one plain ``exp``.  ``exponent``, if given, is ``types @ ln p`` from the
+    caller, with any finite value standing for ln 0 (a zero count times it
+    is 0, and the entries it meets with a positive count are set to -inf
+    here); it is overwritten.
     """
     n = int(types[0].sum())
     log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
     log_coef = log_fact[n] - log_fact[types].sum(axis=1)
-    positive = probs > 0.0
-    log_p = np.zeros(probs.shape)
-    np.log(probs, out=log_p, where=positive)
-    out = types.astype(float) @ log_p
+    zero = probs <= 0.0
+    if exponent is None:
+        log_p = np.zeros(probs.shape)
+        np.log(probs, out=log_p, where=~zero)
+        exponent = types.astype(float) @ log_p
+    out = exponent
     out += log_coef[:, None]
-    out[(types > 0) @ ~positive] = -np.inf
-    live = out > LOG_TINY
-    np.exp(out, out=out, where=live)
-    out[~live] = 0.0
+    for x in np.flatnonzero(zero.any(axis=1)):
+        out[np.ix_(types[:, x] > 0, zero[x])] = -np.inf
+    out[out <= LOG_TINY] = -np.inf
+    np.exp(out, out=out)
     return out
 
 
@@ -183,6 +213,8 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
     ``n = 1`` returns ``joint`` itself.  More than ``budget`` types raise
     :class:`BudgetError`.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
@@ -192,15 +224,26 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
     types = _types(n, k, budget)
     probs = _type_probs(types, cond.probs)
     # the rows with t_x >= 1, minus e_x, are the (n-1)-types in table order:
-    # subtracting one fixed vector keeps the lexicographic order of the rows
-    prev = types[types[:, 0] >= 1]
+    # subtracting one fixed vector keeps the lexicographic order of the rows;
+    # for x = 0 they are the leading rows, the first coordinate descending
+    prev = types[:math.comb(n + k - 2, k - 1)].copy()
     prev[:, 0] -= 1
     prev_probs = _type_probs(prev, cond.probs)
-    dprobs = np.zeros_like(probs)
+    dprobs = np.zeros(probs.shape)
+    product = np.empty_like(prev_probs)
     for x in range(k):
-        dprobs[types[:, x] >= 1] += prev_probs * cond.dprobs[x]
+        rows = np.flatnonzero(types[:, x])
+        # one run of rows (always for x = 0) is added through a slice, in
+        # place, instead of a gather and a scatter
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        np.multiply(prev_probs, cond.dprobs[x], out=product)
+        dprobs[rows] += product
     dprobs *= n
     labels = tuple(map(tuple, types.tolist()))
+    # fresh tables nobody else holds: read-only, the model keeps them uncopied
+    probs.setflags(write=False)
+    dprobs.setflags(write=False)
     counted = ConditionalModel(cond.grid, probs, dprobs, cond.derivative_source, labels)
     return JointModel(joint.prior, counted)
 
@@ -208,12 +251,19 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
 def _group_sum(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Sum the rows of ``table`` that share a key: one row per distinct key, in key order.
 
-    The sort is stable, so each group adds its rows one by one in table order.
+    The sort is stable, so each group adds its rows one by one in table order;
+    a one-row group is its row plus 0.0, as ``np.sum`` gives it (-0.0 becomes
+    +0.0).  The result is a fresh array; the sorted table is never formed.
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    ends = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    return np.array([rows.sum(axis=0) for rows in np.split(table[order], ends)])
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    out = table[order[starts]]
+    out += 0.0
+    ends = np.r_[starts[1:], len(keys)]
+    for g in np.flatnonzero(ends - starts > 1):
+        out[g] = table[order[starts[g]:ends[g]]].sum(axis=0)
+    return out
 
 
 def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
@@ -229,6 +279,8 @@ def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
     groups: dict = {}
     rows = np.array([groups.setdefault(g, len(groups)) for g in labels], dtype=np.intp)
     probs, dprobs = _group_sum(model.probs, rows), _group_sum(model.dprobs, rows)
+    probs.setflags(write=False)
+    dprobs.setflags(write=False)
     return ConditionalModel(model.grid, probs, dprobs, model.derivative_source, tuple(groups))
 
 
@@ -255,6 +307,12 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
     is sampled: ``trials`` and ``seed`` are accepted and ignored, so callers
     that pass them keep working.
     """
+    n_list = list(n_list)
+    for n in n_list:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"sample sizes must be integers, got {n!r}")
+        if n < 1:
+            raise ValueError(f"sample sizes must be >= 1, got {n}")
     probs = joint.conditional.probs
     prior = joint.prior.density
     w = simpson_weights(joint.grid)
@@ -266,11 +324,13 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
 
     results = []
     for n in n_list:
-        if n < 1:
-            raise ValueError(f"sample sizes must be >= 1, got {n}")
         types = _types(n, len(probs), TYPE_BUDGET)
-        mle = np.argmax(types @ logp, axis=1)
-        by_mle = _group_sum(_type_probs(types, probs), mle)
+        # types @ logp is also the exponent of p(t|phi): the penalty only
+        # stands where some t_x > 0 meets p_x = 0, which _type_probs zeroes
+        scores = types @ logp
+        mle = np.argmax(scores, axis=1)
+        by_mle = _group_sum(_type_probs(types, probs, scores), mle)
+        del scores  # now the ungrouped table: free it before the log pass reuses memory
         h = _information(by_mle, prior, w)[1]
         asymptote = -0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e))
         results.append(MleStudyPoint(n=int(n), h_conditional=h, asymptote=asymptote,

@@ -13,6 +13,8 @@ outcome x, then the prior's centre, kind and width.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .numerics import ParameterGrid
@@ -21,17 +23,27 @@ from .stat_model import ConditionalModel, JointModel, PriorDensity
 __all__ = ["near_deterministic_model", "random_joint_model"]
 
 
+@functools.lru_cache(maxsize=8)
+def _trig_basis(grid: ParameterGrid, degree: int) -> tuple:
+    """Read-only (cos(m tau), sin(m tau)) for m = 1..degree, tau = 2 pi (phi - lower) / span."""
+    tau = 2.0 * np.pi * (grid.values - grid.lower) / (grid.upper - grid.lower)
+    basis = []
+    for m in range(1, degree + 1):
+        pair = np.cos(m * tau), np.sin(m * tau)
+        for row in pair:
+            row.setflags(write=False)
+        basis.append(pair)
+    return tuple(basis)
+
+
 def _trig_rows(rng: np.random.Generator, grid: ParameterGrid, n_outcomes: int,
                degree: int, floor: float):
     """Positive weight rows w_x(phi) = (trig poly)^2 + floor and their derivatives."""
-    span = grid.upper - grid.lower
-    tau = 2.0 * np.pi * (grid.values - grid.lower) / span
-    dtau = 2.0 * np.pi / span
+    dtau = 2.0 * np.pi / (grid.upper - grid.lower)
     coef = rng.normal(size=(n_outcomes, 2, degree + 1))
     poly = np.repeat(coef[:, 0, :1], grid.points, axis=1)
     dpoly = np.zeros_like(poly)
-    for m in range(1, degree + 1):
-        cos_m, sin_m = np.cos(m * tau), np.sin(m * tau)
+    for m, (cos_m, sin_m) in enumerate(_trig_basis(grid, degree), start=1):
         a_m, b_m = coef[:, 0, m, None], coef[:, 1, m, None]
         # elementwise, in a fixed order: a matmul would re-associate the sums
         poly += a_m * cos_m + b_m * sin_m

@@ -44,6 +44,15 @@ def _readonly(array) -> np.ndarray:
     return out
 
 
+def _owned(array) -> np.ndarray:
+    """``array`` itself if it is a read-only float64 ndarray owning its data,
+    else a writable float64 copy."""
+    if (type(array) is np.ndarray and array.dtype == np.float64
+            and array.flags.owndata and not array.flags.writeable):
+        return array
+    return np.array(array, dtype=float, copy=True)
+
+
 @dataclass(frozen=True, eq=False)
 class PriorDensity:
     """Prior p(phi) on a grid, with its derivative and sharp-edge bookkeeping.
@@ -196,7 +205,10 @@ def cosine_plateau(grid: ParameterGrid, flat_lower: float, flat_upper: float,
 class ConditionalModel:
     """Outcome distribution p(x|phi) over a finite alphabet, with derivatives.
 
-    ``probs`` and ``dprobs`` are (K, points) arrays over the grid.
+    ``probs`` and ``dprobs`` are (K, points) arrays over the grid, stored
+    read-only.  A table that is already a read-only float64 array owning its
+    data is kept as it is, shared with the caller; any other table (writable,
+    a view, another dtype) is copied first.
     ``derivative_source`` records whether ``dprobs`` came from an analytic
     closure or from :func:`~infobounds.numerics.central_difference`.
     Models compare and hash by identity: their fields include arrays.
@@ -209,9 +221,11 @@ class ConditionalModel:
     outcomes: tuple = ()
 
     def __post_init__(self):
-        # one private copy per table; probs is made read-only after the clip below
-        p = np.array(self.probs, dtype=float, copy=True)
-        dp = _readonly(self.dprobs)
+        # a private copy of each table unless it is read-only and owned already;
+        # probs is made read-only after the clip below
+        p = _owned(self.probs)
+        dp = _owned(self.dprobs)
+        dp.setflags(write=False)
         if p.ndim != 2 or p.shape[1] != self.grid.points:
             raise ValueError(f"probs must be (K, {self.grid.points}), got {p.shape}")
         if dp.shape != p.shape:
@@ -231,6 +245,8 @@ class ConditionalModel:
         if lowest < -1e-12:
             raise ValueError("outcome probabilities must be nonnegative")
         if lowest < 0.0:
+            if not p.flags.writeable:
+                p = p.copy()
             np.copyto(p, 0.0, where=p < 0.0)
             colsums = p.sum(axis=0)
         p.setflags(write=False)

@@ -300,6 +300,19 @@ class TestGridPointsOption:
         assert "grid needs at least 3 points, got 0" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_one_parser_no_state_between_calls(self, capsys):
+        # main parses with one parser per process; options of one call must
+        # not carry over into the next
+        assert run(["mi", "--model", "cos2"]) == 0
+        first = capsys.readouterr().out
+        assert run(["mi", "--model", "cos2", "--units", "bits", "--grid-points", "501"]) == 0
+        assert capsys.readouterr().out != first
+        assert run(["mi", "--model", "cos2"]) == 0
+        assert capsys.readouterr().out == first
+        assert infobounds.cli._parser() is infobounds.cli._parser()
+
+
 class TestMiCommand:
     def test_outputs_oracle_quantities(self, tmp_path):
         out = tmp_path / "mi.csv"

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -5,7 +6,14 @@ import numpy as np
 import pytest
 
 from infobounds.mi_oracle import (
+    LOG_TINY,
+    TYPE_BUDGET,
     BudgetError,
+    MleStudyPoint,
+    _group_sum,
+    _information,
+    _type_probs,
+    _types,
     bayes_quadratic_cost,
     merge_outcomes,
     mle_convergence_study,
@@ -13,12 +21,14 @@ from infobounds.mi_oracle import (
     repeat_model,
 )
 from infobounds.numerics import ParameterGrid, simpson_weights
+from infobounds.quantum_metrology import channel_outcome_model
 from infobounds.random_models import near_deterministic_model, random_joint_model
 from infobounds.stat_model import (
     OUTCOME_TOL,
     ConditionalModel,
     JointModel,
     PriorDensity,
+    average_fisher,
     cos2_model,
 )
 
@@ -68,13 +78,17 @@ def sequence_mle_entropy(joint, n):
     return mutual_information(JointModel(joint.prior, merged)).h_posterior
 
 
-def random_k3_model():
-    """The first seeded random model with three outcomes."""
-    rng = np.random.default_rng(7)
+def random_k_model(k, seed):
+    """The first seeded random model with k outcomes."""
+    rng = np.random.default_rng(seed)
     while True:
-        joint = random_joint_model(rng, max_outcomes=3)
-        if joint.conditional.n_outcomes == 3:
+        joint = random_joint_model(rng, max_outcomes=k)
+        if joint.conditional.n_outcomes == k:
             return joint
+
+
+def random_k3_model():
+    return random_k_model(3, 7)
 
 
 class TestMutualInformation:
@@ -393,3 +407,183 @@ class TestMleConvergenceStudy:
         joint = gaussian_cos2(points=201)
         with pytest.raises(ValueError, match="sample sizes"):
             mle_convergence_study(joint, [0], trials=10, seed=1)
+
+
+# The type-table kernels as first written, kept as references: the rewritten
+# kernels drop passes and temporaries, and must give the same bits.
+
+def reference_type_probs(types, probs):
+    """p(t|phi) with a boolean-matmul zero mask and a masked exp."""
+    n = int(types[0].sum())
+    log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+    log_coef = log_fact[n] - log_fact[types].sum(axis=1)
+    positive = probs > 0.0
+    log_p = np.zeros(probs.shape)
+    np.log(probs, out=log_p, where=positive)
+    out = types.astype(float) @ log_p
+    out += log_coef[:, None]
+    out[(types > 0) @ ~positive] = -np.inf
+    live = out > LOG_TINY
+    np.exp(out, out=out, where=live)
+    out[~live] = 0.0
+    return out
+
+
+def reference_group_sum(table, keys):
+    """Split the stably sorted table into groups and sum each one."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    ends = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    return np.array([rows.sum(axis=0) for rows in np.split(table[order], ends)])
+
+
+def reference_information(p, prior, w):
+    """(I, H(phi|x)) with a masked log."""
+    q = w * prior
+    plogp = np.zeros(p.shape)
+    np.log(p, out=plogp, where=p > 0.0)
+    plogp *= p
+    pbar = p @ q
+    pbar = pbar[pbar > 0.0]
+    mi = float((plogp @ q).sum()) - float(pbar @ np.log(pbar))
+    log_prior = np.zeros_like(prior)
+    np.log(prior, out=log_prior, where=prior > 0.0)
+    return mi, -mi - float((q * log_prior) @ p.sum(axis=0))
+
+
+def reference_repeat_tables(joint, n):
+    """(probs, dprobs) of n samples, the derivative rows added through boolean masks."""
+    cond = joint.conditional
+    types = _types(n, cond.n_outcomes, TYPE_BUDGET)
+    probs = reference_type_probs(types, cond.probs)
+    prev = types[types[:, 0] >= 1]
+    prev[:, 0] -= 1
+    prev_probs = reference_type_probs(prev, cond.probs)
+    dprobs = np.zeros_like(probs)
+    for x in range(cond.n_outcomes):
+        dprobs[types[:, x] >= 1] += prev_probs * cond.dprobs[x]
+    dprobs *= n
+    return probs, dprobs
+
+
+def penalized_log(probs):
+    logp = np.full(probs.shape, -1e15)
+    np.log(probs, out=logp, where=probs > 0.0)
+    return logp
+
+
+def reference_study_row(joint, n):
+    """One MLE study row: two matmuls, the split group sum and the masked log."""
+    probs = joint.conditional.probs
+    types = _types(n, len(probs), TYPE_BUDGET)
+    mle = np.argmax(types @ penalized_log(probs), axis=1)
+    by_mle = reference_group_sum(reference_type_probs(types, probs), mle)
+    h = reference_information(by_mle, joint.prior.density, simpson_weights(joint.grid))[1]
+    asymptote = -0.5 * math.log(n * average_fisher(joint) / (2.0 * PI * math.e))
+    return MleStudyPoint(n=n, h_conditional=h, asymptote=asymptote, gap=abs(h - asymptote))
+
+
+def assert_same_bits(have, want):
+    assert have.shape == want.shape and have.dtype == want.dtype
+    assert have.tobytes() == want.tobytes()  # also tells -0.0 from +0.0
+
+
+def erasure_model():
+    # its zeros sit in outcomes 0 and 1, not only in the first row
+    grid = ParameterGrid(0.0, 2.0 * PI, 1001)
+    return JointModel(PriorDensity.rectangle(grid), channel_outcome_model("erasure", 0.7, grid))
+
+
+KERNEL_MODELS = {
+    "cos2": lambda: cos2_uniform(2001),
+    "cos2-gaussian": lambda: gaussian_cos2(2001),
+    "random-k3": random_k3_model,
+    "random-k4": lambda: random_k_model(4, 3),
+    # on 101 points several types share an estimate, so groups have many rows
+    "near-deterministic-101": lambda: near_deterministic_model(ParameterGrid(0.0, 1.0, 101)),
+    "near-deterministic-2001": lambda: near_deterministic_model(ParameterGrid(0.0, 1.0, 2001)),
+    "erasure": erasure_model,
+}
+KERNEL_SAMPLES = {"cos2": (2, 3, 8, 64), "cos2-gaussian": (2, 3, 8, 64),
+                  "random-k3": (2, 5, 16), "random-k4": (2, 5, 9),
+                  "near-deterministic-101": (2, 5, 8, 64),
+                  "near-deterministic-2001": (2, 3, 8, 64), "erasure": (2, 5, 16)}
+KERNEL_CASES = [(name, n) for name, ns in KERNEL_SAMPLES.items() for n in ns]
+
+
+@functools.cache
+def kernel_model(name):
+    return KERNEL_MODELS[name]()
+
+
+class TestKernelsBitwise:
+    @pytest.mark.parametrize("name, n", KERNEL_CASES)
+    def test_type_probs(self, name, n):
+        probs = kernel_model(name).conditional.probs
+        types = _types(n, len(probs), TYPE_BUDGET)
+        want = reference_type_probs(types, probs)
+        assert_same_bits(_type_probs(types, probs), want)
+        # the study hands in its penalized scores as the exponent
+        assert_same_bits(_type_probs(types, probs, types @ penalized_log(probs)), want)
+
+    @pytest.mark.parametrize("name, n", KERNEL_CASES)
+    def test_repeat_model_tables_and_oracle(self, name, n):
+        joint = kernel_model(name)
+        rep = repeat_model(joint, n)
+        want_p, want_dp = reference_repeat_tables(joint, n)
+        assert_same_bits(rep.conditional.probs, want_p)
+        assert_same_bits(rep.conditional.dprobs, want_dp)
+        w = simpson_weights(joint.grid)
+        assert _information(want_p, joint.prior.density, w) == reference_information(
+            want_p, joint.prior.density, w)
+        assert mutual_information(rep).mi == reference_information(
+            want_p, joint.prior.density, w)[0]
+
+    @pytest.mark.parametrize("name, n", KERNEL_CASES)
+    def test_group_sum(self, name, n):
+        joint = kernel_model(name)
+        rep = repeat_model(joint, n).conditional
+        types = np.array(rep.outcomes)
+        labelings = {
+            "mle": np.argmax(types @ penalized_log(joint.conditional.probs), axis=1),
+            "random": np.random.default_rng(n).integers(0, 7, rep.n_outcomes),
+        }
+        for keys in labelings.values():
+            for table in (rep.probs, rep.dprobs):
+                assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
+
+    @pytest.mark.parametrize("name", KERNEL_MODELS)
+    def test_group_sum_of_one_sample_tables(self, name):
+        # cos2's derivative table holds -0.0 at phi = 0, which a one-row sum makes +0.0
+        cond = kernel_model(name).conditional
+        for keys in (np.arange(cond.n_outcomes)[::-1], np.zeros(cond.n_outcomes, dtype=int)):
+            for table in (cond.probs, cond.dprobs):
+                assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
+
+    @pytest.mark.parametrize("name", KERNEL_MODELS)
+    def test_study_rows(self, name):
+        joint = kernel_model(name)
+        ns = (1,) + KERNEL_SAMPLES[name]
+        assert mle_convergence_study(joint, list(ns)) == [
+            reference_study_row(joint, n) for n in ns]
+
+    def test_study_row_at_512(self):
+        joint = gaussian_cos2(points=201)
+        assert mle_convergence_study(joint, [512]) == [reference_study_row(joint, 512)]
+
+
+class TestSampleSizeType:
+    @pytest.mark.parametrize("n", [2.0, True, "3", None])
+    def test_repeat_model_rejects_non_integers(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            repeat_model(cos2_uniform(201), n)
+
+    @pytest.mark.parametrize("n", [2.0, True, np.float64(4.0)])
+    def test_study_rejects_non_integers(self, n):
+        with pytest.raises(TypeError, match="sample sizes must be integers"):
+            mle_convergence_study(gaussian_cos2(201), [4, n])
+
+    def test_numpy_integers_are_sample_sizes(self):
+        joint = gaussian_cos2(201)
+        assert repeat_model(joint, np.int64(3)).conditional.n_outcomes == 4
+        assert mle_convergence_study(joint, [np.int32(4)]) == mle_convergence_study(joint, [4])

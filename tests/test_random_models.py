@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from infobounds.numerics import ParameterGrid
-from infobounds.random_models import _trig_rows, random_joint_model
+from infobounds.random_models import _trig_basis, _trig_rows, random_joint_model
 
 
 def per_outcome_trig_rows(rng, grid, n_outcomes, degree, floor):
@@ -38,6 +38,12 @@ class TestTrigRows:
             assert np.array_equal(dw, want_dw)
             # the generator is left where the per-outcome draws leave it
             assert have_rng.random() == want_rng.random()
+
+    def test_basis_is_cached_read_only_per_grid_and_degree(self):
+        basis = _trig_basis(ParameterGrid(-0.5, 2.0, 401), 3)
+        assert _trig_basis(ParameterGrid(-0.5, 2.0, 401), 3) is basis
+        assert len(basis) == 3 and len(_trig_basis(ParameterGrid(-0.5, 2.0, 401), 4)) == 4
+        assert not any(row.flags.writeable for pair in basis for row in pair)
 
     def test_same_models_from_a_seed(self):
         grid = ParameterGrid(0.0, 1.0, 201)

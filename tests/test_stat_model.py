@@ -156,6 +156,35 @@ class TestConditionalModel:
         assert model.probs.min() == 0.0
         np.testing.assert_array_equal(model.probs[1], 1.0)
 
+    def test_keeps_read_only_owned_tables(self, pi_grid):
+        probs = np.full((2, pi_grid.points), 0.5)
+        dprobs = np.zeros_like(probs)
+        probs.setflags(write=False)
+        dprobs.setflags(write=False)
+        model = ConditionalModel(pi_grid, probs, dprobs, "analytic")
+        assert model.probs is probs and model.dprobs is dprobs
+
+    @pytest.mark.parametrize("kind", ["view", "float32", "list"])
+    def test_copies_read_only_tables_it_does_not_own(self, pi_grid, kind):
+        base = np.full((2, pi_grid.points), 0.5)
+        table = {"view": base[:, :], "float32": base.astype(np.float32),
+                 "list": base.tolist()}[kind]
+        if kind != "list":
+            table.setflags(write=False)
+        model = ConditionalModel(pi_grid, table, np.zeros_like(base), "analytic")
+        assert model.probs is not table and model.probs.flags.owndata
+        assert model.probs.dtype == np.float64 and not model.probs.flags.writeable
+        base[0, 3] = 0.9  # writes through the view do not reach the model
+        assert model.probs[0, 3] == 0.5
+
+    def test_clips_a_read_only_table_in_a_copy(self, pi_grid):
+        probs = np.vstack([np.zeros(pi_grid.points), np.ones(pi_grid.points)])
+        probs[0, 5] = -5e-13
+        probs.setflags(write=False)
+        model = ConditionalModel(pi_grid, probs, np.zeros_like(probs), "analytic")
+        assert model.probs[0, 5] == 0.0 and probs[0, 5] == -5e-13
+        assert not model.probs.flags.writeable
+
     def test_from_probs_finite_difference_tag(self, pi_grid):
         model = ConditionalModel.from_probs(pi_grid, cos2_model(pi_grid).probs)
         assert model.derivative_source == "finite-difference"
