@@ -61,7 +61,7 @@ print(f"(pi e / 2 = {math.pi * math.e / 2:.9f}; the simplified form matches the 
 print()
 print("Tricomi route against direct quadrature of the defining integral:")
 for f_sigma2 in (0.1, 1.0, 10.0, 100.0):
-    u = tricomi_u(-0.5, 0.0, f_sigma2 / 2.0)
+    u = tricomi_u(f_sigma2 / 2.0)
     wide = ParameterGrid(-10.0, 10.0, 40001)
     phi = wide.values
     p = np.exp(-0.5 * phi ** 2) / math.sqrt(2 * math.pi)

@@ -20,7 +20,6 @@ from .bounds import (
     mse_bound_finite_support,
     mse_bound_general_prior,
     oracle_margin,
-    prior_information,
     van_trees,
 )
 from .mi_oracle import (
@@ -70,7 +69,6 @@ from .stat_model import (
     fisher_information,
     jeffreys_length,
     marginal_outcome,
-    prior_entropy,
 )
 
 __version__ = "0.1.0"

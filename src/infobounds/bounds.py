@@ -29,7 +29,6 @@ from .stat_model import (
     average_fisher,
     fisher_under_prior,
     jeffreys_length,
-    prior_entropy,
 )
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "mse_bound_finite_support",
     "mse_bound_general_prior",
     "oracle_margin",
-    "prior_information",
     "van_trees",
 ]
 
@@ -109,8 +107,7 @@ def joint_derivative_l1_bound(joint: JointModel) -> np.ndarray:
     return np.sqrt(F * p * p + pdot * pdot)
 
 
-def mi_bound_finite_support(profile: FisherProfile, support: tuple | None = None,
-                            inputs: dict | None = None) -> BoundReport:
+def mi_bound_finite_support(profile: FisherProfile, support: tuple | None = None) -> BoundReport:
     """MI upper bound for priors supported on an interval: ln(1 + L/2).
 
     L is the Jeffreys length of the support, int sqrt(F) dphi.  The bound
@@ -123,7 +120,7 @@ def mi_bound_finite_support(profile: FisherProfile, support: tuple | None = None
         value=math.log1p(0.5 * length),
         units=NATS,
         direction=UPPER_MI,
-        inputs={"jeffreys_length": length, **(inputs or {})},
+        inputs={"jeffreys_length": length},
     )
 
 
@@ -144,7 +141,7 @@ def mi_bound_general_prior(joint: JointModel) -> BoundReport:
     priors are rejected.
     """
     half_l1 = 0.5 * _l1_total(joint)
-    entropy = prior_entropy(joint.prior)
+    entropy = joint.prior.entropy
     return BoundReport(
         name="mi-bound-general-prior",
         value=math.log(half_l1) + entropy,
@@ -187,18 +184,10 @@ def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport
     )
 
 
-def prior_information(prior: PriorDensity) -> float:
-    """Prior information P = int pdot^2 / p dphi of ``prior`` (its cached ``information``).
-
-    inf flags divergence, which every sharp-edged prior has by construction.
-    """
-    return prior.information
-
-
 def _fisher_plus_prior_bound(joint: JointModel, name: str, units: str, direction: str,
                              value_of) -> BoundReport:
     """A bound on int F p + P: ``value_of(total)``, or flagged and valueless when P diverges."""
-    P = prior_information(joint.prior)
+    P = joint.prior.information
     inputs = {"prior_information": P, "prior_kind": joint.prior.kind}
     if math.isinf(P):
         return BoundReport(name, None, units, direction,
@@ -216,7 +205,7 @@ def efroimovich_mi_bound(joint: JointModel) -> BoundReport:
     """
     return _fisher_plus_prior_bound(
         joint, "efroimovich-mi-bound", NATS, UPPER_MI,
-        lambda total: 0.5 * math.log(total / (2.0 * math.pi * math.e)) + prior_entropy(joint.prior))
+        lambda total: 0.5 * math.log(total / (2.0 * math.pi * math.e)) + joint.prior.entropy)
 
 
 def entropy_mse_floor(conditional_entropy: float) -> float:
@@ -257,7 +246,7 @@ def mse_bound_finite_support(joint: JointModel) -> BoundReport:
     grid = joint.grid
     i0, i1 = _support_slice(prior)
     length = jeffreys_length(profile, (grid.values[i0], grid.values[i1]))
-    entropy = prior_entropy(prior)
+    entropy = prior.entropy
     value = entropy_mse_floor(entropy) / (1.0 + 0.5 * length) ** 2
     extras = {}
     f_const = profile.constant_value() if prior.kind == "rectangle" else None
@@ -307,7 +296,7 @@ def gaussian_prior_mse_bounds(F: float, sigma: float) -> tuple[BoundReport, Boun
         raise ValueError(f"F must be nonnegative, got {F}")
     z = 0.5 * F * sigma ** 2
     # z -> 0 limit: U(-1/2, 0, 0) = Gamma(1) / Gamma(1/2) = 1/sqrt(pi)
-    u = tricomi_u(-0.5, 0.0, z) if z > 0.0 else 1.0 / math.sqrt(math.pi)
+    u = tricomi_u(z) if z > 0.0 else 1.0 / math.sqrt(math.pi)
     l1 = math.sqrt(2.0) / sigma * u
     coeff = 2.0 / (math.pi * math.e)
     inputs = {"F": F, "sigma": sigma, "tricomi_u": u}

@@ -29,7 +29,8 @@ import numpy as np
 from . import bounds as bnd
 from .mi_oracle import mutual_information
 from .numerics import NumericError, ParameterGrid
-from .quantum_metrology import channel_outcome_model, noon_outcome_model, transition_sweep
+from .quantum_metrology import (CHANNEL_KINDS, channel_outcome_model, noon_outcome_model,
+                                transition_sweep)
 from .random_models import random_joint_model
 from .stat_model import ConditionalModel, JointModel, PriorDensity, cos2_model
 
@@ -63,40 +64,58 @@ def _parse_model_name(spec: str):
     return name, params
 
 
+# the conditional of each builtin model that is not itself a conditional name
+_BUILTIN_CONDITIONALS = {"cos2-gaussian": "cos2", "dephasing-qubit": "dephasing",
+                         "ampdamp-qubit": "amplitude-damping", "erasure-qutrit": "erasure"}
+
+
 def build_builtin(spec: str, grid_points: int | None = None) -> JointModel:
     """Instantiate a builtin model, e.g. ``cos2`` or ``dephasing-qubit:eta=0.8``."""
     name, params = _parse_model_name(spec)
     points = DEFAULT_GRID_POINTS if grid_points is None else grid_points
     if name == "cos2":
         grid = ParameterGrid(0.0, math.pi, points)
-        return JointModel(PriorDensity.rectangle(grid), cos2_model(grid))
-    if name == "cos2-gaussian":
+        prior = PriorDensity.rectangle(grid)
+    elif name == "cos2-gaussian":
         mean = float(params.pop("mean", math.pi / 2.0))
         sigma = float(params.pop("sigma", 0.4))
-        _reject_unknown(name, params)
         grid = ParameterGrid(mean - 8.0 * sigma, mean + 8.0 * sigma, points)
-        return JointModel(PriorDensity.gaussian(grid, mean, sigma), cos2_model(grid))
+        prior = PriorDensity.gaussian(grid, mean, sigma)
+    elif name == "noon" or name in _BUILTIN_CONDITIONALS:
+        grid = ParameterGrid(0.0, 2.0 * math.pi, points)
+        prior = PriorDensity.rectangle(grid)
+    else:
+        raise ValueError(
+            f"unknown builtin model {name!r}; available: cos2, cos2-gaussian, noon, "
+            "dephasing-qubit, ampdamp-qubit, erasure-qutrit")
+    return JointModel(prior, _builtin_conditional(_BUILTIN_CONDITIONALS.get(name, name),
+                                                  params, grid))
+
+
+def _builtin_conditional(name: str, params: dict, grid: ParameterGrid) -> ConditionalModel:
+    """The builtin conditional ``cos2``, ``noon`` or a channel kind on ``grid``.
+
+    ``params`` may hold only the key that conditional reads: ``n`` for
+    ``noon`` (an integer, default 4) or ``eta`` for a channel (a real
+    number, default 0.9).  Any other key or a mistyped value is an error.
+    """
+    if name not in ("cos2", "noon", *CHANNEL_KINDS):
+        raise ValueError(f"unknown builtin conditional {name!r}")
+    reads = {"cos2": set(), "noon": {"n"}}.get(name, {"eta"})
+    unknown = sorted(set(params) - reads)
+    if unknown:
+        raise ValueError(f"unknown parameters for builtin {name!r}: {unknown}")
+    if name == "cos2":
+        return cos2_model(grid)
     if name == "noon":
-        n = int(params.pop("n", 4))
-        _reject_unknown(name, params)
-        grid = ParameterGrid(0.0, 2.0 * math.pi, points)
-        return JointModel(PriorDensity.rectangle(grid), noon_outcome_model(n, grid=grid))
-    channel_kinds = {"dephasing-qubit": "dephasing", "ampdamp-qubit": "amplitude-damping",
-                     "erasure-qutrit": "erasure"}
-    if name in channel_kinds:
-        eta = float(params.pop("eta", 0.9))
-        _reject_unknown(name, params)
-        grid = ParameterGrid(0.0, 2.0 * math.pi, points)
-        cond = channel_outcome_model(channel_kinds[name], eta, grid)
-        return JointModel(PriorDensity.rectangle(grid), cond)
-    raise ValueError(
-        f"unknown builtin model {name!r}; available: cos2, cos2-gaussian, noon, "
-        "dephasing-qubit, ampdamp-qubit, erasure-qutrit")
-
-
-def _reject_unknown(name: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters for builtin {name!r}: {sorted(params)}")
+        n = params.get("n", 4)
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"builtin 'noon' needs an integer n, got {n!r}")
+        return noon_outcome_model(n, grid=grid)
+    eta = params.get("eta", 0.9)
+    if not isinstance(eta, (int, float)) or isinstance(eta, bool):
+        raise ValueError(f"builtin {name!r} needs a real number eta, got {eta!r}")
+    return channel_outcome_model(name, float(eta), grid)
 
 
 def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
@@ -118,9 +137,15 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
             raise ValueError(f"{path}: {key!r} must be a JSON object, got {type(value).__name__}")
         return value
 
+    def only(mapping, keys, where):
+        unknown = sorted(set(mapping) - set(keys))
+        if unknown:
+            raise ValueError(f"{path}: unknown keys in {where}: {unknown}")
+
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: the model must be a JSON object, got {type(cfg).__name__}")
     gspec = section("grid")
+    only(gspec, ("lower", "upper", "points"), "grid")
     # the file's own count is checked even when ``grid_points`` overrides it
     points = need(gspec, "points", "grid")
     if not isinstance(points, int) or isinstance(points, bool):
@@ -131,31 +156,31 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
 
     pspec = section("prior")
     kind = need(pspec, "kind", "prior")
+    prior_keys = {"rectangle": (), "gaussian": ("mean", "sigma"),
+                  "tabulated": ("density", "smooth")}
+    if not isinstance(kind, str) or kind not in prior_keys:
+        raise ValueError(f"{path}: unknown prior kind {kind!r}")
+    only(pspec, ("kind", *prior_keys[kind]), f"{kind} prior")
     if kind == "rectangle":
         prior = PriorDensity.rectangle(grid)
     elif kind == "gaussian":
         prior = PriorDensity.gaussian(grid, float(need(pspec, "mean", "prior")),
                                       float(need(pspec, "sigma", "prior")))
-    elif kind == "tabulated":
+    else:
         density = np.asarray(need(pspec, "density", "prior"), dtype=float)
         if grid_points is not None and density.size != grid.points:
             raise ValueError(f"{path}: tabulated priors cannot be re-gridded")
         prior = PriorDensity.tabulated(grid, density, smooth=bool(pspec.get("smooth", True)))
-    else:
-        raise ValueError(f"{path}: unknown prior kind {kind!r}")
 
     cspec = section("conditional")
     if "builtin" in cspec:
-        name = cspec["builtin"]
-        if name == "cos2":
-            cond = cos2_model(grid)
-        elif name == "noon":
-            cond = noon_outcome_model(int(cspec.get("n", 4)), grid=grid)
-        elif name in ("dephasing", "amplitude-damping", "erasure"):
-            cond = channel_outcome_model(name, float(cspec.get("eta", 0.9)), grid)
-        else:
-            raise ValueError(f"{path}: unknown builtin conditional {name!r}")
+        params = {key: value for key, value in cspec.items() if key != "builtin"}
+        try:
+            cond = _builtin_conditional(cspec["builtin"], params, grid)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     elif "matrix" in cspec:
+        only(cspec, ("matrix",), "matrix conditional")
         matrix = np.asarray(cspec["matrix"], dtype=float)
         if grid_points is not None and matrix.shape[-1] != grid.points:
             raise ValueError(f"{path}: tabulated conditionals cannot be re-gridded")

@@ -45,12 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import simpson_weights
-from .stat_model import (
-    ConditionalModel,
-    JointModel,
-    average_fisher,
-    prior_entropy,
-)
+from .stat_model import ConditionalModel, JointModel, average_fisher
 
 __all__ = [
     "BudgetError",
@@ -107,7 +102,7 @@ def mutual_information(joint: JointModel) -> OracleResult:
                                    simpson_weights(joint.grid))
     return OracleResult(
         mi=mi,
-        h_prior=prior_entropy(joint.prior),
+        h_prior=joint.prior.entropy,
         h_posterior=h_posterior,
         bayes_mse=bayes_quadratic_cost(joint),
     )

@@ -209,8 +209,8 @@ def _k01e(x: float) -> tuple[float, float]:
     raise NumericError(f"Bessel K continued fraction did not converge in {_CF2_CAP} steps at x={x}")
 
 
-def tricomi_u(a: float, b: float, z: float) -> float:
-    """Tricomi confluent hypergeometric function U(a, b, z), for (a, b) = (-1/2, 0) and z > 0.
+def tricomi_u(z: float) -> float:
+    """Tricomi confluent hypergeometric function U(-1/2, 0, z), for z > 0.
 
     That is the one case the Gaussian-prior bounds use, evaluated in closed
     form through the exponentially scaled modified Bessel functions,
@@ -223,13 +223,10 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     Raises
     ------
     ValueError
-        If ``(a, b)`` is not ``(-0.5, 0.0)``, or ``z`` is not a finite
-        positive number.
+        If ``z`` is not a finite positive number.
     NumericError
         If the evaluation is not finite.
     """
-    if (a, b) != (-0.5, 0.0):
-        raise ValueError(f"tricomi_u supports only (a, b) = (-0.5, 0.0), got ({a}, {b})")
     if not math.isfinite(z) or z <= 0.0:
         raise ValueError(f"tricomi_u requires z > 0, got {z}")
     if z < sys.float_info.min:
@@ -237,5 +234,5 @@ def tricomi_u(a: float, b: float, z: float) -> float:
     k0e, k1e = _k01e(0.5 * z)
     result = float(z / (2.0 * math.sqrt(math.pi)) * (k0e + k1e))
     if not math.isfinite(result):
-        raise NumericError(f"tricomi_u evaluation returned {result} for a={a}, b={b}, z={z}")
+        raise NumericError(f"tricomi_u evaluation returned {result} for z={z}")
     return result

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +46,6 @@ PSD_TOL = 1e-10        # eigenvalue negativity allowance for states
 QFI_EIG_TOL = 1e-12    # eigenvalue-sum regularization in the QFI formula
 
 CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
-
-
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return np.asarray(rho, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +157,8 @@ class PhaseChannelFamily:
     rho0_ab e^{i W_ab phi} with the winding W_ab = g (n_a - n_b), where n is
     the |1><1| occupation of each level, so the derivative multiplies the
     same entries by i W before the (phi-independent) noise ``kraus``.
+    ``state`` and ``derivative`` are linear maps of any ``rho0`` matrix;
+    :attr:`input_state` checks that it is a density matrix.
     Families compare and hash by identity.
     """
 
@@ -180,7 +177,7 @@ class PhaseChannelFamily:
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         noise = _noise_kraus(self.kind, self.eta)  # validates kind
-        rho = _as_matrix(self.rho0)
+        rho = np.asarray(self.rho0, dtype=complex)
         dim = noise[0].shape[0]
         if rho.shape[0] != dim:
             raise ValueError(f"input state dim {rho.shape[0]} does not match channel dim {dim}")
@@ -189,6 +186,11 @@ class PhaseChannelFamily:
         object.__setattr__(self, "rho0", rho)
         object.__setattr__(self, "kraus", noise)
         object.__setattr__(self, "winding", self.gates * (n[:, None] - n[None, :]))
+
+    @cached_property
+    def input_state(self) -> DensityMatrix:
+        """``rho0`` as a :class:`DensityMatrix`, validated on first access (ValueError)."""
+        return DensityMatrix(self.rho0)
 
     def _noisy(self, r: np.ndarray) -> np.ndarray:
         return sum(k @ r @ k.conj().T for k in self.kraus)
@@ -209,25 +211,16 @@ def noon_family(n: int) -> PhaseChannelFamily:
     return PhaseChannelFamily("dephasing", 1.0, plus, gates=n)
 
 
-def _state_and_derivative(family, phi: float, step: float):
-    if isinstance(family, PhaseChannelFamily):
-        return family.state(phi), family.derivative(phi)
-    rho = _as_matrix(family(phi))
-    drho = (_as_matrix(family(phi + step)) - _as_matrix(family(phi - step))) / (2.0 * step)
-    return rho, drho
-
-
-def qfi(state_family, phi: float, *, step: float = 1e-5) -> float:
-    """Quantum Fisher information of a phi-differentiable state family.
+def qfi(family: PhaseChannelFamily, phi: float) -> float:
+    """Quantum Fisher information of a phase-channel family at phi.
 
     QFI = 2 sum_{j,k: l_j + l_k > eps} |<j| d rho |k>|^2 / (l_j + l_k) over
     the eigendecomposition of rho(phi), with eps = 1e-12 handling rank
-    deficiency.  The derivative is analytic for a :class:`PhaseChannelFamily`;
-    any other callable phi -> rho gets a central difference of the entries.
+    deficiency, and the family's analytic derivative.  Raises ValueError
+    when the family's input state is not a density matrix.
     """
-    rho, drho = _state_and_derivative(state_family, phi, step)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("state family returned a non-Hermitian matrix")
+    family.input_state  # raises unless rho0 is a density matrix
+    rho, drho = family.state(phi), family.derivative(phi)
     evals, evecs = np.linalg.eigh(rho)
     d = evecs.conj().T @ drho @ evecs
     sums = evals[:, None] + evals[None, :]
@@ -235,14 +228,15 @@ def qfi(state_family, phi: float, *, step: float = 1e-5) -> float:
     return float(2.0 * np.sum(np.abs(d[keep]) ** 2 / sums[keep]))
 
 
-def classical_fi_of_povm(state_family, povm: Povm, phi: float, *,
-                         step: float = 1e-5) -> float:
+def classical_fi_of_povm(family: PhaseChannelFamily, povm: Povm, phi: float) -> float:
     """Fisher information of the outcome distribution p(x|phi) = tr(rho_phi M_x).
 
     Never exceeds the QFI of the family.  Returns inf when some outcome has
-    zero probability but a nonzero probability derivative.
+    zero probability but a nonzero probability derivative.  Raises
+    ValueError when the family's input state is not a density matrix.
     """
-    rho, drho = _state_and_derivative(state_family, phi, step)
+    family.input_state  # raises unless rho0 is a density matrix
+    rho, drho = family.state(phi), family.derivative(phi)
     fi = 0.0
     for m in povm.elements:
         p = float(np.trace(rho @ m).real)
@@ -440,8 +434,10 @@ def channel_outcome_model(kind: str, eta: float, grid: ParameterGrid,
     if rho0 is None:
         psi = np.zeros(dim, dtype=complex)
         psi[0] = psi[1] = 1.0
-        rho0 = DensityMatrix.pure(psi).matrix
+        rho0 = DensityMatrix.pure(psi)
+    elif not isinstance(rho0, DensityMatrix):
+        rho0 = DensityMatrix(rho0)
     if povm is None:
         povm = plus_minus_povm(dim)
-    family = PhaseChannelFamily(kind, eta, DensityMatrix(_as_matrix(rho0)))
+    family = PhaseChannelFamily(kind, eta, rho0.matrix)
     return _family_outcome_model(family, povm, grid)

@@ -29,7 +29,6 @@ __all__ = [
     "fisher_under_prior",
     "jeffreys_length",
     "marginal_outcome",
-    "prior_entropy",
 ]
 
 MASS_TOL = 1e-6        # prior and joint normalization
@@ -416,11 +415,6 @@ def jeffreys_length(profile: FisherProfile, support: tuple | None = None) -> flo
         raise NumericError("Fisher information diverges inside the requested support")
     sub = ParameterGrid(grid.values[i0], grid.values[i1], i1 - i0 + 1)
     return integrate(np.sqrt(profile.values[i0:i1 + 1]), sub)
-
-
-def prior_entropy(prior: PriorDensity) -> float:
-    """Differential entropy H(phi) of ``prior`` in nats (its cached ``entropy``)."""
-    return prior.entropy
 
 
 def marginal_outcome(joint: JointModel) -> np.ndarray:

@@ -21,7 +21,6 @@ from infobounds.bounds import (
     mse_bound_finite_support,
     mse_bound_general_prior,
     oracle_margin,
-    prior_information,
     van_trees,
 )
 from infobounds.mi_oracle import bayes_quadratic_cost, mutual_information
@@ -35,7 +34,6 @@ from infobounds.stat_model import (
     cos2_model,
     cosine_plateau,
     fisher_information,
-    prior_entropy,
 )
 
 PI = math.pi
@@ -214,11 +212,11 @@ class TestPriorInformation:
         sigma = 0.37
         grid = ParameterGrid(-8.0 * sigma, 8.0 * sigma, 4001)
         prior = PriorDensity.gaussian(grid, 0.0, sigma)
-        assert prior_information(prior) == pytest.approx(1.0 / sigma ** 2, rel=1e-6)
+        assert prior.information == pytest.approx(1.0 / sigma ** 2, rel=1e-6)
 
     def test_rectangle_diverges(self):
         grid = ParameterGrid(0.0, 1.0, 101)
-        assert math.isinf(prior_information(PriorDensity.rectangle(grid)))
+        assert math.isinf(PriorDensity.rectangle(grid).information)
 
     def test_window_grows_as_it_sharpens(self):
         # analytic value for the cos^2 window: 4 pi^2 / width^2
@@ -226,7 +224,7 @@ class TestPriorInformation:
         values = []
         for width in (3.0, 1.5, 0.75):
             prior = PriorDensity.cosine_window(grid, 2.0, width)
-            p = prior_information(prior)
+            p = prior.information
             assert p == pytest.approx(4.0 * PI ** 2 / width ** 2, rel=1e-3)
             values.append(p)
         assert values[0] < values[1] < values[2]
@@ -436,7 +434,7 @@ class TestRandomModelProperties:
         for joint in models:
             oracle = mutual_information(joint)
             general = mi_bound_general_prior(joint)
-            log_term = general.value - prior_entropy(joint.prior)
+            log_term = general.value - joint.prior.entropy
             assert log_term >= -oracle.h_posterior - 1e-9
 
     def test_sqrt_subadditivity_integrated(self, models):

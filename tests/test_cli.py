@@ -73,6 +73,28 @@ print(json.dumps(runs))
 """
 
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_COMMANDS = {
+    "bounds-cos2": ["bounds", "--model", "cos2"],
+    "bounds-cos2-gaussian": ["bounds", "--model", "cos2-gaussian"],
+    "bounds-dephasing-qubit": ["bounds", "--model", "dephasing-qubit:eta=0.8"],
+    "bounds-erasure-qutrit": ["bounds", "--model", "erasure-qutrit"],
+    "mi-noon16": ["mi", "--model", "noon:n=16"],
+    "metrology": ["metrology"],
+    "verify50": ["verify", "--count", "50"],
+}
+
+
+class TestGoldenOutput:
+    """A behaviour-preserving change keeps the stdout of these commands byte-identical."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_stdout_matches_golden(self, name, capsys):
+        assert run(GOLDEN_COMMANDS[name]) == 0
+        want = (GOLDEN_DIR / f"{name}.txt").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == want
+
+
 class TestStartup:
     def test_no_command_needs_scipy(self):
         src = str(Path(infobounds.__file__).resolve().parents[1])
@@ -123,6 +145,15 @@ class TestBuiltinModels:
     def test_malformed_parameter(self):
         with pytest.raises(ValueError, match="key=value"):
             build_builtin("noon:n")
+
+    def test_unknown_parameter_on_cos2(self, capsys):
+        assert run(["bounds", "--model", "cos2:foo=1", "--grid-points", "101"]) == 1
+        assert "unknown parameters for builtin 'cos2': ['foo']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["noon:n=2.5", "noon:n=2.0"])
+    def test_non_integer_n_rejected(self, spec, capsys):
+        assert run(["mi", "--model", spec, "--grid-points", "101"]) == 1
+        assert "needs an integer n" in capsys.readouterr().err
 
 
 class TestBoundsCommand:
@@ -265,6 +296,44 @@ class TestModelFiles:
         assert run(["bounds", "--model", str(path), "--grid-points", "201"]) == 1
         assert (f"{path}: grid 'points' must be an integer, got {points!r}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("conditional, message", [
+        ({"builtin": "noon", "n": 2.7}, "builtin 'noon' needs an integer n, got 2.7"),
+        ({"builtin": "noon", "n": True}, "builtin 'noon' needs an integer n, got True"),
+        ({"builtin": "dephasing", "eta": "0.5"},
+         "builtin 'dephasing' needs a real number eta, got '0.5'"),
+        ({"builtin": "erasure", "eta": False},
+         "builtin 'erasure' needs a real number eta, got False"),
+        ({"builtin": "noon", "eta": 0.5}, "unknown parameters for builtin 'noon': ['eta']"),
+        ({"builtin": "cos2", "matrix": [[1.0]]}, "unknown parameters for builtin 'cos2'"),
+        ({"matrix": [[1.0] * 401], "eta": 0.5}, "unknown keys in matrix conditional: ['eta']"),
+    ])
+    def test_builtin_conditional_parameters_checked(self, tmp_path, capsys, conditional,
+                                                    message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema(conditional=conditional)))
+        assert run(["bounds", "--model", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("grid", {"lower": 0.0, "upper": PI, "points": 401, "step": 0.1},
+         "unknown keys in grid: ['step']"),
+        ("prior", {"kind": "rectangle", "mean": 1.0}, "unknown keys in rectangle prior: ['mean']"),
+        ("prior", {"kind": "gaussian", "mean": 1.0, "sigma": 0.4, "width": 2.0},
+         "unknown keys in gaussian prior: ['width']"),
+    ])
+    def test_unknown_section_keys_rejected(self, tmp_path, capsys, section, value, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema(**{section: value})))
+        assert run(["bounds", "--model", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_integer_eta_accepted(self, tmp_path):
+        path = tmp_path / "model.json"
+        cfg = self.schema(grid={"lower": 0.0, "upper": 2.0 * PI, "points": 401},
+                          conditional={"builtin": "dephasing", "eta": 1})
+        path.write_text(json.dumps(cfg))
+        assert load_model_file(str(path)).conditional.n_outcomes == 2
 
     def test_override_regrids_a_valid_file(self, tmp_path):
         path = tmp_path / "model.json"

@@ -170,13 +170,8 @@ class TestQfi:
             dr = [-s * math.sin(0.8), s * math.cos(0.8), 0.0]
             assert value == pytest.approx(bloch_qfi(r, dr), abs=1e-9)
 
-    def test_finite_difference_fallback(self):
-        family = noon_family(2)
-        value = qfi(family.state, 0.3)  # plain callable, no analytic derivative
-        assert value == pytest.approx(4.0, abs=1e-6)
-
     def test_rejects_non_hermitian_family(self):
-        bad = lambda phi: np.array([[1.0, phi], [0.0, 0.0]])
+        bad = PhaseChannelFamily("dephasing", 0.9, np.array([[1.0, 0.1], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="Hermitian"):
             qfi(bad, 0.1)
 
@@ -492,6 +487,19 @@ class TestInputValidation:
         grid = ParameterGrid(0.0, 2.0 * PI, 101)
         with pytest.raises(ValueError, match=message):
             channel_outcome_model("dephasing", 0.9, grid, rho0=rho0)
+
+    @pytest.mark.parametrize("rho0, message", [
+        ([[1.5, 1.5], [1.5, 1.5]], "trace"),
+        ([[0.5, 0.9], [0.0, 0.5]], "not Hermitian"),
+        ([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"),
+    ])
+    @pytest.mark.parametrize("fisher", [
+        qfi, lambda family, phi: classical_fi_of_povm(family, plus_minus_povm(2), phi),
+    ], ids=["qfi", "cfi"])
+    def test_fisher_rejects_invalid_state(self, rho0, message, fisher):
+        family = PhaseChannelFamily("dephasing", 0.9, np.array(rho0))
+        with pytest.raises(ValueError, match=message):
+            fisher(family, 0.3)
 
     def test_channel_model_accepts_density_matrix(self):
         grid = ParameterGrid(0.0, 2.0 * PI, 101)

@@ -18,7 +18,6 @@ from infobounds.stat_model import (
     fisher_under_prior,
     jeffreys_length,
     marginal_outcome,
-    prior_entropy,
 )
 
 
@@ -37,19 +36,19 @@ class TestPriorDensity:
     def test_rectangle_mass_and_entropy(self, pi_grid):
         prior = PriorDensity.rectangle(pi_grid)
         assert integrate(prior.density, pi_grid) == pytest.approx(1.0, abs=1e-12)
-        assert prior_entropy(prior) == pytest.approx(math.log(math.pi), abs=1e-12)
+        assert prior.entropy == pytest.approx(math.log(math.pi), abs=1e-12)
         assert prior.edge_jumps and not prior.smooth
 
     def test_rectangle_width_one_zero_entropy(self):
         grid = ParameterGrid(0.0, 1.0, 101)
-        assert prior_entropy(PriorDensity.rectangle(grid)) == pytest.approx(0.0, abs=1e-14)
+        assert PriorDensity.rectangle(grid).entropy == pytest.approx(0.0, abs=1e-14)
 
     def test_gaussian_entropy(self):
         sigma = 0.7
         grid = ParameterGrid(-8.0 * sigma, 8.0 * sigma, 4001)
         prior = PriorDensity.gaussian(grid, 0.0, sigma)
         expected = 0.5 * math.log(2.0 * math.pi * math.e * sigma ** 2)
-        assert prior_entropy(prior) == pytest.approx(expected, abs=1e-6)
+        assert prior.entropy == pytest.approx(expected, abs=1e-6)
 
     def test_gaussian_rejects_bad_sigma(self, pi_grid):
         with pytest.raises(ValueError, match="sigma"):
