@@ -27,6 +27,7 @@ from infobounds import (
     mi_bound_finite_support,
     mse_bound_finite_support,
     mutual_information,
+    rectangle_prior_mse_bound,
 )
 
 grid = ParameterGrid(0.0, math.pi, 10001)
@@ -49,8 +50,8 @@ mse_bound = mse_bound_finite_support(joint)
 mse = bayes_quadratic_cost(joint)
 floor = entropy_mse_floor(oracle.h_posterior)
 print(f"MSE lower bound (finite support) = {mse_bound.value:.6f}")
-print(f"  rectangle closed form          = "
-      f"{mse_bound.extras['rectangle-closed-form']:.6f}")
+closed = rectangle_prior_mse_bound(profile.constant_value(), joint.prior.params["width"])
+print(f"  rectangle closed form          = {closed.value:.6f}")
 print(f"entropy MSE floor from H(phi|x)  = {floor:.6f}")
 print(f"oracle Bayes MSE (posterior mean)= {mse:.6f}")
 assert mse_bound.value < mse and floor < mse

@@ -20,6 +20,7 @@ from .bounds import (
     mse_bound_finite_support,
     mse_bound_general_prior,
     oracle_margin,
+    rectangle_prior_mse_bound,
     van_trees,
 )
 from .mi_oracle import (

@@ -1,8 +1,9 @@
 """Named bound values: mutual-information caps and Bayesian-MSE floors.
 
-Each operation returns a :class:`BoundReport` tagged with units and with the
-direction of the inequality, so harnesses cannot accidentally compare an MI
-upper bound against an MSE lower bound.  All MI values are in nats.
+Each operation returns a :class:`BoundReport` tagged with the direction of
+the inequality, so harnesses cannot accidentally compare an MI upper bound
+against an MSE lower bound.  The units follow from the direction: MI upper
+bounds are in nats, MSE lower bounds in squared parameter units.
 
 Two conventions used throughout:
 
@@ -17,7 +18,7 @@ Two conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .stat_model import (
 
 __all__ = [
     "BoundReport",
+    "DIVERGENT_FISHER_INFORMATION",
     "DIVERGENT_PRIOR_INFORMATION",
     "LOWER_MSE",
     "NATS",
@@ -50,6 +52,7 @@ __all__ = [
     "mse_bound_finite_support",
     "mse_bound_general_prior",
     "oracle_margin",
+    "rectangle_prior_mse_bound",
     "van_trees",
 ]
 
@@ -58,27 +61,28 @@ SQUARED_UNITS = "squared-parameter-units"
 UPPER_MI = "upper-bound-on-MI"
 LOWER_MSE = "lower-bound-on-MSE"
 DIVERGENT_PRIOR_INFORMATION = "prior-information-divergent"
+DIVERGENT_FISHER_INFORMATION = "fisher-information-divergent"
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A bound value with its units, inequality direction, and validity flags."""
+    """A bound value with its inequality direction and validity flags."""
 
     name: str
     value: float | None
-    units: str
     direction: str
-    inputs: dict = field(default_factory=dict)
     flags: tuple = ()
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.units not in (NATS, SQUARED_UNITS):
-            raise ValueError(f"unknown units tag {self.units!r}")
         if self.direction not in (UPPER_MI, LOWER_MSE):
             raise ValueError(f"unknown direction tag {self.direction!r}")
         if self.value is not None and not math.isfinite(self.value) and not self.flags:
             raise ValueError(f"non-finite bound {self.name!r} without a validity flag")
+
+    @property
+    def units(self) -> str:
+        """Nats for an MI upper bound, squared parameter units for an MSE lower bound."""
+        return NATS if self.direction == UPPER_MI else SQUARED_UNITS
 
 
 def oracle_margin(report: BoundReport, oracle_value: float) -> float:
@@ -115,13 +119,7 @@ def mi_bound_finite_support(profile: FisherProfile, support: tuple | None = None
     model with that Fisher profile.
     """
     length = jeffreys_length(profile, support)
-    return BoundReport(
-        name="mi-bound-finite-support",
-        value=math.log1p(0.5 * length),
-        units=NATS,
-        direction=UPPER_MI,
-        inputs={"jeffreys_length": length},
-    )
+    return BoundReport("mi-bound-finite-support", math.log1p(0.5 * length), UPPER_MI)
 
 
 def _l1_total(joint: JointModel) -> float:
@@ -141,14 +139,8 @@ def mi_bound_general_prior(joint: JointModel) -> BoundReport:
     priors are rejected.
     """
     half_l1 = 0.5 * _l1_total(joint)
-    entropy = joint.prior.entropy
-    return BoundReport(
-        name="mi-bound-general-prior",
-        value=math.log(half_l1) + entropy,
-        units=NATS,
-        direction=UPPER_MI,
-        inputs={"half_l1": half_l1, "prior_entropy": entropy, "prior_kind": joint.prior.kind},
-    )
+    return BoundReport("mi-bound-general-prior", math.log(half_l1) + joint.prior.entropy,
+                       UPPER_MI)
 
 
 def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport:
@@ -175,26 +167,17 @@ def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport
     logf_term = np.zeros_like(fv)
     pos = p > 0.0
     logf_term[pos] = p[pos] * np.log(fv[pos])
-    return BoundReport(
-        name="mi-bound-variational",
-        value=math.log(half_l1) - integrate(logf_term, grid),
-        units=NATS,
-        direction=UPPER_MI,
-        inputs={"half_l1": half_l1},
-    )
+    return BoundReport("mi-bound-variational", math.log(half_l1) - integrate(logf_term, grid),
+                       UPPER_MI)
 
 
-def _fisher_plus_prior_bound(joint: JointModel, name: str, units: str, direction: str,
+def _fisher_plus_prior_bound(joint: JointModel, name: str, direction: str,
                              value_of) -> BoundReport:
     """A bound on int F p + P: ``value_of(total)``, or flagged and valueless when P diverges."""
     P = joint.prior.information
-    inputs = {"prior_information": P, "prior_kind": joint.prior.kind}
     if math.isinf(P):
-        return BoundReport(name, None, units, direction,
-                           inputs=inputs, flags=(DIVERGENT_PRIOR_INFORMATION,))
-    inputs["average_fisher"] = average_fisher(joint)
-    return BoundReport(name, value_of(inputs["average_fisher"] + P), units, direction,
-                       inputs=inputs)
+        return BoundReport(name, None, direction, flags=(DIVERGENT_PRIOR_INFORMATION,))
+    return BoundReport(name, value_of(average_fisher(joint) + P), direction)
 
 
 def efroimovich_mi_bound(joint: JointModel) -> BoundReport:
@@ -204,7 +187,7 @@ def efroimovich_mi_bound(joint: JointModel) -> BoundReport:
     priors), the case the finite-support bound is built to cover.
     """
     return _fisher_plus_prior_bound(
-        joint, "efroimovich-mi-bound", NATS, UPPER_MI,
+        joint, "efroimovich-mi-bound", UPPER_MI,
         lambda total: 0.5 * math.log(total / (2.0 * math.pi * math.e)) + joint.prior.entropy)
 
 
@@ -215,8 +198,7 @@ def entropy_mse_floor(conditional_entropy: float) -> float:
 
 def van_trees(joint: JointModel) -> BoundReport:
     """van Trees MSE lower bound: 1 / (int F p dphi + P); flagged when P diverges."""
-    return _fisher_plus_prior_bound(joint, "van-trees", SQUARED_UNITS, LOWER_MSE,
-                                    lambda total: 1.0 / total)
+    return _fisher_plus_prior_bound(joint, "van-trees", LOWER_MSE, lambda total: 1.0 / total)
 
 
 def _support_slice(prior: PriorDensity) -> tuple[int, int]:
@@ -238,29 +220,15 @@ def mse_bound_finite_support(joint: JointModel) -> BoundReport:
     """MSE lower bound from the finite-support MI bound.
 
     value = [e^(2 H(phi)) / (2 pi e)] / (1 + (1/2) int_support sqrt(F))^2.
-    For a rectangle prior with constant F the closed form
-    (2 / pi e) / (2/d + sqrt(F))^2 is reported in ``extras``.
+    For a rectangle prior with constant F, :func:`rectangle_prior_mse_bound`
+    gives its closed form.
     """
-    prior = joint.prior
-    profile = joint.conditional.fisher
     grid = joint.grid
-    i0, i1 = _support_slice(prior)
-    length = jeffreys_length(profile, (grid.values[i0], grid.values[i1]))
-    entropy = prior.entropy
-    value = entropy_mse_floor(entropy) / (1.0 + 0.5 * length) ** 2
-    extras = {}
-    f_const = profile.constant_value() if prior.kind == "rectangle" else None
-    if f_const is not None:
-        extras["rectangle-closed-form"] = (
-            2.0 / (math.pi * math.e) / (2.0 / prior.params["width"] + math.sqrt(f_const)) ** 2)
-    return BoundReport(
-        name="mse-bound-finite-support",
-        value=value,
-        units=SQUARED_UNITS,
-        direction=LOWER_MSE,
-        inputs={"jeffreys_length": length, "prior_entropy": entropy},
-        extras=extras,
-    )
+    i0, i1 = _support_slice(joint.prior)
+    length = jeffreys_length(joint.conditional.fisher, (grid.values[i0], grid.values[i1]))
+    return BoundReport("mse-bound-finite-support",
+                       entropy_mse_floor(joint.prior.entropy) / (1.0 + 0.5 * length) ** 2,
+                       LOWER_MSE)
 
 
 def mse_bound_general_prior(joint: JointModel) -> BoundReport:
@@ -270,14 +238,8 @@ def mse_bound_general_prior(joint: JointModel) -> BoundReport:
     edge jumps added at full magnitude to the integral (subadditivity), which
     only loosens the bound.
     """
-    total = _l1_total(joint)
-    return BoundReport(
-        name="mse-bound-general-prior",
-        value=2.0 / (math.pi * math.e) / total ** 2,
-        units=SQUARED_UNITS,
-        direction=LOWER_MSE,
-        inputs={"l1_total": total, "prior_kind": joint.prior.kind},
-    )
+    return BoundReport("mse-bound-general-prior",
+                       2.0 / (math.pi * math.e) / _l1_total(joint) ** 2, LOWER_MSE)
 
 
 def gaussian_prior_mse_bounds(F: float, sigma: float) -> tuple[BoundReport, BoundReport]:
@@ -299,27 +261,45 @@ def gaussian_prior_mse_bounds(F: float, sigma: float) -> tuple[BoundReport, Boun
     u = tricomi_u(z) if z > 0.0 else 1.0 / math.sqrt(math.pi)
     l1 = math.sqrt(2.0) / sigma * u
     coeff = 2.0 / (math.pi * math.e)
-    inputs = {"F": F, "sigma": sigma, "tricomi_u": u}
-    exact = BoundReport("gaussian-prior-mse-exact", coeff / l1 ** 2,
-                        SQUARED_UNITS, LOWER_MSE, inputs=inputs)
-    simplified = BoundReport("gaussian-prior-mse-simplified", coeff / (F + 1.0 / sigma ** 2),
-                             SQUARED_UNITS, LOWER_MSE, inputs=dict(inputs))
-    return exact, simplified
+    return (BoundReport("gaussian-prior-mse-exact", coeff / l1 ** 2, LOWER_MSE),
+            BoundReport("gaussian-prior-mse-simplified", coeff / (F + 1.0 / sigma ** 2),
+                        LOWER_MSE))
+
+
+def rectangle_prior_mse_bound(F: float, width: float) -> BoundReport:
+    """Finite-support MSE lower bound for a rectangle prior and constant F.
+
+    value = (2 / pi e) / (2/d + sqrt(F))^2 for a prior of width d; it equals
+    :func:`mse_bound_finite_support` up to quadrature error.
+    """
+    if width <= 0.0:
+        raise ValueError(f"width must be positive, got {width}")
+    if F < 0.0:
+        raise ValueError(f"F must be nonnegative, got {F}")
+    return BoundReport("mse-rectangle-closed-form",
+                       2.0 / (math.pi * math.e) / (2.0 / width + math.sqrt(F)) ** 2, LOWER_MSE)
 
 
 def all_bounds(joint: JointModel) -> list[BoundReport]:
     """Every bound that applies to ``joint``, MI upper bounds first.
 
-    Efroimovich and van Trees stay in with their flag when P diverges; the
-    closed forms need constant F and a rectangle or Gaussian prior.
+    Efroimovich and van Trees stay in with their flag when P diverges, and
+    the finite-support MI bound with its flag when F diverges anywhere on the
+    grid; the closed forms need constant F and a rectangle or Gaussian prior.
     """
-    reports = [mi_bound_finite_support(joint.conditional.fisher), mi_bound_general_prior(joint),
-               efroimovich_mi_bound(joint), van_trees(joint), mse_bound_finite_support(joint)]
-    closed = reports[-1].extras.get("rectangle-closed-form")
-    if closed is not None:
-        reports.append(BoundReport("mse-rectangle-closed-form", closed, SQUARED_UNITS, LOWER_MSE))
+    prior = joint.prior
+    profile = joint.conditional.fisher
+    if profile.divergent.any():
+        finite_support = BoundReport("mi-bound-finite-support", None, UPPER_MI,
+                                     flags=(DIVERGENT_FISHER_INFORMATION,))
+    else:
+        finite_support = mi_bound_finite_support(profile)
+    reports = [finite_support, mi_bound_general_prior(joint), efroimovich_mi_bound(joint),
+               van_trees(joint), mse_bound_finite_support(joint)]
+    f_const = profile.constant_value() if prior.kind in ("rectangle", "gaussian") else None
+    if f_const is not None and prior.kind == "rectangle":
+        reports.append(rectangle_prior_mse_bound(f_const, prior.params["width"]))
     reports.append(mse_bound_general_prior(joint))
-    f_const = joint.conditional.fisher.constant_value() if joint.prior.kind == "gaussian" else None
-    if f_const is not None:
-        reports.extend(gaussian_prior_mse_bounds(f_const, joint.prior.params["sigma"]))
+    if f_const is not None and prior.kind == "gaussian":
+        reports.extend(gaussian_prior_mse_bounds(f_const, prior.params["sigma"]))
     return reports

@@ -64,6 +64,18 @@ def _parse_model_name(spec: str):
     return name, params
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number; bools and strings are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _all_numbers(value) -> bool:
+    """True for a JSON number or a (nested) list holding only numbers."""
+    if isinstance(value, list):
+        return all(_all_numbers(item) for item in value)
+    return _is_number(value)
+
+
 # the conditional of each builtin model that is not itself a conditional name
 _BUILTIN_CONDITIONALS = {"cos2-gaussian": "cos2", "dephasing-qubit": "dephasing",
                          "ampdamp-qubit": "amplitude-damping", "erasure-qutrit": "erasure"}
@@ -113,7 +125,7 @@ def _builtin_conditional(name: str, params: dict, grid: ParameterGrid) -> Condit
             raise ValueError(f"builtin 'noon' needs an integer n, got {n!r}")
         return noon_outcome_model(n, grid=grid)
     eta = params.get("eta", 0.9)
-    if not isinstance(eta, (int, float)) or isinstance(eta, bool):
+    if not _is_number(eta):
         raise ValueError(f"builtin {name!r} needs a real number eta, got {eta!r}")
     return channel_outcome_model(name, float(eta), grid)
 
@@ -130,6 +142,18 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
         if key not in mapping:
             raise ValueError(f"{path}: missing {key!r} in {where}")
         return mapping[key]
+
+    def number(mapping, key, where):
+        value = need(mapping, key, where)
+        if not _is_number(value):
+            raise ValueError(f"{path}: {where} {key!r} must be a JSON number, got {value!r}")
+        return float(value)
+
+    def numbers(mapping, key, where):
+        value = need(mapping, key, where)
+        if not _all_numbers(value):
+            raise ValueError(f"{path}: {where} {key!r} must hold only JSON numbers")
+        return np.asarray(value, dtype=float)
 
     def section(key):
         value = need(cfg, key, "model")
@@ -150,8 +174,7 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
     points = need(gspec, "points", "grid")
     if not isinstance(points, int) or isinstance(points, bool):
         raise ValueError(f"{path}: grid 'points' must be an integer, got {points!r}")
-    grid = ParameterGrid(float(need(gspec, "lower", "grid")),
-                         float(need(gspec, "upper", "grid")),
+    grid = ParameterGrid(number(gspec, "lower", "grid"), number(gspec, "upper", "grid"),
                          points if grid_points is None else grid_points)
 
     pspec = section("prior")
@@ -164,13 +187,16 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
     if kind == "rectangle":
         prior = PriorDensity.rectangle(grid)
     elif kind == "gaussian":
-        prior = PriorDensity.gaussian(grid, float(need(pspec, "mean", "prior")),
-                                      float(need(pspec, "sigma", "prior")))
+        prior = PriorDensity.gaussian(grid, number(pspec, "mean", "prior"),
+                                      number(pspec, "sigma", "prior"))
     else:
-        density = np.asarray(need(pspec, "density", "prior"), dtype=float)
+        density = numbers(pspec, "density", "prior")
         if grid_points is not None and density.size != grid.points:
             raise ValueError(f"{path}: tabulated priors cannot be re-gridded")
-        prior = PriorDensity.tabulated(grid, density, smooth=bool(pspec.get("smooth", True)))
+        smooth = pspec.get("smooth", True)
+        if not isinstance(smooth, bool):
+            raise ValueError(f"{path}: prior 'smooth' must be a JSON bool, got {smooth!r}")
+        prior = PriorDensity.tabulated(grid, density, smooth=smooth)
 
     cspec = section("conditional")
     if "builtin" in cspec:
@@ -181,7 +207,7 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
             raise ValueError(f"{path}: {exc}") from None
     elif "matrix" in cspec:
         only(cspec, ("matrix",), "matrix conditional")
-        matrix = np.asarray(cspec["matrix"], dtype=float)
+        matrix = numbers(cspec, "matrix", "conditional")
         if grid_points is not None and matrix.shape[-1] != grid.points:
             raise ValueError(f"{path}: tabulated conditionals cannot be re-gridded")
         cond = ConditionalModel.from_probs(grid, matrix)
@@ -340,31 +366,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fisher-information bounds on mutual information, with oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True):
-        if model:
-            p.add_argument("--model", required=True,
-                           help="builtin name (optionally name:key=value,...) or JSON file path")
-        p.add_argument("--grid-points", type=int, default=None, metavar="ODD_INT",
-                       help="override the grid resolution (odd)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # each subcommand takes only the flags it reads
+    grid_points = {"type": int, "default": None, "metavar": "ODD_INT",
+                   "help": "override the grid resolution (odd)"}
+    out = {"default": None, "help": "write CSV here instead of stdout"}
+
+    for name, func, text in (("bounds", cmd_bounds, "evaluate every applicable bound for a model"),
+                             ("mi", cmd_mi, "brute-force oracle quantities for a model")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--model", required=True,
+                       help="builtin name (optionally name:key=value,...) or JSON file path")
+        p.add_argument("--grid-points", **grid_points)
         p.add_argument("--units", choices=("nats", "bits"), default="nats")
-        p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-
-    p_bounds = sub.add_parser("bounds", help="evaluate every applicable bound for a model")
-    add_common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_mi = sub.add_parser("mi", help="brute-force oracle quantities for a model")
-    add_common(p_mi)
-    p_mi.set_defaults(func=cmd_mi)
+        p.add_argument("--out", **out)
+        p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="random models, bounds checked against oracles")
-    add_common(p_verify, model=False)
+    p_verify.add_argument("--grid-points", **grid_points)
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--out", **out)
     p_verify.add_argument("--count", type=int, default=200)
     p_verify.set_defaults(func=cmd_verify)
 
     p_met = sub.add_parser("metrology", help="noisy-phase MI cap sweep, CSV output")
-    add_common(p_met, model=False)
+    p_met.add_argument("--out", **out)
     p_met.add_argument("--eta", default="0.5,0.9,0.99", help="comma-separated noise parameters")
     p_met.add_argument("--n-max", type=int, default=1_000_000)
     p_met.add_argument("--n-count", type=int, default=121)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import BoundReport, NATS, UPPER_MI
+from .bounds import BoundReport, UPPER_MI
 from .numerics import ParameterGrid
 from .stat_model import ConditionalModel
 
@@ -339,14 +339,7 @@ def mi_cap(n: int, eta: float, regime: str = "finite-N", kind: str = "dephasing"
     if eta == 1.0:
         flags += ("noiseless-no-cap",)
     value = math.inf if math.isinf(cap) else math.log1p(math.pi * math.sqrt(cap))
-    return BoundReport(
-        name=f"mi-cap-{regime}",
-        value=value,
-        units=NATS,
-        direction=UPPER_MI,
-        inputs={"N": n, "eta": eta, "regime": regime, "kind": kind, "fi_cap": cap},
-        flags=flags,
-    )
+    return BoundReport(f"mi-cap-{regime}", value, UPPER_MI, flags=flags)
 
 
 def transition_sweep(eta: float, n_values, regime: str = "finite-N") -> list[dict]:

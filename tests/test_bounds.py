@@ -8,6 +8,7 @@ from infobounds.bounds import (
     DIVERGENT_PRIOR_INFORMATION,
     LOWER_MSE,
     NATS,
+    SQUARED_UNITS,
     UPPER_MI,
     all_bounds,
     efroimovich_mi_bound,
@@ -21,10 +22,13 @@ from infobounds.bounds import (
     mse_bound_finite_support,
     mse_bound_general_prior,
     oracle_margin,
+    rectangle_prior_mse_bound,
     van_trees,
 )
+from infobounds.cli import build_builtin
 from infobounds.mi_oracle import bayes_quadratic_cost, mutual_information
 from infobounds.numerics import ParameterGrid, integrate
+from infobounds.quantum_metrology import mi_cap
 from infobounds.random_models import random_joint_model
 from infobounds.stat_model import (
     ConditionalModel,
@@ -53,24 +57,36 @@ def gaussian_joint(sigma=0.5, mean=PI / 2, points=2001, span=8.0, model=cos2_mod
 
 class TestBoundReport:
     def test_rejects_unknown_tags(self):
-        with pytest.raises(ValueError, match="units"):
-            BoundReport("x", 1.0, "bits", UPPER_MI)
         with pytest.raises(ValueError, match="direction"):
-            BoundReport("x", 1.0, NATS, "sideways")
+            BoundReport("x", 1.0, "sideways")
 
     def test_nonfinite_needs_flag(self):
         with pytest.raises(ValueError, match="flag"):
-            BoundReport("x", math.inf, NATS, UPPER_MI)
-        BoundReport("x", math.inf, NATS, UPPER_MI, flags=("divergent",))
+            BoundReport("x", math.inf, UPPER_MI)
+        BoundReport("x", math.inf, UPPER_MI, flags=("divergent",))
 
     def test_oracle_margin_directions(self):
-        up = BoundReport("u", 2.0, NATS, UPPER_MI)
-        low = BoundReport("l", 0.5, NATS, LOWER_MSE)
+        up = BoundReport("u", 2.0, UPPER_MI)
+        low = BoundReport("l", 0.5, LOWER_MSE)
         assert oracle_margin(up, 1.5) == pytest.approx(0.5)
         assert oracle_margin(low, 1.5) == pytest.approx(1.0)
-        flagged = BoundReport("f", None, NATS, UPPER_MI, flags=("divergent",))
+        flagged = BoundReport("f", None, UPPER_MI, flags=("divergent",))
         with pytest.raises(ValueError, match="no value"):
             oracle_margin(flagged, 1.0)
+
+    def test_fields(self):
+        assert list(BoundReport.__dataclass_fields__) == ["name", "value", "direction", "flags"]
+
+    @pytest.mark.parametrize("spec", ["cos2", "cos2-gaussian", "noon", "dephasing-qubit",
+                                      "ampdamp-qubit", "erasure-qutrit"])
+    def test_units_follow_direction(self, spec):
+        reports = all_bounds(build_builtin(spec, grid_points=401))
+        assert {r.direction for r in reports} == {UPPER_MI, LOWER_MSE}
+        for report in reports:
+            assert report.units == (NATS if report.direction == UPPER_MI else SQUARED_UNITS)
+
+    def test_mi_cap_units(self):
+        assert mi_cap(4, 0.9).units == NATS
 
 
 class TestCauchySchwarzStep:
@@ -299,7 +315,10 @@ class TestMseBoundFiniteSupport:
         joint = JointModel(PriorDensity.rectangle(grid), cos2_model(grid))
         report = mse_bound_finite_support(joint)
         closed = TWO_OVER_PIE / (2.0 / PI + 1.0) ** 2
-        assert report.extras["rectangle-closed-form"] == pytest.approx(closed, rel=1e-12)
+        f_const = joint.conditional.fisher.constant_value()
+        closed_report = rectangle_prior_mse_bound(f_const, joint.prior.params["width"])
+        assert closed_report.value == pytest.approx(closed, rel=1e-12)
+        assert closed_report.units == SQUARED_UNITS
         assert report.value == pytest.approx(closed, rel=1e-3)
         assert bayes_quadratic_cost(joint) > report.value
 
@@ -317,6 +336,24 @@ class TestMseBoundFiniteSupport:
             values[n] = mse_bound_finite_support(JointModel(prior, model)).value
         assert values[10_000] / values[40_000] == pytest.approx(4.0, rel=0.05)
         assert values[10_000] == pytest.approx(TWO_OVER_PIE / 10_000, rel=0.05)
+
+
+class TestRectanglePriorMseBound:
+    @pytest.mark.parametrize("F, width", [(0.0, 2.0), (1.0, PI), (250.0, 0.1), (1e6, 7.5)])
+    def test_closed_form(self, F, width):
+        report = rectangle_prior_mse_bound(F, width)
+        want = TWO_OVER_PIE / (2.0 / width + math.sqrt(F)) ** 2
+        assert report.value == pytest.approx(want, rel=1e-15)
+        assert report.name == "mse-rectangle-closed-form"
+        assert report.direction == LOWER_MSE
+
+    @pytest.mark.parametrize("F, width, message", [
+        (1.0, 0.0, "width must be positive"), (1.0, -1.0, "width must be positive"),
+        (-1e-3, 1.0, "F must be nonnegative"),
+    ])
+    def test_domain_errors(self, F, width, message):
+        with pytest.raises(ValueError, match=message):
+            rectangle_prior_mse_bound(F, width)
 
 
 class TestMseBoundGeneralPrior:

@@ -15,6 +15,7 @@ import infobounds.stat_model as stat_model
 from infobounds.cli import DEFAULT_SEED, _verify_one, build_builtin, load_model_file, main
 from infobounds.numerics import ParameterGrid
 from infobounds.random_models import random_joint_model
+from infobounds.stat_model import PriorDensity
 
 PI = math.pi
 
@@ -93,6 +94,12 @@ class TestGoldenOutput:
         assert run(GOLDEN_COMMANDS[name]) == 0
         want = (GOLDEN_DIR / f"{name}.txt").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == want
+
+    def test_verify_csv_matches_golden(self, tmp_path, capsys):
+        # every bound value and margin of the 50 models, not only the worst margins
+        out = tmp_path / "verify50.csv"
+        assert run(["verify", "--count", "50", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "verify50.csv").read_bytes()
 
 
 class TestStartup:
@@ -196,6 +203,34 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert "phase winding 100000 is aliased" in err
         assert "diverges" not in err
+
+    def test_fisher_divergent_outside_prior_support(self, tmp_path):
+        # F diverges at both grid ends, where the cosine-window prior has no mass:
+        # only the finite-support MI bound, taken over the whole grid, is lost
+        grid = ParameterGrid(0.0, 1.0, 101)
+        phi = grid.values.tolist()
+        density = PriorDensity.cosine_window(grid, 0.5, 0.5).density.tolist()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "grid": {"lower": 0.0, "upper": 1.0, "points": 101},
+            "prior": {"kind": "tabulated", "density": density},
+            "conditional": {"matrix": [[1.0 - x for x in phi], phi]}}))
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--model", str(path), "--out", str(out)]) == 0
+        rows = {r["name"]: r for r in read_csv(str(out))}
+        flagged = rows.pop("mi-bound-finite-support")
+        assert (flagged["value"], flagged["flags"]) == ("", "fisher-information-divergent")
+        oracle_mi = float(rows.pop("oracle-mi")["value"])
+        oracle_mse = float(rows.pop("oracle-bayes-mse")["value"])
+        valued = [r for r in rows.values() if r["value"]]
+        assert {r["name"] for r in valued} >= {"mi-bound-general-prior",
+                                                "mse-bound-finite-support",
+                                                "mse-bound-general-prior"}
+        for row in valued:
+            if row["direction"] == "upper-bound-on-MI":
+                assert float(row["value"]) >= oracle_mi
+            else:
+                assert float(row["value"]) <= oracle_mse
 
     def test_stdout_table(self, capsys):
         assert run(["bounds", "--model", "cos2", "--grid-points", "401"]) == 0
@@ -328,6 +363,31 @@ class TestModelFiles:
         assert run(["bounds", "--model", str(path)]) == 1
         assert f"{path}: {message}" in capsys.readouterr().err
 
+    WIDE_GRID = {"lower": -3.0, "upper": 3.0 + PI, "points": 801}
+
+    # each file would load, with a converted value, if only its type were wrong
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grid": {"lower": "0", "upper": PI, "points": 401}},
+         "grid 'lower' must be a JSON number, got '0'"),
+        ({"grid": {"lower": 0.0, "upper": True, "points": 401}},
+         "grid 'upper' must be a JSON number, got True"),
+        ({"grid": WIDE_GRID, "prior": {"kind": "gaussian", "mean": "1.57", "sigma": 0.4}},
+         "prior 'mean' must be a JSON number, got '1.57'"),
+        ({"grid": WIDE_GRID, "prior": {"kind": "gaussian", "mean": 1.57, "sigma": "0.4"}},
+         "prior 'sigma' must be a JSON number, got '0.4'"),
+        ({"prior": {"kind": "tabulated", "density": [1.0 / PI] * 401, "smooth": "no"}},
+         "prior 'smooth' must be a JSON bool, got 'no'"),
+        ({"prior": {"kind": "tabulated", "density": [1.0 / PI] * 400 + [str(1.0 / PI)]}},
+         "prior 'density' must hold only JSON numbers"),
+        ({"conditional": {"matrix": [[True] * 401, [False] * 401]}},
+         "conditional 'matrix' must hold only JSON numbers"),
+    ], ids=["lower", "upper", "mean", "sigma", "smooth", "density", "matrix"])
+    def test_json_types_checked(self, tmp_path, capsys, overrides, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema(**overrides)))
+        assert run(["bounds", "--model", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     def test_integer_eta_accepted(self, tmp_path):
         path = tmp_path / "model.json"
         cfg = self.schema(grid={"lower": 0.0, "upper": 2.0 * PI, "points": 401},
@@ -367,6 +427,23 @@ class TestGridPointsOption:
     def test_zero_points_rejected(self, capsys, argv):
         assert run([*argv, "--grid-points", "0"]) == 1
         assert "grid needs at least 3 points, got 0" in capsys.readouterr().err
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--model", "cos2", "--grid-points", "101", "--seed", "1"],
+        ["mi", "--model", "cos2", "--grid-points", "101", "--seed", "1"],
+        ["metrology", "--n-max", "10", "--n-count", "2", "--seed", "1"],
+        ["verify", "--count", "1", "--grid-points", "101", "--units", "bits"],
+        ["metrology", "--n-max", "10", "--n-count", "2", "--units", "bits"],
+        ["metrology", "--n-max", "10", "--n-count", "2", "--grid-points", "101"],
+    ], ids=["bounds-seed", "mi-seed", "metrology-seed", "verify-units", "metrology-units",
+            "metrology-grid-points"])
+    def test_unread_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestParserReuse:
