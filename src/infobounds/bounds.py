@@ -201,31 +201,39 @@ def van_trees(joint: JointModel) -> BoundReport:
     return _fisher_plus_prior_bound(joint, "van-trees", LOWER_MSE, lambda total: 1.0 / total)
 
 
-def _support_slice(prior: PriorDensity) -> tuple[int, int]:
+def _support_slice(prior: PriorDensity, divergent: np.ndarray) -> tuple[int, int] | None:
+    """Grid indices (i0, i1) around the prior's support, or None where F diverges on them.
+
+    An odd span takes in one more point where F is finite, on the right if it
+    can: extra sqrt(F) mass only loosens the bound, which keeps it valid.
+    """
     idx = np.flatnonzero(prior.density > 0.0)
     if idx.size == 0:
         raise ValueError("prior has no support on the grid")
     i0, i1 = int(idx[0]), int(idx[-1])
-    # widen to an even number of subintervals; extra sqrt(F) mass only loosens
-    # the bound, which keeps it valid
-    if (i1 - i0) % 2 != 0:
-        if i1 < prior.grid.points - 1:
-            i1 += 1
-        else:
-            i0 -= 1
-    return i0, i1
+    spans = [(i0, i1)] if (i1 - i0) % 2 == 0 else [(i0, i1 + 1), (i0 - 1, i1)]
+    for a, b in spans:
+        if a >= 0 and b < divergent.size and not divergent[a:b + 1].any():
+            return a, b
+    return None
 
 
 def mse_bound_finite_support(joint: JointModel) -> BoundReport:
     """MSE lower bound from the finite-support MI bound.
 
     value = [e^(2 H(phi)) / (2 pi e)] / (1 + (1/2) int_support sqrt(F))^2.
-    For a rectangle prior with constant F, :func:`rectangle_prior_mse_bound`
-    gives its closed form.
+    Reported with a divergence flag and no value when F diverges inside the
+    prior's support or at both of its neighbours.  For a rectangle prior
+    with constant F, :func:`rectangle_prior_mse_bound` gives its closed form.
     """
     grid = joint.grid
-    i0, i1 = _support_slice(joint.prior)
-    length = jeffreys_length(joint.conditional.fisher, (grid.values[i0], grid.values[i1]))
+    profile = joint.conditional.fisher
+    span = _support_slice(joint.prior, profile.divergent)
+    if span is None:
+        return BoundReport("mse-bound-finite-support", None, LOWER_MSE,
+                           flags=(DIVERGENT_FISHER_INFORMATION,))
+    i0, i1 = span
+    length = jeffreys_length(profile, (grid.values[i0], grid.values[i1]))
     return BoundReport("mse-bound-finite-support",
                        entropy_mse_floor(joint.prior.entropy) / (1.0 + 0.5 * length) ** 2,
                        LOWER_MSE)

@@ -153,7 +153,10 @@ def load_model_file(path: str, grid_points: int | None = None) -> JointModel:
         value = need(mapping, key, where)
         if not _all_numbers(value):
             raise ValueError(f"{path}: {where} {key!r} must hold only JSON numbers")
-        return np.asarray(value, dtype=float)
+        try:
+            return np.asarray(value, dtype=float)
+        except ValueError:  # the only one left: rows of different lengths
+            raise ValueError(f"{path}: {where} {key!r} is ragged: rows differ in length") from None
 
     def section(key):
         value = need(cfg, key, "model")

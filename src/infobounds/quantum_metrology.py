@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import BoundReport, UPPER_MI
 from .numerics import ParameterGrid
-from .stat_model import ConditionalModel
+from .stat_model import ConditionalModel, _frozen
 
 __all__ = [
     "DensityMatrix",
@@ -48,6 +48,18 @@ QFI_EIG_TOL = 1e-12    # eigenvalue-sum regularization in the QFI formula
 CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
 
 
+def _hermitian_psd(label: str, matrix, tol: float, negative: str) -> np.ndarray:
+    """Frozen ``matrix``; ValueError unless square, Hermitian, no eigenvalue below -tol."""
+    m, _ = _frozen(label, matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{label} must be square, got {m.shape}")
+    if np.max(np.abs(m - m.conj().T)) > MATRIX_TOL:
+        raise ValueError(f"{label} is not Hermitian")
+    if np.min(np.linalg.eigvalsh(m)) < -tol:
+        raise ValueError(f"{label} {negative}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix: Hermitian, unit trace, positive semidefinite.
@@ -58,16 +70,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > MATRIX_TOL:
-            raise ValueError("density matrix is not Hermitian")
+        m = _hermitian_psd("density matrix", self.matrix, PSD_TOL, "has a negative eigenvalue")
         if abs(np.trace(m).real - 1.0) > MATRIX_TOL or abs(np.trace(m).imag) > MATRIX_TOL:
             raise ValueError("density matrix trace must be 1")
-        if np.min(np.linalg.eigvalsh(m)) < -PSD_TOL:
-            raise ValueError("density matrix has a negative eigenvalue")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -91,16 +96,12 @@ class Povm:
     elements: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(m, dtype=complex) for m in self.elements)
+        ops = tuple(
+            _hermitian_psd(f"POVM element {i}", m, MATRIX_TOL, "is not positive semidefinite")
+            for i, m in enumerate(self.elements))
         if not ops:
             raise ValueError("POVM needs at least one element")
-        dim = ops[0].shape[0]
-        for i, m in enumerate(ops):
-            if np.max(np.abs(m - m.conj().T)) > MATRIX_TOL:
-                raise ValueError(f"POVM element {i} is not Hermitian")
-            if np.min(np.linalg.eigvalsh(m)) < -MATRIX_TOL:
-                raise ValueError(f"POVM element {i} is not positive semidefinite")
-        if np.max(np.abs(sum(ops) - np.eye(dim))) > MATRIX_TOL:
+        if np.max(np.abs(sum(ops) - np.eye(ops[0].shape[0]))) > MATRIX_TOL:
             raise ValueError("POVM elements do not resolve the identity")
         object.__setattr__(self, "elements", ops)
 
@@ -157,8 +158,8 @@ class PhaseChannelFamily:
     rho0_ab e^{i W_ab phi} with the winding W_ab = g (n_a - n_b), where n is
     the |1><1| occupation of each level, so the derivative multiplies the
     same entries by i W before the (phi-independent) noise ``kraus``.
-    ``state`` and ``derivative`` are linear maps of any ``rho0`` matrix;
-    :attr:`input_state` checks that it is a density matrix.
+    ``rho0`` is any finite matrix, kept read-only; ``state`` and ``derivative``
+    are linear in it, and :attr:`input_state` checks it is a density matrix.
     Families compare and hash by identity.
     """
 
@@ -177,10 +178,10 @@ class PhaseChannelFamily:
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         noise = _noise_kraus(self.kind, self.eta)  # validates kind
-        rho = np.asarray(self.rho0, dtype=complex)
+        rho, _ = _frozen("rho0", self.rho0, dtype=complex)
         dim = noise[0].shape[0]
-        if rho.shape[0] != dim:
-            raise ValueError(f"input state dim {rho.shape[0]} does not match channel dim {dim}")
+        if rho.shape != (dim, dim):
+            raise ValueError(f"input state shape {rho.shape} does not match channel dim {dim}")
         n = np.zeros(dim)
         n[1] = 1.0
         object.__setattr__(self, "rho0", rho)

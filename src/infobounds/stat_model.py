@@ -35,21 +35,38 @@ MASS_TOL = 1e-6        # prior and joint normalization
 OUTCOME_TOL = 1e-9     # sum_x p(x|phi) = 1 at every grid point
 DERIV_SUM_TOL = 1e-6   # sum_x dp(x|phi)/dphi = 0 at every grid point
 ZERO_DERIV_TOL = 1e-6  # |pdot| below this counts as 0 when p = 0 (0/0 -> 0 rule)
+PRIOR_PARAMS = {"rectangle": ("width",), "gaussian": ("sigma",), "tabulated": ()}  # read by bounds
 
 
-def _readonly(array) -> np.ndarray:
-    out = np.array(array, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+def _frozen(label: str, array, dtype=np.float64, axis=None, nonnegative: str | None = None,
+            inf_at=False) -> tuple:
+    """(``array`` as a read-only ``dtype`` array owning its data, its sum over ``axis``).
 
-
-def _owned(array) -> np.ndarray:
-    """``array`` itself if it is a read-only float64 ndarray owning its data,
-    else a writable float64 copy."""
-    if (type(array) is np.ndarray and array.dtype == np.float64
-            and array.flags.owndata and not array.flags.writeable):
-        return array
-    return np.array(array, dtype=float, copy=True)
+    Such an array is kept, shared with the caller; anything else is copied.
+    When the sum is non-finite, the first non-finite entry (other than +inf
+    where ``inf_at`` is set) raises ValueError naming ``label`` and its index.
+    With ``nonnegative`` (a message), entries below -1e-12 raise ValueError
+    and smaller negatives are set to 0 in a copy, the sum taken again.
+    """
+    a = array
+    if not (type(a) is np.ndarray and a.dtype == dtype
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=dtype, copy=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a sum past the range
+        total = a.sum(axis=axis)
+    if not np.isfinite(total).all():
+        where = np.argwhere(~np.isfinite(a) & ~(inf_at & (a == np.inf)))
+        if where.size:
+            raise ValueError(f"{label} has a non-finite value at index {tuple(where[0].tolist())}")
+    if nonnegative is not None:
+        lowest = a.min() if a.size else 0.0
+        if lowest < -1e-12:
+            raise ValueError(nonnegative)
+        if lowest < 0.0:
+            a = np.where(a < 0.0, 0.0, a)
+            total = a.sum(axis=axis)
+    a.setflags(write=False)
+    return a, total
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,17 +90,15 @@ class PriorDensity:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # one private copy of the density; it is made read-only after the clip below
-        dens = np.array(self.density, dtype=float, copy=True)
-        deriv = _readonly(self.derivative)
+        if self.kind not in PRIOR_PARAMS:
+            raise ValueError(f"unknown prior kind {self.kind!r}, not one of {tuple(PRIOR_PARAMS)}")
+        for key in PRIOR_PARAMS[self.kind]:
+            if key not in self.params:
+                raise ValueError(f"{self.kind} prior needs params[{key!r}]")
+        dens, _ = _frozen("density", self.density, nonnegative="prior density must be nonnegative")
+        deriv, _ = _frozen("derivative", self.derivative)
         if dens.shape != (self.grid.points,) or deriv.shape != (self.grid.points,):
             raise ValueError("density and derivative must be grid-aligned 1-D arrays")
-        lowest = dens.min()
-        if lowest < -1e-12:
-            raise ValueError("prior density must be nonnegative")
-        if lowest < 0.0:
-            np.copyto(dens, 0.0, where=dens < 0.0)
-        dens.setflags(write=False)
         mass = integrate(dens, self.grid)
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(
@@ -205,9 +220,8 @@ class ConditionalModel:
     """Outcome distribution p(x|phi) over a finite alphabet, with derivatives.
 
     ``probs`` and ``dprobs`` are (K, points) arrays over the grid, stored
-    read-only.  A table that is already a read-only float64 array owning its
-    data is kept as it is, shared with the caller; any other table (writable,
-    a view, another dtype) is copied first.
+    read-only by :func:`_frozen`: finite, ``probs`` nonnegative, shared with
+    the caller only when already read-only float64 arrays owning their data.
     ``derivative_source`` records whether ``dprobs`` came from an analytic
     closure or from :func:`~infobounds.numerics.central_difference`.
     Models compare and hash by identity: their fields include arrays.
@@ -220,35 +234,15 @@ class ConditionalModel:
     outcomes: tuple = ()
 
     def __post_init__(self):
-        # a private copy of each table unless it is read-only and owned already;
-        # probs is made read-only after the clip below
-        p = _owned(self.probs)
-        dp = _owned(self.dprobs)
-        dp.setflags(write=False)
+        p, colsums = _frozen("probs", self.probs, axis=0,
+                             nonnegative="outcome probabilities must be nonnegative")
+        dp, dsums = _frozen("dprobs", self.dprobs, axis=0)
         if p.ndim != 2 or p.shape[1] != self.grid.points:
             raise ValueError(f"probs must be (K, {self.grid.points}), got {p.shape}")
         if dp.shape != p.shape:
             raise ValueError("dprobs must match probs in shape")
         if self.derivative_source not in ("analytic", "finite-difference"):
             raise ValueError(f"unknown derivative source {self.derivative_source!r}")
-        colsums = p.sum(axis=0)
-        dsums = dp.sum(axis=0)
-        for label, table, sums in (("probs", p, colsums), ("dprobs", dp, dsums)):
-            # a NaN or inf entry leaves its column sum non-finite, so search only then
-            if not np.isfinite(sums).all():
-                bad = np.argwhere(~np.isfinite(table))
-                if bad.size:
-                    raise ValueError(
-                        f"{label} has a non-finite value at index {tuple(bad[0].tolist())}")
-        lowest = p.min() if p.size else 0.0
-        if lowest < -1e-12:
-            raise ValueError("outcome probabilities must be nonnegative")
-        if lowest < 0.0:
-            if not p.flags.writeable:
-                p = p.copy()
-            np.copyto(p, 0.0, where=p < 0.0)
-            colsums = p.sum(axis=0)
-        p.setflags(write=False)
         worst = np.max(np.abs(colsums - 1.0))
         if worst > OUTCOME_TOL:
             raise ValueError(f"outcome probabilities sum to 1 +/- {worst:.2e} > {OUTCOME_TOL}")
@@ -272,19 +266,14 @@ class ConditionalModel:
         return fisher_information(self)
 
     @classmethod
-    def from_probs(cls, grid: ParameterGrid, probs, dprobs=None,
-                   outcomes: tuple = ()) -> "ConditionalModel":
-        """Model from a probability table.
+    def from_probs(cls, grid: ParameterGrid, probs) -> "ConditionalModel":
+        """Model from a probability table, derivatives by second-order finite differences.
 
-        Without ``dprobs`` the derivatives fall back to second-order finite
-        differences; derivative-driven tolerances then inflate by
-        O(spacing^2).
+        Derivative-driven tolerances then inflate by O(spacing^2).
         """
         p = np.asarray(probs, dtype=float)
-        if dprobs is None:
-            dp = np.vstack([central_difference(row, grid) for row in p])
-            return cls(grid, p, dp, "finite-difference", outcomes)
-        return cls(grid, p, np.asarray(dprobs, dtype=float), "analytic", outcomes)
+        dp = np.vstack([central_difference(row, grid) for row in p])
+        return cls(grid, p, dp, "finite-difference")
 
 
 def cos2_model(grid: ParameterGrid) -> ConditionalModel:
@@ -342,13 +331,11 @@ class FisherProfile:
     divergent: np.ndarray
 
     def __post_init__(self):
-        vals = _readonly(self.values)
-        div = np.array(self.divergent, dtype=bool, copy=True)
-        div.setflags(write=False)
+        div, _ = _frozen("divergent", self.divergent, dtype=bool)
+        vals, _ = _frozen("values", self.values, inf_at=div,
+                          nonnegative="Fisher information must be nonnegative")
         if vals.shape != (self.grid.points,) or div.shape != (self.grid.points,):
             raise ValueError("values and divergent mask must be grid-aligned")
-        if np.any(vals[~div] < 0.0):
-            raise ValueError("Fisher information must be nonnegative")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "divergent", div)
 

@@ -5,6 +5,7 @@ import pytest
 
 from infobounds.bounds import (
     BoundReport,
+    DIVERGENT_FISHER_INFORMATION,
     DIVERGENT_PRIOR_INFORMATION,
     LOWER_MSE,
     NATS,
@@ -336,6 +337,40 @@ class TestMseBoundFiniteSupport:
             values[n] = mse_bound_finite_support(JointModel(prior, model)).value
         assert values[10_000] / values[40_000] == pytest.approx(4.0, rel=0.05)
         assert values[10_000] == pytest.approx(TWO_OVER_PIE / 10_000, rel=0.05)
+
+
+def kinked_joint(first, last, left_kink=False):
+    """p(1|phi) = max(phi - 1/2, 0) on a 101-point [0, 1] grid: F diverges at phi = 1/2.
+
+    ``left_kink`` adds max(0.01 - phi, 0), so F also diverges at phi = 0.01.
+    The prior is a box on grid indices ``first..last``.
+    """
+    grid = ParameterGrid(0.0, 1.0, 101)
+    phi = grid.values
+    p1 = np.maximum(phi - 0.5, 0.0) + (np.maximum(0.01 - phi, 0.0) if left_kink else 0.0)
+    box = np.zeros(grid.points)
+    box[first:last + 1] = 1.0
+    prior = PriorDensity.tabulated(grid, box / integrate(box, grid))
+    return JointModel(prior, ConditionalModel.from_probs(grid, np.vstack([1.0 - p1, p1])))
+
+
+class TestSupportWidening:
+    def test_odd_support_widens_left_past_a_divergent_right_neighbour(self):
+        joint = kinked_joint(2, 49)
+        report = mse_bound_finite_support(joint)
+        # F = 0 on indices 1..49, so the Jeffreys length is 0
+        assert report.value == entropy_mse_floor(joint.prior.entropy)
+        assert report.flags == ()
+        assert report.value <= bayes_quadratic_cost(joint)
+
+    @pytest.mark.parametrize("first, last, left_kink", [
+        (2, 49, True),    # F diverges at both neighbours of an odd support
+        (2, 98, False),   # F diverges inside the support
+    ], ids=["both-neighbours", "inside"])
+    def test_divergent_fisher_flagged(self, first, last, left_kink):
+        report = mse_bound_finite_support(kinked_joint(first, last, left_kink))
+        assert report.value is None and report.flags == (DIVERGENT_FISHER_INFORMATION,)
+        assert report.direction == LOWER_MSE
 
 
 class TestRectanglePriorMseBound:

@@ -13,7 +13,7 @@ import pytest
 import infobounds
 import infobounds.stat_model as stat_model
 from infobounds.cli import DEFAULT_SEED, _verify_one, build_builtin, load_model_file, main
-from infobounds.numerics import ParameterGrid
+from infobounds.numerics import ParameterGrid, integrate
 from infobounds.random_models import random_joint_model
 from infobounds.stat_model import PriorDensity
 
@@ -232,6 +232,27 @@ class TestBoundsCommand:
             else:
                 assert float(row["value"]) <= oracle_mse
 
+    def test_fisher_divergent_next_to_odd_prior_support(self, tmp_path):
+        # F diverges at phi = 1/2, the right neighbour of a prior on indices 2..49:
+        # the finite-support MSE bound widens its 47 subintervals to the left instead
+        grid = ParameterGrid(0.0, 1.0, 101)
+        p1 = np.maximum(grid.values - 0.5, 0.0)
+        box = np.zeros(grid.points)
+        box[2:50] = 1.0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "grid": {"lower": 0.0, "upper": 1.0, "points": 101},
+            "prior": {"kind": "tabulated", "density": (box / integrate(box, grid)).tolist()},
+            "conditional": {"matrix": [(1.0 - p1).tolist(), p1.tolist()]}}))
+        assert run(["mi", "--model", str(path), "--out", str(tmp_path / "mi.csv")]) == 0
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--model", str(path), "--out", str(out)]) == 0
+        rows = {r["name"]: r for r in read_csv(str(out))}
+        assert rows["mi-bound-finite-support"]["flags"] == "fisher-information-divergent"
+        mse = rows["mse-bound-finite-support"]
+        assert mse["flags"] == ""
+        assert 0.0 < float(mse["value"]) <= float(rows["oracle-bayes-mse"]["value"])
+
     def test_stdout_table(self, capsys):
         assert run(["bounds", "--model", "cos2", "--grid-points", "401"]) == 0
         captured = capsys.readouterr().out
@@ -383,6 +404,20 @@ class TestModelFiles:
          "conditional 'matrix' must hold only JSON numbers"),
     ], ids=["lower", "upper", "mean", "sigma", "smooth", "density", "matrix"])
     def test_json_types_checked(self, tmp_path, capsys, overrides, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema(**overrides)))
+        assert run(["bounds", "--model", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grid": {"lower": 0.0, "upper": 1.0, "points": 101},
+          "conditional": {"matrix": [[0.5] * 101, [0.5] * 100]}},
+         "conditional 'matrix' is ragged"),
+        ({"grid": {"lower": 0.0, "upper": 1.0, "points": 101},
+          "prior": {"kind": "tabulated", "density": [[1.0] * 101, [1.0] * 100]}},
+         "prior 'density' is ragged"),
+    ], ids=["matrix", "density"])
+    def test_ragged_arrays_named(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(self.schema(**overrides)))
         assert run(["bounds", "--model", str(path)]) == 1

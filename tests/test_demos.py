@@ -1,7 +1,8 @@
-"""Every script under demos/ runs to completion in process, warnings as errors."""
+"""Every demos/ script and the README quick start run in process, warnings as errors."""
 
 import contextlib
 import io
+import re
 import runpy
 from pathlib import Path
 
@@ -21,3 +22,13 @@ def test_demo_runs(path, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue().strip()
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert re.fullmatch(r"0\.944\d* >= 0\.306\d*\n", out.getvalue())

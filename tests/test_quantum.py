@@ -58,6 +58,38 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.5, -0.5]))
 
 
+class TestArrayOwnership:
+    """Every quantum value holds finite, read-only arrays the caller cannot reach."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("build, label", [
+        (DensityMatrix, "density matrix"),
+        (lambda m: Povm((0.5 * np.eye(2), m)), "POVM element 1"),
+        (lambda m: PhaseChannelFamily("dephasing", 0.9, m), "rho0"),
+    ], ids=["density-matrix", "povm", "rho0"])
+    def test_rejects_non_finite_naming_array_and_index(self, build, label, value):
+        m = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        m[1, 0] = value
+        with pytest.raises(ValueError, match=rf"{label} has a non-finite value at index \(1, 0\)"):
+            build(m)
+
+    @pytest.mark.parametrize("case", ["povm", "family"])
+    def test_caller_writes_change_nothing(self, case):
+        rho = PLUS.copy()
+        minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
+        if case == "povm":
+            povm = Povm((np.eye(2) - minus, minus))
+            minus[0, 1] = minus[1, 0] = 5.0
+            assert povm.elements[1][0, 1] == -0.5
+            assert not any(m.flags.writeable for m in povm.elements)
+        else:
+            family = PhaseChannelFamily("dephasing", 0.9, rho)
+            assert qfi(family, 0.3) == pytest.approx(0.9)
+            rho[0, 1] = rho[1, 0] = 5.0
+            assert qfi(family, 0.3) == pytest.approx(0.9)
+            assert family.rho0[0, 1] == PLUS[0, 1] and not family.rho0.flags.writeable
+
+
 class TestPhaseGate:
     def test_identity_at_zero(self):
         assert np.allclose(phase_gate(0.0, 4), np.eye(4))
@@ -474,6 +506,11 @@ class TestInputValidation:
     def test_non_integer_gates_rejected(self, gates):
         with pytest.raises(TypeError, match="gates must be an integer"):
             PhaseChannelFamily("dephasing", 0.9, PLUS, gates=gates)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 3)])
+    def test_rho0_must_be_a_channel_sized_square(self, shape):
+        with pytest.raises(ValueError, match=r"input state shape .* does not match channel dim 2"):
+            PhaseChannelFamily("dephasing", 0.9, np.full(shape, 0.5))
 
     def test_numpy_integer_gates_accepted(self):
         assert PhaseChannelFamily("dephasing", 0.9, PLUS, gates=np.int64(3)).gates == 3

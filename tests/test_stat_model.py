@@ -88,6 +88,41 @@ class TestPriorDensity:
         with pytest.raises(ValueError, match="inside"):
             PriorDensity.cosine_window(grid, 0.9, 0.5)
 
+    @pytest.mark.parametrize("label", ["density", "derivative"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_naming_array_and_index(self, pi_grid, label, value):
+        arrays = {"density": np.full(pi_grid.points, 1.0 / math.pi),
+                  "derivative": np.zeros(pi_grid.points)}
+        arrays[label][3] = value
+        with pytest.raises(ValueError, match=rf"{label} has a non-finite value at index \(3,\)"):
+            PriorDensity.tabulated(pi_grid, arrays["density"], arrays["derivative"])
+
+    def test_non_finite_density_is_a_value_error_without_a_derivative(self, pi_grid):
+        dens = np.full(pi_grid.points, 1.0 / math.pi)
+        dens[3] = np.nan
+        with pytest.raises(ValueError, match=r"density has a non-finite value at index \(3,\)"):
+            PriorDensity.tabulated(pi_grid, dens)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("bogus", {}, "unknown prior kind 'bogus'"),
+        ("rectangle", {}, r"rectangle prior needs params\['width'\]"),
+        ("gaussian", {"mean": 1.0}, r"gaussian prior needs params\['sigma'\]"),
+    ])
+    def test_rejects_bad_kind_or_missing_param(self, pi_grid, kind, params, message):
+        dens = np.full(pi_grid.points, 1.0 / math.pi)
+        with pytest.raises(ValueError, match=message):
+            PriorDensity(pi_grid, dens, kind, np.zeros(pi_grid.points), params=params)
+
+    def test_keeps_read_only_owned_arrays_and_copies_writable_ones(self, pi_grid):
+        dens = np.full(pi_grid.points, 1.0 / math.pi)
+        deriv = np.zeros(pi_grid.points)
+        dens.setflags(write=False)
+        prior = PriorDensity(pi_grid, dens, "tabulated", deriv)
+        assert prior.density is dens
+        assert prior.derivative is not deriv and not prior.derivative.flags.writeable
+        deriv[3] = 1.0
+        assert prior.derivative[3] == 0.0
+
     def test_tabulated_default_derivative(self):
         grid = ParameterGrid(0.0, 2.0, 2001)
         ref = PriorDensity.cosine_window(grid, 1.0, 1.5)
@@ -263,6 +298,19 @@ class TestCachedFisher:
         values[5] += 1e-3
         assert FisherProfile(pi_grid, values, np.zeros(pi_grid.points, dtype=bool)) \
             .constant_value() is None
+
+    @pytest.mark.parametrize("value, on_mask", [
+        (np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, False), (-np.inf, True),
+    ])
+    def test_rejects_non_finite_off_the_divergent_mask(self, pi_grid, value, on_mask):
+        values = np.ones(pi_grid.points)
+        divergent = np.zeros(pi_grid.points, dtype=bool)
+        values[9] = np.inf
+        divergent[9] = True   # +inf where F diverges is the one non-finite value allowed
+        index = 9 if on_mask else 4
+        values[index] = value
+        with pytest.raises(ValueError, match=rf"values has a non-finite value at index \({index},\)"):
+            FisherProfile(pi_grid, values, divergent)
 
     def test_fisher_under_prior_masks_divergence_outside_support(self):
         grid = ParameterGrid(0.0, 1.0, 11)
