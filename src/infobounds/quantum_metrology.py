@@ -48,16 +48,23 @@ QFI_EIG_TOL = 1e-12    # eigenvalue-sum regularization in the QFI formula
 CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
 
 
-def _hermitian_psd(label: str, matrix, tol: float, negative: str) -> np.ndarray:
-    """Frozen ``matrix``; ValueError unless square, Hermitian, no eigenvalue below -tol."""
+def _square(label: str, matrix) -> np.ndarray:
+    """Frozen complex ``matrix``; ValueError unless it is square."""
     m, _ = _frozen(label, matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{label} must be square, got {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > MATRIX_TOL:
-        raise ValueError(f"{label} is not Hermitian")
-    if np.min(np.linalg.eigvalsh(m)) < -tol:
-        raise ValueError(f"{label} {negative}")
     return m
+
+
+def _check_hermitian_psd(stack: np.ndarray, labels, tol: float, negative: str) -> None:
+    """ValueError naming the first of the (n, d, d) ``stack`` that is not Hermitian
+    or has an eigenvalue below -tol; one batched check each."""
+    asymmetric = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2)) > MATRIX_TOL
+    if asymmetric.any():
+        raise ValueError(f"{labels[asymmetric.argmax()]} is not Hermitian")
+    negatives = np.linalg.eigvalsh(stack)[:, 0] < -tol
+    if negatives.any():
+        raise ValueError(f"{labels[negatives.argmax()]} {negative}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +77,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _hermitian_psd("density matrix", self.matrix, PSD_TOL, "has a negative eigenvalue")
+        m = _square("density matrix", self.matrix)
+        _check_hermitian_psd(m[None], ("density matrix",), PSD_TOL, "has a negative eigenvalue")
         if abs(np.trace(m).real - 1.0) > MATRIX_TOL or abs(np.trace(m).imag) > MATRIX_TOL:
             raise ValueError("density matrix trace must be 1")
         object.__setattr__(self, "matrix", m)
@@ -90,20 +98,28 @@ class DensityMatrix:
 class Povm:
     """Positive operator-valued measure: M_x >= 0, sum_x M_x = identity.
 
-    Compared and hashed by identity.
+    The elements are held as one read-only (K, d, d) stack; ``elements`` are
+    its views.  Compared and hashed by identity.
     """
 
     elements: tuple
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(
-            _hermitian_psd(f"POVM element {i}", m, MATRIX_TOL, "is not positive semidefinite")
-            for i, m in enumerate(self.elements))
+        ops = [_square(f"POVM element {i}", m) for i, m in enumerate(self.elements)]
         if not ops:
             raise ValueError("POVM needs at least one element")
-        if np.max(np.abs(sum(ops) - np.eye(ops[0].shape[0]))) > MATRIX_TOL:
+        labels = [f"POVM element {i}" for i in range(len(ops))]
+        for label, m in zip(labels, ops):
+            if m.shape != ops[0].shape:
+                raise ValueError(f"{label} has shape {m.shape}, element 0 has shape {ops[0].shape}")
+        stack = np.stack(ops)
+        _check_hermitian_psd(stack, labels, MATRIX_TOL, "is not positive semidefinite")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) > MATRIX_TOL:
             raise ValueError("POVM elements do not resolve the identity")
-        object.__setattr__(self, "elements", ops)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def dim(self) -> int:
@@ -157,7 +173,8 @@ class PhaseChannelFamily:
     gates.  The gate acts on rho0 entrywise: (U rho0 U^dag)_ab =
     rho0_ab e^{i W_ab phi} with the winding W_ab = g (n_a - n_b), where n is
     the |1><1| occupation of each level, so the derivative multiplies the
-    same entries by i W before the (phi-independent) noise ``kraus``.
+    same entries by i W before the (phi-independent) noise ``kraus``, applied
+    as one cached superoperator.
     ``rho0`` is any finite matrix, kept read-only; ``state`` and ``derivative``
     are linear in it, and :attr:`input_state` checks it is a density matrix.
     Families compare and hash by identity.
@@ -193,10 +210,19 @@ class PhaseChannelFamily:
         """``rho0`` as a :class:`DensityMatrix`, validated on first access (ValueError)."""
         return DensityMatrix(self.rho0)
 
+    @cached_property
+    def _superoperator(self) -> np.ndarray:
+        """S = sum_k K_k (x) conj(K_k), so that vec(sum_k K_k r K_k^dag) = S vec(r) (row-major vec)."""
+        k = np.array(self.kraus)
+        d = k.shape[1]
+        return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(d * d, d * d)
+
     def _noisy(self, r: np.ndarray) -> np.ndarray:
-        return sum(k @ r @ k.conj().T for k in self.kraus)
+        return (self._superoperator @ r.reshape(-1)).reshape(r.shape)
 
     def _wound(self, phi: float) -> np.ndarray:
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi}")
         return self.rho0 * np.exp(1j * self.winding * phi)
 
     def state(self, phi: float) -> np.ndarray:
@@ -218,7 +244,7 @@ def qfi(family: PhaseChannelFamily, phi: float) -> float:
     QFI = 2 sum_{j,k: l_j + l_k > eps} |<j| d rho |k>|^2 / (l_j + l_k) over
     the eigendecomposition of rho(phi), with eps = 1e-12 handling rank
     deficiency, and the family's analytic derivative.  Raises ValueError
-    when the family's input state is not a density matrix.
+    when the family's input state is not a density matrix or phi is not finite.
     """
     family.input_state  # raises unless rho0 is a density matrix
     rho, drho = family.state(phi), family.derivative(phi)
@@ -234,14 +260,18 @@ def classical_fi_of_povm(family: PhaseChannelFamily, povm: Povm, phi: float) -> 
 
     Never exceeds the QFI of the family.  Returns inf when some outcome has
     zero probability but a nonzero probability derivative.  Raises
-    ValueError when the family's input state is not a density matrix.
+    ValueError when the family's input state is not a density matrix, the
+    POVM acts on another dimension, or phi is not finite.
     """
     family.input_state  # raises unless rho0 is a density matrix
-    rho, drho = family.state(phi), family.derivative(phi)
+    _check_povm_dim(family, povm)
+    # for Hermitian M, tr(rho M) = Re sum_ab rho_ab conj(M_ab): one real matvec of
+    # the interleaved (re, im) entries gives every outcome at once
+    elements = povm._stack.reshape(povm.n_outcomes, -1).view(np.float64)
+    probs = elements @ family.state(phi).reshape(-1).view(np.float64)
+    dprobs = elements @ family.derivative(phi).reshape(-1).view(np.float64)
     fi = 0.0
-    for m in povm.elements:
-        p = float(np.trace(rho @ m).real)
-        dp = float(np.trace(drho @ m).real)
+    for p, dp in zip(probs.tolist(), dprobs.tolist()):
         if p <= 0.0:
             if abs(dp) > 1e-9:
                 return math.inf
@@ -374,17 +404,22 @@ def transition_sweep(eta: float, n_values, regime: str = "finite-N") -> list[dic
     return rows
 
 
+def _check_povm_dim(family: PhaseChannelFamily, povm: Povm) -> None:
+    if povm.dim != family.rho0.shape[0]:
+        raise ValueError(f"POVM dim {povm.dim} does not match state dim {family.rho0.shape[0]}")
+
+
 def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
                           grid: ParameterGrid) -> ConditionalModel:
     """p(x|phi) = sum_ab rho0_ab (E_x)_ba e^{i W_ab phi}, E_x = sum_k K_k^dag M_x K_k.
 
     The noise is folded into the measurement once; the table and its
     derivative (the same coefficients times i W) are real matrix products of
-    the coefficients with cos(W phi) and sin(W phi) over the grid.
+    the coefficients with cos(W phi) and sin(W phi) over the grid, taken once
+    per distinct |W| (cos is even and sin odd, bitwise, in NumPy).
     Grids with fewer than 8 points per period of the fastest winding alias it and are rejected.
     """
-    if povm.dim != family.rho0.shape[0]:
-        raise ValueError(f"POVM dim {povm.dim} does not match state dim {family.rho0.shape[0]}")
+    _check_povm_dim(family, povm)
     fastest = float(np.max(np.abs(family.winding)))
     if fastest * grid.spacing > math.pi / 4.0:
         span = grid.upper - grid.lower
@@ -399,8 +434,10 @@ def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
     winding = family.winding.reshape(-1)
     # Re(c e^{iW phi}) = Re c cos(W phi) - Im c sin(W phi): real (d^2, points) arrays
     # instead of complex (points, d, d) ones keep every temporary of a build small
-    angle = np.outer(winding, grid.values)
-    cos, sin = np.cos(angle), np.sin(angle)
+    levels, rows = np.unique(np.abs(winding), return_inverse=True)
+    angle = np.outer(levels, grid.values)
+    cos, sin = np.cos(angle)[rows], np.sin(angle)[rows]
+    sin[winding < 0.0] *= -1.0
     probs = coeff.real @ cos - coeff.imag @ sin
     dprobs = -((coeff.real * winding) @ sin + (coeff.imag * winding) @ cos)
     return ConditionalModel(grid, probs, dprobs, "analytic")

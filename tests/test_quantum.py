@@ -572,3 +572,178 @@ class TestWindingAliasing:
         family = PhaseChannelFamily("dephasing", 0.9, PLUS, gates=13)
         with pytest.raises(ValueError, match="aliased"):
             _family_outcome_model(family, plus_minus_povm(2), self.GRID)
+
+
+# The phase-channel algebra as first written, kept as references: the rewrite
+# takes the trig once per distinct |W|, applies the noise as one superoperator
+# and reads every outcome of a POVM from one matvec.
+
+def reference_outcome_table(family, povm, grid):
+    """The outcome table with cos/sin taken for every one of the d^2 entries."""
+    heisenberg = np.array([sum(k.conj().T @ m @ k for k in family.kraus)
+                           for m in povm.elements])
+    coeff = (family.rho0[None, :, :] * heisenberg.transpose(0, 2, 1)).reshape(len(heisenberg), -1)
+    winding = family.winding.reshape(-1)
+    angle = np.outer(winding, grid.values)
+    cos, sin = np.cos(angle), np.sin(angle)
+    probs = coeff.real @ cos - coeff.imag @ sin
+    dprobs = -((coeff.real * winding) @ sin + (coeff.imag * winding) @ cos)
+    return probs, dprobs
+
+
+def reference_noisy(family, r):
+    return sum(k @ r @ k.conj().T for k in family.kraus)
+
+
+def reference_state_and_derivative(family, phi):
+    """rho(phi) and its derivative with the noise applied Kraus by Kraus."""
+    wound = family.rho0 * np.exp(1j * family.winding * phi)
+    return reference_noisy(family, wound), reference_noisy(family, 1j * family.winding * wound)
+
+
+def reference_qfi(family, phi):
+    rho, drho = reference_state_and_derivative(family, phi)
+    evals, evecs = np.linalg.eigh(rho)
+    d = evecs.conj().T @ drho @ evecs
+    sums = evals[:, None] + evals[None, :]
+    keep = sums > 1e-12
+    return float(2.0 * np.sum(np.abs(d[keep]) ** 2 / sums[keep]))
+
+
+def reference_cfi(family, povm, phi):
+    """The Fisher information with two traces per POVM element."""
+    rho, drho = reference_state_and_derivative(family, phi)
+    fi = 0.0
+    for m in povm.elements:
+        p = float(np.trace(rho @ m).real)
+        dp = float(np.trace(drho @ m).real)
+        if p <= 0.0:
+            if abs(dp) > 1e-9:
+                return math.inf
+            continue
+        fi += dp * dp / p
+    return fi
+
+
+def random_family_and_povm(rng, kind, gates=1):
+    dim = 3 if kind == "erasure" else 2
+    family = PhaseChannelFamily(kind, float(rng.uniform(0.1, 1.0)), random_state(rng, dim),
+                                gates=gates)
+    return family, random_povm(rng, dim, int(rng.integers(2, 5)))
+
+
+KINDS = ["dephasing", "amplitude-damping", "erasure"]
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("gates", [1, 3, 16])
+    @pytest.mark.parametrize("lower, points", [(0.0, 201), (-PI, 401), (0.0, 2001)])
+    def test_outcome_table_bits(self, kind, gates, lower, points):
+        rng = np.random.default_rng(100 * gates + points)
+        family, povm = random_family_and_povm(rng, kind, gates)
+        grid = ParameterGrid(lower, lower + 2.0 * PI, points)
+        cond = _family_outcome_model(family, povm, grid)
+        probs, dprobs = reference_outcome_table(family, povm, grid)
+        assert cond.probs.tobytes() == probs.tobytes()  # also tells -0.0 from +0.0
+        assert cond.dprobs.tobytes() == dprobs.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("gates", [1, 3, 16])
+    def test_fisher_informations_match_references(self, kind, gates):
+        # the superoperator and the stacked POVM re-associate sums of a few
+        # terms: measured at most 3e-14 relative, on CFI values near 1e-7
+        rng = np.random.default_rng(gates)
+        for _ in range(10):
+            family, povm = random_family_and_povm(rng, kind, gates)
+            phi = float(rng.uniform(-PI, 3.0 * PI))
+            assert qfi(family, phi) == pytest.approx(reference_qfi(family, phi),
+                                                     rel=1e-13, abs=0.0)
+            assert classical_fi_of_povm(family, povm, phi) == pytest.approx(
+                reference_cfi(family, povm, phi), rel=1e-13, abs=0.0)
+
+    def test_states_match_references(self):
+        rng = np.random.default_rng(8)
+        for kind in KINDS:
+            family, _ = random_family_and_povm(rng, kind, 5)
+            for phi in (0.0, -1.3, 4.1):
+                rho, drho = reference_state_and_derivative(family, phi)
+                assert np.max(np.abs(family.state(phi) - rho)) <= 1e-15
+                assert np.max(np.abs(family.derivative(phi) - drho)) <= 1e-14
+
+
+class TestFisherOracles:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cfi_never_exceeds_qfi_over_random_states_and_povms(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            family, povm = random_family_and_povm(rng, kind, int(rng.integers(1, 5)))
+            phi = float(rng.uniform(0.0, 2.0 * PI))
+            assert classical_fi_of_povm(family, povm, phi) <= qfi(family, phi) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("gates", [1, 2, 7])
+    def test_erasure_pure_state_closed_form(self, gates):
+        # rho(phi) = eta |psi_phi><psi_phi| + (1 - eta) |2><2|, the loss level being
+        # phi-independent: QFI = eta 4 Var(g |1><1|) = eta 4 g^2 |b|^2 (1 - |b|^2)
+        rng = np.random.default_rng(gates)
+        for _ in range(10):
+            eta = float(rng.uniform(0.05, 1.0))
+            a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi = np.array([a, b, 0.0]) / math.hypot(abs(a), abs(b))
+            family = PhaseChannelFamily("erasure", eta, DensityMatrix.pure(psi).matrix,
+                                        gates=gates)
+            b2 = abs(psi[1]) ** 2
+            want = eta * 4.0 * gates ** 2 * b2 * (1.0 - b2)
+            assert qfi(family, float(rng.uniform(0.0, 2.0 * PI))) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+
+
+class TestTrigSymmetry:
+    """The per-|W| outcome table reads cos(W phi) and sin(W phi) for W < 0 off
+    |W| phi.  Its bits equal the per-entry build only while NumPy's cos is
+    even and its sin odd, bitwise, on the angles the package forms."""
+
+    @pytest.mark.parametrize("points", [201, 2001, 20001])
+    def test_cos_even_and_sin_odd_bitwise(self, points):
+        values = ParameterGrid(0.0, 2.0 * PI, points).values
+        for winding in range(1, 251):
+            x = winding * values
+            assert np.cos(-x).tobytes() == np.cos(x).tobytes(), \
+                f"np.cos is not even bitwise at winding {winding} on {points} points"
+            assert np.sin(-x).tobytes() == (-np.sin(x)).tobytes(), \
+                f"np.sin is not odd bitwise at winding {winding} on {points} points"
+
+
+class TestQuantumInputsNamed:
+    def test_povm_elements_of_different_shapes(self):
+        with pytest.raises(ValueError, match=r"POVM element 1 has shape \(3, 3\), "
+                                             r"element 0 has shape \(2, 2\)"):
+            Povm((0.5 * np.eye(2), np.eye(3)))
+
+    def test_cfi_povm_of_another_dimension(self):
+        family = PhaseChannelFamily("erasure", 0.9, DensityMatrix.pure([1.0, 1.0, 0.0]).matrix)
+        with pytest.raises(ValueError, match="POVM dim 2 does not match state dim 3"):
+            classical_fi_of_povm(family, plus_minus_povm(2), 0.3)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fisher", [
+        qfi, lambda family, phi: classical_fi_of_povm(family, plus_minus_povm(2), phi),
+    ], ids=["qfi", "cfi"])
+    def test_non_finite_phi(self, fisher, phi):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            fisher(PhaseChannelFamily("dephasing", 0.9, PLUS), phi)
+
+    def test_povm_elements_are_read_only_views_of_one_stack(self):
+        povm = random_povm(np.random.default_rng(4), 3, 4)
+        stack = povm.elements[0].base
+        assert stack.shape == (4, 3, 3) and not stack.flags.writeable
+        assert all(m.base is stack and not m.flags.writeable for m in povm.elements)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "POVM element 1 is not Hermitian"),
+        (np.diag([-0.5, 0.5]), "POVM element 1 is not positive semidefinite"),
+    ])
+    def test_first_bad_element_named(self, bad, message):
+        good = np.diag([1.5, 0.5])
+        with pytest.raises(ValueError, match=message):
+            Povm((good, bad, bad))
