@@ -9,10 +9,10 @@ Two conventions used throughout:
 
 * Under the square root the prior-derivative term enters squared,
   sqrt(F p^2 + pdot^2); the unsquared variant is dimensionally inconsistent.
-* Rectangle priors never put delta spikes on the grid.  Their edge jumps are
-  absorbed through sqrt(x+y) <= sqrt(x) + sqrt(y), adding half the total jump
-  magnitude inside the logarithm; for constant F this reproduces the
-  finite-support bound exactly.
+* A prior density or variational weight g is 0 outside the grid, so it jumps
+  by g[0] and g[-1] at the grid ends.  No delta spikes go on the grid:
+  sqrt(x+y) <= sqrt(x) + sqrt(y) adds g[0] + g[-1] to the L1 integral, which
+  for a rectangle prior and constant F gives the finite-support bound exactly.
 """
 
 from __future__ import annotations
@@ -122,21 +122,23 @@ def mi_bound_finite_support(profile: FisherProfile, support: tuple | None = None
     return BoundReport("mi-bound-finite-support", math.log1p(0.5 * length), UPPER_MI)
 
 
-def _l1_total(joint: JointModel) -> float:
-    """int sqrt(F p^2 + pdot^2) dphi plus the magnitudes of the declared edge jumps."""
-    prior = joint.prior
-    if not prior.smooth and not prior.edge_jumps:
-        raise ValueError("prior is not smooth and declares no edge locations")
-    jumps = float(sum(abs(j) for _, j in prior.edge_jumps))
-    return integrate(joint_derivative_l1_bound(joint), joint.grid) + jumps
+def _l1_total(joint: JointModel, g=None, dg=None) -> float:
+    """int sqrt(F g^2 + gdot^2) dphi + (g[0] + g[-1]), the jumps of g (the prior by default)
+    at the grid ends.  A prior that is not smooth has others and is rejected."""
+    if g is None:
+        if not joint.prior.smooth:
+            raise ValueError("prior is not smooth: only jumps at the grid edges are accounted for")
+        g, dg = joint.prior.density, joint.prior.derivative
+    F = fisher_under_prior(joint)
+    return integrate(np.sqrt(F * g * g + dg * dg), joint.grid) + float(g[0] + g[-1])
 
 
 def mi_bound_general_prior(joint: JointModel) -> BoundReport:
     """MI upper bound for arbitrary priors: ln( (1/2) int sqrt(F p^2 + pdot^2) ) + H(phi).
 
-    Declared edge jumps enter as half their total magnitude inside the
-    logarithm (subadditivity of the square root); undeclared non-smooth
-    priors are rejected.
+    The jumps p[0] and p[-1] at the grid ends enter as half their total
+    inside the logarithm (subadditivity of the square root); priors that are
+    not smooth are rejected.
     """
     half_l1 = 0.5 * _l1_total(joint)
     return BoundReport("mi-bound-general-prior", math.log(half_l1) + joint.prior.entropy,
@@ -144,11 +146,12 @@ def mi_bound_general_prior(joint: JointModel) -> BoundReport:
 
 
 def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport:
-    """MI upper bound with a positive weight f(phi) vanishing at the domain ends.
+    """MI upper bound with a nonnegative weight f(phi), 0 outside the grid.
 
-    value = ln( (1/2) int sqrt(F f^2 + fdot^2) ) - int p ln f.  Choosing
-    f = p recovers the general-prior bound; a plateau approaching the
-    indicator of the prior support recovers the finite-support bound.
+    value = ln( (1/2) int sqrt(F f^2 + fdot^2) ) - int p ln f, the jumps f[0]
+    and f[-1] at the grid ends added to the integral.  f = p recovers the
+    general-prior bound, f = 1 the finite-support bound over the grid, and a
+    plateau approaching the indicator of the prior support the one on it.
     """
     grid = joint.grid
     fv = np.asarray(f, dtype=float)
@@ -159,8 +162,7 @@ def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport
     if not np.any(fv > 0.0):
         raise ValueError("f must be positive somewhere on the grid")
     df = central_difference(fv, grid) if f_derivative is None else np.asarray(f_derivative, float)
-    F = fisher_under_prior(joint)
-    half_l1 = 0.5 * integrate(np.sqrt(F * fv * fv + df * df), grid)
+    half_l1 = 0.5 * _l1_total(joint, fv, df)
     p = joint.prior.density
     if np.any((p > 0.0) & (fv <= 0.0)):
         raise NumericError("f vanishes where the prior has mass; the bound diverges")
@@ -242,8 +244,8 @@ def mse_bound_finite_support(joint: JointModel) -> BoundReport:
 def mse_bound_general_prior(joint: JointModel) -> BoundReport:
     """MSE lower bound for arbitrary priors.
 
-    value = (2 / pi e) / (int sqrt(F p^2 + pdot^2) dphi)^2, with declared
-    edge jumps added at full magnitude to the integral (subadditivity), which
+    value = (2 / pi e) / (int sqrt(F p^2 + pdot^2) dphi + p[0] + p[-1])^2: the
+    jumps at the grid ends are added to the integral (subadditivity), which
     only loosens the bound.
     """
     return BoundReport("mse-bound-general-prior",

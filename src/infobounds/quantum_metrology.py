@@ -90,7 +90,10 @@ class DensityMatrix:
     @classmethod
     def pure(cls, statevector) -> "DensityMatrix":
         psi = np.asarray(statevector, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
+        norm = np.linalg.norm(psi)
+        if norm == 0.0:
+            raise ValueError(f"state vector has zero norm: {statevector!r}")
+        psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
 
 
@@ -142,6 +145,17 @@ def phase_gate(phi: float, dim: int = 2) -> np.ndarray:
     return np.diag(diag)
 
 
+def _checked_gates(n, eta: float, label: str = "n") -> int:
+    """Gate count ``n`` as an int: TypeError unless an integer, ValueError below 1 or bad eta."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise TypeError(f"{label} must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"{label} must be >= 1, got {n}")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    return int(n)
+
+
 def _noise_kraus(kind: str, eta: float) -> tuple:
     if kind == "dephasing":
         k0 = math.sqrt((1.0 + math.sqrt(eta)) / 2.0) * np.eye(2, dtype=complex)
@@ -188,12 +202,7 @@ class PhaseChannelFamily:
     winding: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.gates, (int, np.integer)) or isinstance(self.gates, bool):
-            raise TypeError(f"gates must be an integer, got {self.gates!r}")
-        if self.gates < 1:
-            raise ValueError(f"gates must be >= 1, got {self.gates}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        _checked_gates(self.gates, self.eta, "gates")
         noise = _noise_kraus(self.kind, self.eta)  # validates kind
         rho, _ = _frozen("rho0", self.rho0, dtype=complex)
         dim = noise[0].shape[0]
@@ -313,10 +322,7 @@ def asymptotic_fi_cap(n: int, eta: float) -> float:
     Valid for dephasing and erasure under any adaptive strategy.  At eta = 1
     there is no cap (noiseless case); inf is returned as the divergence flag.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    _checked_gates(n, eta)
     if eta == 1.0:
         return math.inf
     return n * eta / (1.0 - eta)
@@ -329,10 +335,7 @@ def finite_n_fi_cap(n: int, eta: float) -> float:
     noiseless limit where it degenerates to the Heisenberg value N^2.  Never
     exceeds the asymptotic cap nor N^2.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    _checked_gates(n, eta)
     return n * n * eta / (eta + n * (1.0 - eta))
 
 
@@ -354,6 +357,7 @@ def mi_cap(n: int, eta: float, regime: str = "finite-N", kind: str = "dephasing"
     takes an explicit ``fi_cap`` or falls back to the dephasing cap with a
     caveat flag.
     """
+    _checked_gates(n, eta)
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {CHANNEL_KINDS}")
     cap_function = _fi_cap_function(regime)
@@ -382,11 +386,9 @@ def transition_sweep(eta: float, n_values, regime: str = "finite-N") -> list[dic
     slope moves from 1 (Heisenberg) to 1/2 (SQL) around N ~ eta/(1-eta);
     stronger noise moves the transition to smaller N.
     """
-    ns = np.array(sorted(set(int(n) for n in n_values)), dtype=np.int64)
+    ns = np.array(sorted({_checked_gates(n, eta, "N values") for n in n_values}), dtype=np.int64)
     if ns.size < 2:
         raise ValueError("need at least two distinct N values for a sweep")
-    if ns[0] < 1:
-        raise ValueError("N values must be >= 1")
     cap_fn = _fi_cap_function(regime)
     caps = np.array([cap_fn(int(n), eta) for n in ns])
     arg = math.pi * np.sqrt(caps)
@@ -428,8 +430,9 @@ def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
             points += 2
         raise ValueError(f"phase winding {fastest:g} is aliased by grid spacing {grid.spacing:.6g} "
                          f"(fewer than 8 points per period); use at least {points} grid points")
-    heisenberg = np.array([sum(k.conj().T @ m @ k for k in family.kraus)
-                           for m in povm.elements])
+    heisenberg = np.zeros_like(povm._stack)  # a zero start, as in Python's sum, keeps -0.0 out
+    for k in family.kraus:  # one stacked product per Kraus operator
+        heisenberg += k.conj().T @ povm._stack @ k
     coeff = (family.rho0[None, :, :] * heisenberg.transpose(0, 2, 1)).reshape(len(heisenberg), -1)
     winding = family.winding.reshape(-1)
     # Re(c e^{iW phi}) = Re c cos(W phi) - Im c sin(W phi): real (d^2, points) arrays

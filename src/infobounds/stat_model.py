@@ -35,8 +35,8 @@ __all__ = [
 MASS_TOL = 1e-6        # prior and joint normalization
 OUTCOME_TOL = 1e-9     # sum_x p(x|phi) = 1 at every grid point
 DERIV_SUM_TOL = 1e-6   # sum_x dp(x|phi)/dphi = 0 at every grid point
-ZERO_DERIV_TOL = 1e-6  # |pdot| below this counts as 0 when p = 0 (0/0 -> 0 rule)
-PRIOR_PARAMS = {"rectangle": ("width",), "gaussian": ("sigma",), "tabulated": ()}  # read by bounds
+ZERO_DERIV_TOL = 1e-6  # |pdot| where p = 0, or an end density, below this counts as 0
+PRIOR_PARAMS = {"rectangle": ("width",), "gaussian": ("sigma",), "tabulated": ()}  # required params
 
 
 def _frozen(label: str, array, dtype=np.float64, axis=None, nonnegative: str | None = None,
@@ -73,21 +73,20 @@ def _frozen(label: str, array, dtype=np.float64, axis=None, nonnegative: str | N
 
 @dataclass(frozen=True, eq=False)
 class PriorDensity:
-    """Prior p(phi) on a grid, with its derivative and sharp-edge bookkeeping.
+    """Prior p(phi) on a grid, with its derivative on the grid.
 
-    ``derivative`` holds the smooth part of dp/dphi.  Sharp edges (rectangle
-    priors) are never represented as delta spikes on the grid; their jump
-    heights are kept in ``edge_jumps`` as ``(grid index, jump)`` pairs and the
-    bounds absorb them analytically.  ``smooth`` is False when the derivative
-    array alone does not describe the prior.  Priors compare and hash by
-    identity, as conditional and joint models do.
+    The density is 0 outside [lower, upper], so it jumps by ``density[0]``
+    and ``density[-1]`` at the grid ends; the bounds take those jumps from
+    the density instead of putting delta spikes on the grid.  ``smooth`` is
+    False when the derivative array does not describe the prior inside the
+    grid.  Priors compare and hash by identity, as conditional and joint
+    models do.
     """
 
     grid: ParameterGrid
     density: np.ndarray
     kind: str
     derivative: np.ndarray
-    edge_jumps: tuple = ()
     smooth: bool = True
     params: dict = field(default_factory=dict)
 
@@ -125,16 +124,14 @@ class PriorDensity:
     def information(self) -> float:
         """Prior information P = int pdot^2 / p dphi; inf flags divergence.
 
-        Sharp-edged priors (declared edge jumps) are divergent by construction:
-        P measures edge sharpness rather than width, which is exactly the
-        failure mode the MI-based bounds avoid.  Computed on first access.
+        A jump diverges it (pdot != 0 where p = 0, or an end density above
+        ``ZERO_DERIV_TOL``): P then measures edge sharpness rather than width,
+        the failure mode the MI-based bounds avoid.  Computed on first access.
         """
-        if self.edge_jumps:
-            return math.inf
         p = self.density
         pdot = self.derivative
         pos = p > 0.0
-        if np.any(~pos & (np.abs(pdot) > ZERO_DERIV_TOL)):
+        if max(p[0], p[-1]) > ZERO_DERIV_TOL or np.any(~pos & (np.abs(pdot) > ZERO_DERIV_TOL)):
             return math.inf
         integrand = np.zeros_like(p)
         np.divide(pdot * pdot, p, out=integrand, where=pos)
@@ -145,9 +142,7 @@ class PriorDensity:
         """Uniform prior over the whole grid interval (width = upper - lower)."""
         width = grid.upper - grid.lower
         dens = np.full(grid.points, 1.0 / width)
-        jumps = ((0, 1.0 / width), (grid.points - 1, -1.0 / width))
-        return cls(grid, dens, "rectangle", np.zeros(grid.points),
-                   edge_jumps=jumps, smooth=False, params={"width": width})
+        return cls(grid, dens, "rectangle", np.zeros(grid.points), params={"width": width})
 
     @classmethod
     def gaussian(cls, grid: ParameterGrid, mean: float, sigma: float) -> "PriorDensity":

@@ -186,6 +186,33 @@ class TestMiBoundVariational:
                                            joint.prior.derivative)
         assert variational.value == pytest.approx(general.value, abs=1e-9)
 
+    @pytest.mark.parametrize("make_prior", [
+        PriorDensity.rectangle,
+        lambda grid: PriorDensity.tabulated(grid, np.full(grid.points, 1.0 / PI)),
+    ], ids=["rectangle", "flat-tabulated"])
+    def test_f_equal_flat_prior_keeps_its_end_jumps(self, make_prior):
+        # a flat prior jumps at both grid ends, in the general-prior bound and
+        # in the variational one alike, and both equal the finite-support bound
+        grid = ParameterGrid(0.0, PI, 2001)
+        joint = JointModel(make_prior(grid), cos2_model(grid))
+        general = mi_bound_general_prior(joint)
+        variational = mi_bound_variational(joint, joint.prior.density, joint.prior.derivative)
+        assert variational.value == pytest.approx(general.value, abs=1e-12)
+        finite = mi_bound_finite_support(fisher_information(joint.conditional))
+        assert general.value == pytest.approx(finite.value, abs=1e-9)
+
+    @pytest.mark.parametrize("joint", [
+        JointModel(PriorDensity.rectangle(ParameterGrid(0.0, 1.0, 1001)),
+                   cos2_model(ParameterGrid(0.0, 1.0, 1001))),
+        gaussian_joint(sigma=0.1),
+    ], ids=["rectangle", "gaussian"])
+    def test_constant_weight_is_the_finite_support_bound(self, joint):
+        # f = 1 jumps by 1 at each grid end: ln(1 + L/2) over the grid, not ln(L/2)
+        report = mi_bound_variational(joint, np.ones(joint.grid.points))
+        finite = mi_bound_finite_support(fisher_information(joint.conditional))
+        assert report.value == pytest.approx(finite.value, abs=1e-9)
+        assert report.value >= mutual_information(joint).mi
+
     def test_plateau_approaches_finite_support_bound(self):
         grid = ParameterGrid(-0.5, 1.5, 4001)
         model = cos2_model(grid)

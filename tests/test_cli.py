@@ -232,6 +232,31 @@ class TestBoundsCommand:
             else:
                 assert float(row["value"]) <= oracle_mse
 
+    def test_flat_tabulated_prior_keeps_its_end_jumps(self, tmp_path):
+        # a tabulated flat density jumps at the grid ends like a rectangle: P
+        # diverges, and no bound crosses its oracle
+        grid = ParameterGrid(0.0, PI, 201)
+        p1 = 0.5 + 0.01 * np.cos(grid.values)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "grid": {"lower": 0.0, "upper": PI, "points": 201},
+            "prior": {"kind": "tabulated", "density": [1.0 / PI] * 201},
+            "conditional": {"matrix": [(1.0 - p1).tolist(), p1.tolist()]}}))
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--model", str(path), "--out", str(out)]) == 0
+        rows = {r["name"]: r for r in read_csv(str(out))}
+        oracle_mi = float(rows.pop("oracle-mi")["value"])
+        oracle_mse = float(rows.pop("oracle-bayes-mse")["value"])
+        for name in ("efroimovich-mi-bound", "van-trees"):
+            assert (rows[name]["value"], rows[name]["flags"]) == ("", "prior-information-divergent")
+        valued = [r for r in rows.values() if r["value"]]
+        assert len(valued) == 5
+        for row in valued:
+            if row["direction"] == "upper-bound-on-MI":
+                assert float(row["value"]) >= oracle_mi, row["name"]
+            else:
+                assert float(row["value"]) <= oracle_mse, row["name"]
+
     def test_fisher_divergent_next_to_odd_prior_support(self, tmp_path):
         # F diverges at phi = 1/2, the right neighbour of a prior on indices 2..49:
         # the finite-support MSE bound widens its 47 subintervals to the left instead

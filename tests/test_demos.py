@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_demos_found():
@@ -22,6 +23,18 @@ def test_demo_runs(path, tmp_path, monkeypatch):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue().strip()
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_output_matches_golden(path, tmp_path, monkeypatch):
+    # stdout is tests/golden/demo-<script>.txt, each written file tests/golden/demo-<file>
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue() == (GOLDEN / f"demo-{path.stem}.txt").read_text(encoding="utf-8")
+    for written in sorted(tmp_path.iterdir()):
+        assert written.read_bytes() == (GOLDEN / f"demo-{written.name}").read_bytes(), written.name
 
 
 def test_readme_quick_start_runs():

@@ -747,3 +747,64 @@ class TestQuantumInputsNamed:
         good = np.diag([1.5, 0.5])
         with pytest.raises(ValueError, match=message):
             Povm((good, bad, bad))
+
+
+class TestZeroStateVector:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pure_rejects_a_zero_vector(self, dim):
+        with pytest.raises(ValueError, match="state vector has zero norm"):
+            DensityMatrix.pure([0.0] * dim)
+
+
+class TestGateCount:
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3"])
+    @pytest.mark.parametrize("call", [
+        asymptotic_fi_cap, finite_n_fi_cap, mi_cap,
+        lambda n, eta: mi_cap(n, eta, fi_cap=1.0),
+    ], ids=["asymptotic", "finite-N", "mi-cap", "mi-cap-configured"])
+    def test_non_integer_n_rejected(self, call, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            call(n, 0.9)
+
+    def test_sweep_rejects_non_integer_n(self):
+        # 1.5 and 2.5 used to become rows for N = 1 and N = 2
+        with pytest.raises(TypeError, match="N values must be an integer, got 1.5"):
+            transition_sweep(0.9, [1.5, 2.5, 10])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: asymptotic_fi_cap(0, 0.5), "n must be >= 1"),
+        (lambda: mi_cap(0, 0.5, fi_cap=1.0), "n must be >= 1"),
+        (lambda: transition_sweep(0.9, [0, 1, 2]), "N values must be >= 1"),
+        (lambda: finite_n_fi_cap(10, 0.0), r"eta must be in \(0, 1\]"),
+        (lambda: transition_sweep(1.5, [1, 2]), r"eta must be in \(0, 1\]"),
+    ], ids=["asymptotic-n", "mi-cap-n", "sweep-n", "finite-N-eta", "sweep-eta"])
+    def test_messages_below_one_and_for_eta(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+class TestHeisenbergFold:
+    # the stacked fold sums K^dag M K over Kraus operators from zeros, as the
+    # per-element Python sum of the reference does; the bytes must agree
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_families_bitwise(self, kind):
+        rng = np.random.default_rng(31)
+        grid = ParameterGrid(0.0, 2.0 * PI, 201)
+        for _ in range(30):
+            family, povm = random_family_and_povm(rng, kind, int(rng.integers(1, 8)))
+            cond = _family_outcome_model(family, povm, grid)
+            probs, dprobs = reference_outcome_table(family, povm, grid)
+            assert cond.probs.tobytes() == probs.tobytes()
+            assert cond.dprobs.tobytes() == dprobs.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_builtin_povm_bitwise(self, kind):
+        grid = ParameterGrid(0.0, 2.0 * PI, 401)
+        cond = channel_outcome_model(kind, 0.7, grid)
+        dim = 3 if kind == "erasure" else 2
+        psi = np.zeros(dim)
+        psi[:2] = 1.0
+        family = PhaseChannelFamily(kind, 0.7, DensityMatrix.pure(psi).matrix)
+        probs, dprobs = reference_outcome_table(family, plus_minus_povm(dim), grid)
+        assert cond.probs.tobytes() == probs.tobytes()
+        assert cond.dprobs.tobytes() == dprobs.tobytes()

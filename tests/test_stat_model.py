@@ -37,7 +37,9 @@ class TestPriorDensity:
         prior = PriorDensity.rectangle(pi_grid)
         assert integrate(prior.density, pi_grid) == pytest.approx(1.0, abs=1e-12)
         assert prior.entropy == pytest.approx(math.log(math.pi), abs=1e-12)
-        assert prior.edge_jumps and not prior.smooth
+        # the density is 0 beyond the grid: its end values are jumps, which diverge P
+        assert math.isinf(prior.information)
+        assert prior.density[0] + prior.density[-1] == pytest.approx(2.0 / math.pi, rel=1e-15)
 
     def test_rectangle_width_one_zero_entropy(self):
         grid = ParameterGrid(0.0, 1.0, 101)
