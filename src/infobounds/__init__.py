@@ -52,7 +52,6 @@ from .quantum_metrology import (
     mi_cap,
     noon_family,
     noon_outcome_model,
-    phase_gate,
     plus_minus_povm,
     qfi,
     random_povm,
@@ -69,7 +68,6 @@ from .stat_model import (
     cosine_plateau,
     fisher_information,
     jeffreys_length,
-    marginal_outcome,
 )
 
 __version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .stat_model import (
     FisherProfile,
     JointModel,
     PriorDensity,
+    _frozen,
     average_fisher,
     fisher_under_prior,
     jeffreys_length,
@@ -145,6 +146,14 @@ def mi_bound_general_prior(joint: JointModel) -> BoundReport:
                        UPPER_MI)
 
 
+def _grid_aligned(label: str, array, grid) -> np.ndarray:
+    """``array`` as a finite float array of shape (points,), else ValueError naming ``label``."""
+    a, _ = _frozen(label, array)
+    if a.shape != (grid.points,):
+        raise ValueError(f"{label} must be grid-aligned, shape ({grid.points},), got {a.shape}")
+    return a
+
+
 def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport:
     """MI upper bound with a nonnegative weight f(phi), 0 outside the grid.
 
@@ -152,16 +161,16 @@ def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport
     and f[-1] at the grid ends added to the integral.  f = p recovers the
     general-prior bound, f = 1 the finite-support bound over the grid, and a
     plateau approaching the indicator of the prior support the one on it.
+    ``f`` and a given ``f_derivative`` must be finite arrays of shape (points,).
     """
     grid = joint.grid
-    fv = np.asarray(f, dtype=float)
-    if fv.shape != (grid.points,):
-        raise ValueError(f"f must be grid-aligned, got shape {fv.shape}")
+    fv = _grid_aligned("f", f, grid)
     if np.any(fv < 0.0):
         raise ValueError("f must be nonnegative")
     if not np.any(fv > 0.0):
         raise ValueError("f must be positive somewhere on the grid")
-    df = central_difference(fv, grid) if f_derivative is None else np.asarray(f_derivative, float)
+    df = (central_difference(fv, grid) if f_derivative is None
+          else _grid_aligned("f_derivative", f_derivative, grid))
     half_l1 = 0.5 * _l1_total(joint, fv, df)
     p = joint.prior.density
     if np.any((p > 0.0) & (fv <= 0.0)):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import BoundReport, UPPER_MI
 from .numerics import ParameterGrid
-from .stat_model import ConditionalModel, _frozen
+from .stat_model import ConditionalModel, _frozen, _score_terms
 
 __all__ = [
     "DensityMatrix",
@@ -34,7 +34,6 @@ __all__ = [
     "mi_cap",
     "noon_family",
     "noon_outcome_model",
-    "phase_gate",
     "plus_minus_povm",
     "qfi",
     "random_povm",
@@ -131,18 +130,6 @@ class Povm:
     @property
     def n_outcomes(self) -> int:
         return len(self.elements)
-
-
-def phase_gate(phi: float, dim: int = 2) -> np.ndarray:
-    """Diagonal unitary putting the phase e^{i phi} on level |1> only.
-
-    Extra levels (the erasure channel's loss level) are untouched.
-    """
-    if dim < 2:
-        raise ValueError(f"phase gate needs dim >= 2, got {dim}")
-    diag = np.ones(dim, dtype=complex)
-    diag[1] = np.exp(1j * phi)
-    return np.diag(diag)
 
 
 def _checked_gates(n, eta: float, label: str = "n") -> int:
@@ -268,9 +255,10 @@ def classical_fi_of_povm(family: PhaseChannelFamily, povm: Povm, phi: float) -> 
     """Fisher information of the outcome distribution p(x|phi) = tr(rho_phi M_x).
 
     Never exceeds the QFI of the family.  Returns inf when some outcome has
-    zero probability but a nonzero probability derivative.  Raises
-    ValueError when the family's input state is not a density matrix, the
-    POVM acts on another dimension, or phi is not finite.
+    zero probability but a probability derivative above ``ZERO_DERIV_TOL``
+    (1e-6), the rule of F(phi).  Raises ValueError when the family's input
+    state is not a density matrix, the POVM acts on another dimension, or
+    phi is not finite.
     """
     family.input_state  # raises unless rho0 is a density matrix
     _check_povm_dim(family, povm)
@@ -279,14 +267,8 @@ def classical_fi_of_povm(family: PhaseChannelFamily, povm: Povm, phi: float) -> 
     elements = povm._stack.reshape(povm.n_outcomes, -1).view(np.float64)
     probs = elements @ family.state(phi).reshape(-1).view(np.float64)
     dprobs = elements @ family.derivative(phi).reshape(-1).view(np.float64)
-    fi = 0.0
-    for p, dp in zip(probs.tolist(), dprobs.tolist()):
-        if p <= 0.0:
-            if abs(dp) > 1e-9:
-                return math.inf
-            continue
-        fi += dp * dp / p
-    return fi
+    # in outcome order: a 1-D np.sum adds pairwise, Python 3.12's sum compensates
+    return float(np.add.accumulate(_score_terms(probs, dprobs))[-1])
 
 
 def plus_minus_povm(dim: int = 2) -> Povm:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import NumericError, ParameterGrid, central_difference, integrate, simpson_weights
+from .numerics import NumericError, ParameterGrid, central_difference, integrate
 
 __all__ = [
     "ConditionalModel",
@@ -29,13 +29,12 @@ __all__ = [
     "fisher_information",
     "fisher_under_prior",
     "jeffreys_length",
-    "marginal_outcome",
 ]
 
 MASS_TOL = 1e-6        # prior and joint normalization
 OUTCOME_TOL = 1e-9     # sum_x p(x|phi) = 1 at every grid point
 DERIV_SUM_TOL = 1e-6   # sum_x dp(x|phi)/dphi = 0 at every grid point
-ZERO_DERIV_TOL = 1e-6  # |pdot| where p = 0, or an end density, below this counts as 0
+ZERO_DERIV_TOL = 1e-6  # |pdot| where p = 0 (in F, P and the CFI), or an end density, counts as 0
 PRIOR_PARAMS = {"rectangle": ("width",), "gaussian": ("sigma",), "tabulated": ()}  # required params
 
 
@@ -129,13 +128,10 @@ class PriorDensity:
         the failure mode the MI-based bounds avoid.  Computed on first access.
         """
         p = self.density
-        pdot = self.derivative
-        pos = p > 0.0
-        if max(p[0], p[-1]) > ZERO_DERIV_TOL or np.any(~pos & (np.abs(pdot) > ZERO_DERIV_TOL)):
+        terms = _score_terms(p, self.derivative)
+        if max(p[0], p[-1]) > ZERO_DERIV_TOL or np.isinf(terms).any():
             return math.inf
-        integrand = np.zeros_like(p)
-        np.divide(pdot * pdot, p, out=integrand, where=pos)
-        return integrate(integrand, self.grid)
+        return integrate(terms, self.grid)
 
     @classmethod
     def rectangle(cls, grid: ParameterGrid) -> "PriorDensity":
@@ -349,20 +345,25 @@ class FisherProfile:
         return None
 
 
+def _score_terms(p: np.ndarray, pdot: np.ndarray) -> np.ndarray:
+    """pdot^2 / p term by term, the one rule of F, P and the CFI: where p <= 0 a term is
+    0 if |pdot| <= ``ZERO_DERIV_TOL`` (a zero of p is a minimum), else +inf, as on overflow."""
+    terms = np.zeros_like(p)
+    pos = p > 0.0
+    with np.errstate(over="ignore"):
+        np.divide(pdot * pdot, p, out=terms, where=pos)
+    terms[~pos & (np.abs(pdot) > ZERO_DERIV_TOL)] = np.inf
+    return terms
+
+
 def fisher_information(model: ConditionalModel) -> FisherProfile:
     """F(phi) = sum_x pdot(x|phi)^2 / p(x|phi), pointwise on the grid.
 
     A term with p = 0 and pdot = 0 contributes 0 (the limit along analytic
     families); p = 0 with pdot != 0 marks the grid point divergent.
     """
-    p, dp = model.probs, model.dprobs
-    pos = p > 0.0
-    terms = np.zeros_like(p)
-    np.divide(dp * dp, p, out=terms, where=pos)
-    divergent = np.any(~pos & (np.abs(dp) > ZERO_DERIV_TOL), axis=0)
-    values = terms.sum(axis=0)
-    values[divergent] = np.inf
-    return FisherProfile(model.grid, values, divergent)
+    values = _score_terms(model.probs, model.dprobs).sum(axis=0)
+    return FisherProfile(model.grid, values, np.isinf(values))
 
 
 def fisher_under_prior(joint: JointModel) -> np.ndarray:
@@ -399,8 +400,3 @@ def jeffreys_length(profile: FisherProfile, support: tuple | None = None) -> flo
         raise NumericError("Fisher information diverges inside the requested support")
     sub = ParameterGrid(grid.values[i0], grid.values[i1], i1 - i0 + 1)
     return integrate(np.sqrt(profile.values[i0:i1 + 1]), sub)
-
-
-def marginal_outcome(joint: JointModel) -> np.ndarray:
-    """Marginal outcome distribution p_bar(x) = int p(x|phi) p(phi) dphi."""
-    return joint.joint_probs() @ simpson_weights(joint.grid)

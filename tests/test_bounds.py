@@ -243,6 +243,39 @@ class TestMiBoundVariational:
         with pytest.raises(ValueError, match="nonnegative"):
             mi_bound_variational(joint, negative)
 
+    @pytest.mark.parametrize("derivative, message", [
+        (0.0, r"f_derivative must be grid-aligned, shape \(201,\), got \(\)"),
+        (np.zeros(200), r"f_derivative must be grid-aligned, shape \(201,\), got \(200,\)"),
+        (np.zeros((1, 201)), r"f_derivative must be grid-aligned, shape \(201,\), got \(1, 201\)"),
+        (np.where(np.arange(201) == 9, np.inf, 0.0),
+         r"f_derivative has a non-finite value at index \(9,\)"),
+    ], ids=["scalar", "short", "2-d", "inf"])
+    def test_derivative_is_checked_and_named(self, derivative, message):
+        grid = ParameterGrid(0.0, PI, 201)
+        joint = JointModel(PriorDensity.rectangle(grid), cos2_model(grid))
+        with pytest.raises(ValueError, match=message):
+            mi_bound_variational(joint, np.ones(grid.points), derivative)
+
+    @pytest.mark.parametrize("f_derivative", [None, np.zeros(201)], ids=["default", "given"])
+    def test_non_finite_f_is_named_at_its_index(self, f_derivative):
+        # a default derivative used to move the NaN to a neighbour of index 7
+        grid = ParameterGrid(0.0, PI, 201)
+        joint = JointModel(PriorDensity.rectangle(grid), cos2_model(grid))
+        f = np.ones(grid.points)
+        f[7] = np.nan
+        with pytest.raises(ValueError, match=r"^f has a non-finite value at index \(7,\)"):
+            mi_bound_variational(joint, f, f_derivative)
+
+    def test_checked_inputs_keep_the_value(self):
+        # a list and a read-only array give the value of the plain arrays
+        grid = ParameterGrid(0.0, PI, 201)
+        joint = JointModel(PriorDensity.rectangle(grid), cos2_model(grid))
+        f, df = 1.0 + 0.5 * np.sin(grid.values), 0.5 * np.cos(grid.values)
+        want = mi_bound_variational(joint, f, df).value
+        assert mi_bound_variational(joint, f.tolist(), df.tolist()).value == want
+        f.setflags(write=False)
+        assert mi_bound_variational(joint, f).value == mi_bound_variational(joint, f.copy()).value
+
     def test_f_vanishing_on_prior_mass_diverges(self):
         grid = ParameterGrid(0.0, PI, 1001)
         joint = JointModel(PriorDensity.rectangle(grid), cos2_model(grid))

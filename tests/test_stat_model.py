@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from infobounds.mi_oracle import repeat_model
-from infobounds.numerics import NumericError, ParameterGrid, integrate
+from infobounds.numerics import NumericError, ParameterGrid, integrate, simpson_weights
 from infobounds.quantum_metrology import DensityMatrix, PhaseChannelFamily, plus_minus_povm
 from infobounds.stat_model import (
     ConditionalModel,
@@ -17,13 +17,18 @@ from infobounds.stat_model import (
     fisher_information,
     fisher_under_prior,
     jeffreys_length,
-    marginal_outcome,
+    _score_terms,
 )
 
 
 @pytest.fixture
 def pi_grid():
     return ParameterGrid(0.0, math.pi, 2001)
+
+
+def marginal_outcome(joint):
+    """Marginal outcome distribution p_bar(x) = int p(x|phi) p(phi) dphi."""
+    return joint.joint_probs() @ simpson_weights(joint.grid)
 
 
 def flat_model(grid, k=2):
@@ -262,6 +267,56 @@ class TestFisherInformation:
         assert profile.divergent[0] and profile.divergent[-1]
         assert np.isinf(profile.values[0])
         assert not profile.divergent[1:-1].any()
+
+
+class TestOneScoreRule:
+    """F, the prior information P and (in test_quantum) the CFI share one term rule."""
+
+    # |pdot| where p = 0, and the term it gives: at most ZERO_DERIV_TOL = 1e-6 counts as 0
+    VERDICTS = [(0.0, 0.0), (1e-7, 0.0), (1e-3, math.inf)]
+
+    def test_terms(self):
+        pdots = [pdot for pdot, _ in self.VERDICTS]
+        terms = _score_terms(np.array([0.0, 0.0, 0.0, 0.5]), np.array(pdots + [1.0]))
+        assert terms.tolist() == [term for _, term in self.VERDICTS] + [2.0]
+        assert _score_terms(np.array([-0.0]), np.array([1e-3])).tolist() == [math.inf]
+
+    @pytest.mark.parametrize("pdot, term", VERDICTS)
+    def test_fisher_and_prior_information_agree(self, pdot, term):
+        grid = ParameterGrid(0.0, 2.0, 21)
+        # outcome 0 has p = 0 at grid point 3 with slope pdot, outcome 1 takes the rest
+        probs = np.vstack([np.zeros(grid.points), np.ones(grid.points)])
+        dprobs = np.zeros_like(probs)
+        dprobs[:, 3] = [pdot, -pdot]
+        profile = fisher_information(ConditionalModel(grid, probs, dprobs))
+        assert profile.divergent.tolist() == [i == 3 and math.isinf(term)
+                                              for i in range(grid.points)]
+        assert profile.values[3] == term + pdot * pdot
+        # a prior with p = 0 at grid point 3 (and at the ends), same slope there
+        window = PriorDensity.cosine_window(grid, 1.0, 1.0)
+        deriv = window.derivative.copy()
+        deriv[3] = pdot
+        prior = PriorDensity.tabulated(grid, window.density, deriv)
+        assert window.density[3] == 0.0 and window.density[0] == window.density[-1] == 0.0
+        assert math.isinf(prior.information) == math.isinf(term)
+        if not math.isinf(term):
+            assert prior.information == window.information
+
+    def test_overflowing_term_is_divergent(self):
+        grid = ParameterGrid(0.0, 1.0, 11)
+        probs = np.vstack([np.full(grid.points, 0.5), np.full(grid.points, 0.5)])
+        dprobs = np.zeros_like(probs)
+        probs[:, 4] = [1e-300, 1.0]
+        dprobs[:, 4] = [1e5, -1e5]  # 1e10 / 1e-300 overflows
+        profile = fisher_information(ConditionalModel(grid, probs, dprobs))
+        assert profile.divergent.tolist() == [i == 4 for i in range(grid.points)]
+        assert profile.values[4] == math.inf
+        dens = PriorDensity.cosine_window(grid, 0.5, 1.0).density.copy()
+        dens[4] = 1e-300
+        dens /= integrate(dens, grid)
+        deriv = np.zeros(grid.points)
+        deriv[4] = 1e5
+        assert PriorDensity.tabulated(grid, dens, deriv).information == math.inf
 
 
 class TestCachedFisher:
