@@ -28,6 +28,7 @@ from .stat_model import (
     JointModel,
     PriorDensity,
     _frozen,
+    _weighted_l1,
     average_fisher,
     fisher_under_prior,
     jeffreys_length,
@@ -124,14 +125,14 @@ def mi_bound_finite_support(profile: FisherProfile, support: tuple | None = None
 
 
 def _l1_total(joint: JointModel, g=None, dg=None) -> float:
-    """int sqrt(F g^2 + gdot^2) dphi + (g[0] + g[-1]), the jumps of g (the prior by default)
-    at the grid ends.  A prior that is not smooth has others and is rejected."""
-    if g is None:
-        if not joint.prior.smooth:
-            raise ValueError("prior is not smooth: only jumps at the grid edges are accounted for")
-        g, dg = joint.prior.density, joint.prior.derivative
-    F = fisher_under_prior(joint)
-    return integrate(np.sqrt(F * g * g + dg * dg), joint.grid) + float(g[0] + g[-1])
+    """int sqrt(F g^2 + gdot^2) dphi + (g[0] + g[-1]), the jumps of g (the prior by default,
+    computed once per joint) at the grid ends.  A prior that is not smooth has others and
+    is rejected."""
+    if g is not None:
+        return _weighted_l1(joint, g, dg)
+    if not joint.prior.smooth:
+        raise ValueError("prior is not smooth: only jumps at the grid edges are accounted for")
+    return joint._prior_l1_total
 
 
 def mi_bound_general_prior(joint: JointModel) -> BoundReport:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import simpson_weights
-from .stat_model import ConditionalModel, JointModel, average_fisher
+from .stat_model import ConditionalModel, JointModel, _read_only, average_fisher
 
 __all__ = [
     "BudgetError",
@@ -236,9 +236,7 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
         dprobs[rows] += product
     dprobs *= n
     labels = tuple(map(tuple, types.tolist()))
-    # fresh tables nobody else holds: read-only, the model keeps them uncopied
-    probs.setflags(write=False)
-    dprobs.setflags(write=False)
+    probs, dprobs = _read_only(probs, dprobs)
     counted = ConditionalModel(cond.grid, probs, dprobs, cond.derivative_source, labels)
     return JointModel(joint.prior, counted)
 
@@ -273,9 +271,7 @@ def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
         raise ValueError("need one label per outcome")
     groups: dict = {}
     rows = np.array([groups.setdefault(g, len(groups)) for g in labels], dtype=np.intp)
-    probs, dprobs = _group_sum(model.probs, rows), _group_sum(model.dprobs, rows)
-    probs.setflags(write=False)
-    dprobs.setflags(write=False)
+    probs, dprobs = _read_only(_group_sum(model.probs, rows), _group_sum(model.dprobs, rows))
     return ConditionalModel(model.grid, probs, dprobs, model.derivative_source, tuple(groups))
 
 

@@ -106,6 +106,9 @@ def integrate(samples, grid: ParameterGrid) -> float:
 
     Exact for polynomials up to cubics sampled on the grid.
 
+    Finite samples whose weighted sum overflows give ``inf``, with NumPy's
+    overflow warning.
+
     Raises
     ------
     ValueError
@@ -116,10 +119,15 @@ def integrate(samples, grid: ParameterGrid) -> float:
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1 or y.size != grid.points:
         raise ValueError(f"expected {grid.points} samples aligned to the grid, got shape {y.shape}")
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise NumericError(f"non-finite sample at index {bad[0]}")
-    return float(simpson_weights(grid) @ y)
+    # every weight is positive, so a non-finite sample makes the sum non-finite
+    # (inf - inf is nan, not a warning): the search runs only then
+    with np.errstate(invalid="ignore"):
+        total = float(simpson_weights(grid) @ y)
+    if not math.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise NumericError(f"non-finite sample at index {bad[0]}")
+    return total
 
 
 def central_difference(samples, grid: ParameterGrid) -> np.ndarray:

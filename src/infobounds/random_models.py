@@ -18,7 +18,7 @@ import functools
 import numpy as np
 
 from .numerics import ParameterGrid
-from .stat_model import ConditionalModel, JointModel, PriorDensity
+from .stat_model import ConditionalModel, JointModel, PriorDensity, _read_only
 
 __all__ = ["near_deterministic_model", "random_joint_model"]
 
@@ -40,15 +40,31 @@ def _trig_rows(rng: np.random.Generator, grid: ParameterGrid, n_outcomes: int,
                degree: int, floor: float):
     """Positive weight rows w_x(phi) = (trig poly)^2 + floor and their derivatives."""
     dtau = 2.0 * np.pi / (grid.upper - grid.lower)
-    coef = rng.normal(size=(n_outcomes, 2, degree + 1))
-    poly = np.repeat(coef[:, 0, :1], grid.points, axis=1)
+    coef = rng.normal(size=(n_outcomes, 2, degree + 1)).tolist()
+    basis = _trig_basis(grid, degree)
+    poly = np.empty((n_outcomes, grid.points))
     dpoly = np.zeros_like(poly)
-    for m, (cos_m, sin_m) in enumerate(_trig_basis(grid, degree), start=1):
-        a_m, b_m = coef[:, 0, m, None], coef[:, 1, m, None]
-        # elementwise, in a fixed order: a matmul would re-associate the sums
-        poly += a_m * cos_m + b_m * sin_m
-        dpoly += m * dtau * (-a_m * sin_m + b_m * cos_m)
-    return poly ** 2 + floor, 2.0 * poly * dpoly
+    term, other = np.empty(grid.points), np.empty(grid.points)
+    # row by row, scalar x vector into reused buffers (a (K, 1) x (points,)
+    # broadcast costs about twice as much), in a fixed elementwise order:
+    # a matmul would re-associate the sums
+    for (a, b), row, drow in zip(coef, poly, dpoly):
+        row.fill(a[0])
+        for m, (cos_m, sin_m) in enumerate(basis, start=1):
+            np.multiply(cos_m, a[m], out=term)
+            np.multiply(sin_m, b[m], out=other)
+            term += other
+            row += term
+            np.multiply(sin_m, -a[m], out=term)
+            np.multiply(cos_m, b[m], out=other)
+            term += other
+            term *= m * dtau
+            drow += term
+    dw = np.multiply(poly, 2.0)
+    dw *= dpoly
+    poly *= poly
+    poly += floor
+    return poly, dw
 
 
 def random_joint_model(rng: np.random.Generator, grid: ParameterGrid | None = None,
@@ -66,9 +82,12 @@ def random_joint_model(rng: np.random.Generator, grid: ParameterGrid | None = No
     w, dw = _trig_rows(rng, grid, n_outcomes, degree, floor)
     total = w.sum(axis=0)
     dtotal = dw.sum(axis=0)
-    probs = w / total
-    dprobs = (dw * total - w * dtotal) / total ** 2
-    conditional = ConditionalModel(grid, probs, dprobs, "analytic")
+    # in place, the operations of w / total and (dw total - w dtotal) / total^2
+    dw *= total
+    dw -= w * dtotal
+    dw /= total ** 2
+    w /= total
+    conditional = ConditionalModel(grid, *_read_only(w, dw), "analytic")
 
     span = grid.upper - grid.lower
     center = grid.lower + span * rng.uniform(0.4, 0.6)

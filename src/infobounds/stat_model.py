@@ -70,6 +70,13 @@ def _frozen(label: str, array, dtype=np.float64, axis=None, nonnegative: str | N
     return a, total
 
 
+def _read_only(*arrays) -> tuple:
+    """``arrays``, fresh ones nobody else holds, marked read-only: :func:`_frozen` keeps them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class PriorDensity:
     """Prior p(phi) on a grid, with its derivative on the grid.
@@ -114,9 +121,8 @@ class PriorDensity:
         Computed on first access; the density is read-only.
         """
         p = self.density
-        integrand = np.zeros_like(p)
-        pos = p > 0.0
-        integrand[pos] = -p[pos] * np.log(p[pos])
+        with np.errstate(divide="ignore", invalid="ignore"):  # -0 ln 0 is nan, replaced by 0
+            integrand = np.where(p > 0.0, -p * np.log(p), 0.0)
         return integrate(integrand, self.grid)
 
     @cached_property
@@ -138,7 +144,8 @@ class PriorDensity:
         """Uniform prior over the whole grid interval (width = upper - lower)."""
         width = grid.upper - grid.lower
         dens = np.full(grid.points, 1.0 / width)
-        return cls(grid, dens, "rectangle", np.zeros(grid.points), params={"width": width})
+        dens, deriv = _read_only(dens, np.zeros(grid.points))
+        return cls(grid, dens, "rectangle", deriv, params={"width": width})
 
     @classmethod
     def gaussian(cls, grid: ParameterGrid, mean: float, sigma: float) -> "PriorDensity":
@@ -148,6 +155,7 @@ class PriorDensity:
         phi = grid.values
         dens = np.exp(-0.5 * ((phi - mean) / sigma) ** 2) / math.sqrt(2.0 * math.pi * sigma ** 2)
         deriv = -(phi - mean) / sigma ** 2 * dens
+        dens, deriv = _read_only(dens, deriv)
         return cls(grid, dens, "gaussian", deriv, params={"mean": mean, "sigma": sigma})
 
     @classmethod
@@ -164,7 +172,9 @@ class PriorDensity:
         """Smooth cos^2 bump of the given width: a sharp-edge-free 'uniform' stand-in.
 
         The window is C^1 with finite prior information 4*pi^2/width^2.  The
-        samples are renormalized so the grid mass is exactly 1.
+        samples are renormalized so the grid mass is exactly 1.  A window
+        holding fewer than 3 grid points, narrower than one Simpson panel,
+        raises ValueError.
         """
         if width <= 0.0:
             raise ValueError(f"width must be positive, got {width}")
@@ -173,10 +183,14 @@ class PriorDensity:
         phi = grid.values
         u = phi - center
         inside = np.abs(u) <= width / 2
+        if np.count_nonzero(inside) < 3:
+            raise ValueError(f"cosine window of width {width} holds fewer than 3 grid points "
+                             f"(grid spacing {grid.spacing}); widen it or refine the grid")
         dens = np.where(inside, (2.0 / width) * np.cos(np.pi * u / width) ** 2, 0.0)
         deriv = np.where(inside, -(2.0 * np.pi / width ** 2) * np.sin(2.0 * np.pi * u / width), 0.0)
         mass = integrate(dens, grid)
-        return cls(grid, dens / mass, "tabulated", deriv / mass,
+        dens, deriv = _read_only(dens / mass, deriv / mass)
+        return cls(grid, dens, "tabulated", deriv,
                    params={"window": "cosine", "center": center, "width": width})
 
 
@@ -311,6 +325,24 @@ class JointModel:
         return (self.conditional.dprobs * self.prior.density[None, :]
                 + self.conditional.probs * self.prior.derivative[None, :])
 
+    # Inputs the bounds share, each computed on first access and kept: the
+    # prior and conditional model are frozen and their tables read-only.
+
+    @cached_property
+    def _fisher_under_prior(self) -> np.ndarray:
+        profile = self.conditional.fisher
+        if np.any(profile.divergent & (self.prior.density > 0.0)):
+            raise NumericError("Fisher information diverges where the prior has mass")
+        return _read_only(np.where(profile.divergent, 0.0, profile.values))[0]
+
+    @cached_property
+    def _average_fisher(self) -> float:
+        return integrate(self._fisher_under_prior * self.prior.density, self.grid)
+
+    @cached_property
+    def _prior_l1_total(self) -> float:
+        return _weighted_l1(self, self.prior.density, self.prior.derivative)
+
 
 @dataclass(frozen=True, eq=False)
 class FisherProfile:
@@ -348,11 +380,11 @@ class FisherProfile:
 def _score_terms(p: np.ndarray, pdot: np.ndarray) -> np.ndarray:
     """pdot^2 / p term by term, the one rule of F, P and the CFI: where p <= 0 a term is
     0 if |pdot| <= ``ZERO_DERIV_TOL`` (a zero of p is a minimum), else +inf, as on overflow."""
-    terms = np.zeros_like(p)
-    pos = p > 0.0
-    with np.errstate(over="ignore"):
-        np.divide(pdot * pdot, p, out=terms, where=pos)
-    terms[~pos & (np.abs(pdot) > ZERO_DERIV_TOL)] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = pdot * pdot / p
+    zero = p <= 0.0
+    if zero.any():
+        terms[zero] = np.where(np.abs(pdot[zero]) > ZERO_DERIV_TOL, np.inf, 0.0)
     return terms
 
 
@@ -367,16 +399,23 @@ def fisher_information(model: ConditionalModel) -> FisherProfile:
 
 
 def fisher_under_prior(joint: JointModel) -> np.ndarray:
-    """F(phi) masked against the prior: divergent F under zero prior mass is dropped."""
-    profile = joint.conditional.fisher
-    if np.any(profile.divergent & (joint.prior.density > 0.0)):
-        raise NumericError("Fisher information diverges where the prior has mass")
-    return np.where(profile.divergent, 0.0, profile.values)
+    """F(phi) masked against the prior: divergent F under zero prior mass is dropped.
+
+    Computed once per joint; the array is read-only.
+    """
+    return joint._fisher_under_prior
 
 
 def average_fisher(joint: JointModel) -> float:
-    """Prior-averaged Fisher information, int F(phi) p(phi) dphi."""
-    return integrate(fisher_under_prior(joint) * joint.prior.density, joint.grid)
+    """Prior-averaged Fisher information, int F(phi) p(phi) dphi, computed once per joint."""
+    return joint._average_fisher
+
+
+def _weighted_l1(joint: JointModel, g: np.ndarray, dg: np.ndarray) -> float:
+    """int sqrt(F g^2 + gdot^2) dphi + (g[0] + g[-1]), the jumps of a density or weight g
+    at the grid ends (0 outside the grid); F is masked against the prior."""
+    F = joint._fisher_under_prior
+    return integrate(np.sqrt(F * g * g + dg * dg), joint.grid) + float(g[0] + g[-1])
 
 
 def jeffreys_length(profile: FisherProfile, support: tuple | None = None) -> float:
@@ -398,5 +437,7 @@ def jeffreys_length(profile: FisherProfile, support: tuple | None = None) -> flo
             raise ValueError("support must span an even number of grid subintervals")
     if np.any(profile.divergent[i0:i1 + 1]):
         raise NumericError("Fisher information diverges inside the requested support")
-    sub = ParameterGrid(grid.values[i0], grid.values[i1], i1 - i0 + 1)
+    # linspace ends exactly at upper, so a whole-grid support is the grid itself
+    sub = (grid if (i0, i1) == (0, grid.points - 1)
+           else ParameterGrid(grid.values[i0], grid.values[i1], i1 - i0 + 1))
     return integrate(np.sqrt(profile.values[i0:i1 + 1]), sub)

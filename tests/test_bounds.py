@@ -56,6 +56,52 @@ def gaussian_joint(sigma=0.5, mean=PI / 2, points=2001, span=8.0, model=cos2_mod
     return JointModel(PriorDensity.gaussian(grid, mean, sigma), model(grid))
 
 
+class TestBoundInputsComputedOnce:
+    def test_all_bounds_integrates_each_prior_input_once(self, monkeypatch):
+        import infobounds.bounds as bounds
+        import infobounds.stat_model as stat_model
+        joint = random_joint_model(np.random.default_rng(4), ParameterGrid(0.0, 1.0, 401))
+        F = joint.conditional.fisher.values
+        p, pdot = joint.prior.density, joint.prior.derivative
+        l1_integrand = np.sqrt(F * p * p + pdot * pdot)
+        fisher_times_prior = F * p
+        seen = []
+
+        def counting(samples, grid):
+            seen.append(np.array(samples))
+            return integrate(samples, grid)
+
+        monkeypatch.setattr(stat_model, "integrate", counting)
+        monkeypatch.setattr(bounds, "integrate", counting)
+        first = all_bounds(joint)
+        assert sum(np.array_equal(y, l1_integrand) for y in seen) == 1
+        assert sum(np.array_equal(y, fisher_times_prior) for y in seen) == 1
+        # a second pass over the same joint integrates neither again
+        seen.clear()
+        assert [r.value for r in all_bounds(joint)] == [r.value for r in first]
+        assert not any(np.array_equal(y, l1_integrand) or np.array_equal(y, fisher_times_prior)
+                       for y in seen)
+
+    def test_variational_weight_is_integrated_per_call(self, monkeypatch):
+        import infobounds.bounds as bounds
+        import infobounds.stat_model as stat_model
+        joint = gaussian_joint(points=401)
+        f = np.ones(joint.grid.points)
+        want = mi_bound_variational(joint, f, np.zeros_like(f)).value
+        l1_integrand = np.sqrt(joint.conditional.fisher.values)   # f = 1, fdot = 0
+        seen = []
+
+        def counting(samples, grid):
+            seen.append(np.array(samples))
+            return integrate(samples, grid)
+
+        monkeypatch.setattr(stat_model, "integrate", counting)
+        monkeypatch.setattr(bounds, "integrate", counting)
+        for _ in range(2):
+            assert mi_bound_variational(joint, f, np.zeros_like(f)).value == want
+        assert sum(np.array_equal(y, l1_integrand) for y in seen) == 2
+
+
 class TestBoundReport:
     def test_rejects_unknown_tags(self):
         with pytest.raises(ValueError, match="direction"):

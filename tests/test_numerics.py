@@ -119,6 +119,29 @@ class TestIntegrate:
         with pytest.raises(NumericError, match="index 7"):
             integrate(samples, grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_nonfinite_sample_is_named(self, bad):
+        grid = ParameterGrid(0.0, 1.0, 11)
+        samples = np.ones(11)
+        samples[[3, 8]] = bad
+        samples[9] = np.nan
+        with pytest.raises(NumericError, match=r"non-finite sample at index 3$"):
+            integrate(samples, grid)
+
+    def test_opposite_infinities_are_named(self):
+        grid = ParameterGrid(0.0, 1.0, 11)
+        samples = np.ones(11)
+        samples[5], samples[6] = np.inf, -np.inf
+        with pytest.raises(NumericError, match=r"index 5$"):
+            integrate(samples, grid)
+
+    def test_overflowing_finite_sum_is_inf(self):
+        grid = ParameterGrid(0.0, 10.0, 11)   # weights up to 4/3
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert integrate(np.full(11, 1e308), grid) == math.inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert integrate(np.full(11, -1e308), grid) == -math.inf
+
     def test_linearity(self):
         rng = np.random.default_rng(7)
         grid = ParameterGrid(-1.0, 3.0, 201)

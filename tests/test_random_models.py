@@ -45,6 +45,39 @@ class TestTrigRows:
         assert len(basis) == 3 and len(_trig_basis(ParameterGrid(-0.5, 2.0, 401), 4)) == 4
         assert not any(row.flags.writeable for pair in basis for row in pair)
 
+    def test_normalised_in_the_out_of_place_order(self):
+        grid = ParameterGrid(0.0, 1.0, 401)
+        for seed in range(10):
+            joint = random_joint_model(np.random.default_rng(seed), grid)
+            rng = np.random.default_rng(seed)
+            w, dw = _trig_rows(rng, grid, int(rng.integers(2, 9)), 3, 0.05)
+            total, dtotal = w.sum(axis=0), dw.sum(axis=0)
+            assert joint.conditional.probs.tobytes() == (w / total).tobytes()
+            assert joint.conditional.dprobs.tobytes() == \
+                ((dw * total - w * dtotal) / total ** 2).tobytes()
+
+    def test_fresh_tables_are_kept_not_copied(self, monkeypatch):
+        import infobounds.stat_model as stat_model
+        kept = {}
+        original = stat_model._frozen
+
+        def recording(label, array, *args, **kwargs):
+            out = original(label, array, *args, **kwargs)
+            kept.setdefault(label, []).append(out[0] is array)
+            return out
+
+        monkeypatch.setattr(stat_model, "_frozen", recording)
+        grid = ParameterGrid(0.0, 1.0, 401)
+        rng = np.random.default_rng(0)
+        kinds = set()
+        for _ in range(12):
+            kinds.add(random_joint_model(rng, grid).prior.kind)
+        assert kinds == {"gaussian", "tabulated"}   # both prior builders were used
+        for label in ("probs", "dprobs", "density", "derivative"):
+            assert kept[label] == [True] * 12, label
+        stat_model.PriorDensity.rectangle(grid)
+        assert kept["density"][-1] and kept["derivative"][-1]
+
     def test_same_models_from_a_seed(self):
         grid = ParameterGrid(0.0, 1.0, 201)
         a = random_joint_model(np.random.default_rng(3), grid)

@@ -7,6 +7,7 @@ from infobounds.mi_oracle import repeat_model
 from infobounds.numerics import NumericError, ParameterGrid, integrate, simpson_weights
 from infobounds.quantum_metrology import DensityMatrix, PhaseChannelFamily, plus_minus_povm
 from infobounds.stat_model import (
+    ZERO_DERIV_TOL,
     ConditionalModel,
     FisherProfile,
     JointModel,
@@ -29,6 +30,16 @@ def pi_grid():
 def marginal_outcome(joint):
     """Marginal outcome distribution p_bar(x) = int p(x|phi) p(phi) dphi."""
     return joint.joint_probs() @ simpson_weights(joint.grid)
+
+
+def masked_score_terms(p, pdot):
+    """Reference: the score-term rule as a masked divide into zeros, then an inf mask."""
+    terms = np.zeros_like(p)
+    pos = p > 0.0
+    with np.errstate(over="ignore"):
+        np.divide(pdot * pdot, p, out=terms, where=pos)
+    terms[~pos & (np.abs(pdot) > ZERO_DERIV_TOL)] = np.inf
+    return terms
 
 
 def flat_model(grid, k=2):
@@ -89,6 +100,30 @@ class TestPriorDensity:
         prior = PriorDensity.cosine_window(grid, 1.0, 1.2)
         assert integrate(prior.density, grid) == pytest.approx(1.0, abs=1e-12)
         assert np.all(prior.density[grid.values < 0.39] == 0.0)
+
+    @pytest.mark.parametrize("center", [0.50025, 0.5])
+    def test_cosine_window_narrower_than_a_panel(self, center):
+        # on 2001 points (spacing 5e-4) a 1e-5 window holds no point (at 0.50025)
+        # or one (at 0.5): a 0/0 density, or a spike with P = 0 against 4 pi^2 / w^2
+        grid = ParameterGrid(0.0, 1.0, 2001)
+        with pytest.raises(ValueError, match=r"width 1e-05 holds fewer than 3 grid points "
+                                             r"\(grid spacing 0\.0005\)"):
+            PriorDensity.cosine_window(grid, center, 1e-5)
+
+    def test_cosine_window_of_one_panel(self):
+        grid = ParameterGrid(0.0, 1.0, 2001)
+        prior = PriorDensity.cosine_window(grid, 0.5, 2.5 * grid.spacing)
+        assert np.count_nonzero(prior.density) == 3
+        assert integrate(prior.density, grid) == pytest.approx(1.0, abs=1e-12)
+
+    def test_entropy_matches_a_masked_gather_and_scatter(self, pi_grid):
+        for prior in (PriorDensity.cosine_window(pi_grid, 1.0, 1.2),
+                      PriorDensity.gaussian(pi_grid, 1.5, 0.2), PriorDensity.rectangle(pi_grid)):
+            p = prior.density
+            integrand = np.zeros_like(p)
+            pos = p > 0.0
+            integrand[pos] = -p[pos] * np.log(p[pos])
+            assert prior.entropy == integrate(integrand, pi_grid)
 
     def test_cosine_window_must_fit(self):
         grid = ParameterGrid(0.0, 1.0, 101)
@@ -302,6 +337,21 @@ class TestOneScoreRule:
         if not math.isinf(term):
             assert prior.information == window.information
 
+    def test_bitwise_equal_to_a_masked_divide(self):
+        rng = np.random.default_rng(11)
+        for shape in [(4,), (3, 2001), (8, 101)]:
+            p = rng.uniform(0.0, 1.0, size=shape)
+            pdot = rng.normal(size=shape)
+            zeros = rng.random(size=shape) < 0.2
+            p[zeros] = 0.0
+            # at the zeros of p: slopes on both sides of ZERO_DERIV_TOL, and exact zeros
+            pdot[zeros] *= rng.choice([0.0, 1e-7, 1e-3], size=np.count_nonzero(zeros))
+            assert _score_terms(p, pdot).tobytes() == masked_score_terms(p, pdot).tobytes()
+        cases = [(np.array([0.0, 0.0, 0.0, 0.5, -0.0]), np.array([0.0, 1e-7, 1e-3, 1.0, 1e-3])),
+                 (np.array([1e-300, 1.0, 0.0]), np.array([1e5, -1e5, -1e5]))]  # the overflow
+        for p, pdot in cases:
+            assert _score_terms(p, pdot).tobytes() == masked_score_terms(p, pdot).tobytes()
+
     def test_overflowing_term_is_divergent(self):
         grid = ParameterGrid(0.0, 1.0, 11)
         probs = np.vstack([np.full(grid.points, 0.5), np.full(grid.points, 0.5)])
@@ -383,6 +433,36 @@ class TestCachedFisher:
         np.testing.assert_array_equal(masked[1:-1], model.fisher.values[1:-1])
 
 
+class TestCachedBoundInputs:
+    def test_fisher_under_prior_is_one_read_only_array(self, pi_grid):
+        joint = JointModel(PriorDensity.gaussian(pi_grid, 1.5, 0.3), cos2_model(pi_grid))
+        masked = fisher_under_prior(joint)
+        assert fisher_under_prior(joint) is masked
+        assert not masked.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            masked[0] = 1.0
+
+    def test_average_fisher_is_computed_once(self, pi_grid, monkeypatch):
+        import infobounds.stat_model as stat_model
+        joint = JointModel(PriorDensity.gaussian(pi_grid, 1.5, 0.3), cos2_model(pi_grid))
+        value = average_fisher(joint)
+        monkeypatch.setattr(stat_model, "integrate", None)  # a second integral would fail
+        assert average_fisher(joint) == value
+        assert value == integrate(fisher_under_prior(joint) * joint.prior.density, pi_grid)
+
+    def test_divergence_under_the_prior_raises_on_every_call(self):
+        grid = ParameterGrid(0.0, 1.0, 11)
+        p1 = np.linspace(0.0, 1.0, 11)
+        model = ConditionalModel(grid, np.vstack([1.0 - p1, p1]),
+                                 np.vstack([-np.ones(11), np.ones(11)]), "analytic")
+        joint = JointModel(PriorDensity.rectangle(grid), model)
+        for _ in range(2):
+            with pytest.raises(NumericError, match="diverges where the prior has mass"):
+                fisher_under_prior(joint)
+            with pytest.raises(NumericError, match="diverges where the prior has mass"):
+                average_fisher(joint)
+
+
 class TestJeffreysLength:
     def test_constant_one(self, pi_grid):
         profile = FisherProfile.constant(pi_grid, 1.0)
@@ -393,6 +473,12 @@ class TestJeffreysLength:
         for n in (1, 4, 9):
             profile = FisherProfile.constant(grid, n ** 2)
             assert jeffreys_length(profile) == pytest.approx(2.0 * math.pi * n, rel=1e-12)
+
+    def test_whole_grid_is_the_simpson_integral_on_the_grid(self, pi_grid):
+        profile = fisher_information(cos2_model(pi_grid))
+        want = integrate(np.sqrt(profile.values), pi_grid)
+        assert jeffreys_length(profile) == want
+        assert jeffreys_length(profile, (pi_grid.lower, pi_grid.upper)) == want
 
     def test_sub_support(self, pi_grid):
         profile = FisherProfile.constant(pi_grid, 4.0)
