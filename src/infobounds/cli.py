@@ -352,8 +352,10 @@ def cmd_metrology(args) -> int:
     etas = [float(e) for e in args.eta.split(",") if e]
     if not etas:
         raise ValueError("--eta needs at least one value")
-    n_values = np.unique(np.logspace(0.0, math.log10(args.n_max),
-                                     args.n_count).astype(np.int64))
+    # the sorted distinct values, as np.unique gives them (which would import numpy.ma)
+    n_values = np.array(sorted(set(np.logspace(0.0, math.log10(args.n_max),
+                                               args.n_count).astype(np.int64).tolist())),
+                        dtype=np.int64)
     rows = []
     for eta in etas:
         rows.extend(transition_sweep(eta, n_values, regime=args.regime))

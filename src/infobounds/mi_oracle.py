@@ -16,21 +16,31 @@ rows by their estimate instead of sampling them.
 
 Kernel contract: the type-table kernels may drop work but never change a
 bit of any table, :class:`OracleResult` or :class:`MleStudyPoint` (the
-tests keep the first versions as references).  Over a (rows, points)
-table they make these passes:
+tests keep the first versions as references).  The MLE study holds one
+(types, points) table per sample size and makes these passes over it:
 
-* ``_type_probs``: one matmul for the exponent (the MLE study hands in its
+* ``_type_probs``: one matmul for the exponent (the study hands in its
   scores, the same matrix), one add of ln C(t), -inf only on the zero
   columns of outcomes that have zeros, one fill of the entries at or
   below ``LOG_TINY`` with -inf, one plain ``exp`` in place;
-* ``repeat_model``'s derivative table: per outcome, one product into a
-  reused scratch table, added through a slice where its rows form one run
-  (always for the first outcome), else through an index array;
-* ``_group_sum``: one gather of each group's first row plus 0.0 in place;
-  only groups of more than one row are gathered whole and summed, each in
-  table order;
-* ``_information``: one log, one fill of the zero entries, one multiply,
-  then matrix-vector products.
+* ``_group_in_place``: the rows sorted by estimate in place, following the
+  cycles of the stable ``argsort`` with one spare row; then each run of
+  equal estimates compacted into the leading rows, a one-row group as its
+  row plus 0.0, a longer one as the sum of its rows in table order;
+* ``_information_in_place``: on the grouped rows, the matrix-vector
+  product p @ q and the column sums first, then p overwritten with p ln p
+  in flat chunks through one small scratch (elementwise, so the chunks
+  give the same bits as one pass), then the same matrix-vector product
+  on the whole table (a product over row chunks would not keep the bits).
+
+``_group_sum`` and ``_information`` apply those kernels to a copy, so
+their inputs are left alone.  ``repeat_model``'s derivative table is one
+product per outcome into a reused scratch table, added through a slice
+where its rows form one run (always for the first outcome), else through
+an index array.  :func:`mutual_information` reads q = w p(phi) and
+q ln p(phi) from the prior and the column sums from the conditional model,
+each kept there on first use, and applies ``_information_in_place`` to a
+copy of the conditional table.
 
 The tables ``repeat_model`` and ``merge_outcomes`` build are made
 read-only and handed to :class:`~infobounds.stat_model.ConditionalModel`,
@@ -45,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import simpson_weights
-from .stat_model import ConditionalModel, JointModel, _read_only, average_fisher
+from .stat_model import ConditionalModel, JointModel, _prior_terms, _read_only, average_fisher
 
 __all__ = [
     "BudgetError",
@@ -60,6 +70,7 @@ __all__ = [
 
 
 TYPE_BUDGET = 4096  # default cap on the rows of a type table
+CHUNK = 8192        # entries per pass of the in-place p ln p, a 64 KiB scratch
 LOG_TINY = math.log(np.finfo(float).tiny)  # below this exp(.) is subnormal
 
 
@@ -98,8 +109,9 @@ def mutual_information(joint: JointModel) -> OracleResult:
     p(phi) = 0 or pbar_x = 0 contribute 0.  The joint table p(x|phi) p(phi)
     is never formed.
     """
-    mi, h_posterior = _information(joint.conditional.probs, joint.prior.density,
-                                   simpson_weights(joint.grid))
+    cond = joint.conditional
+    mi, h_posterior = _information_in_place(cond.probs.copy(order="K"), *joint.prior._quadrature,
+                                            cond._colsums)
     return OracleResult(
         mi=mi,
         h_prior=joint.prior.entropy,
@@ -110,27 +122,38 @@ def mutual_information(joint: JointModel) -> OracleResult:
 
 def _information(p: np.ndarray, prior: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     """(I, H(phi|x)) of a bare (K, points) table p(x|phi), prior density and Simpson weights."""
-    q = w * prior
-    with np.errstate(divide="ignore"):
-        plogp = np.log(p)
-    plogp[p == 0.0] = 0.0  # 0 ln 0 = 0
-    plogp *= p
+    return _information_in_place(p.copy(order="K"), *_prior_terms(prior, w), p.sum(axis=0))
+
+
+def _information_in_place(p: np.ndarray, q: np.ndarray, q_log_prior: np.ndarray,
+                          colsums: np.ndarray) -> tuple[float, float]:
+    """(I, H(phi|x)) of a contiguous (K, points) table p(x|phi), overwritten with p ln p.
+
+    ``q`` is w p(phi), ``q_log_prior`` is q ln p(phi) and ``colsums`` is
+    sum_x p(x|phi), as :func:`mutual_information` defines them.
+    """
     pbar = p @ q
+    flat = p.ravel(order="K")  # a view: p is contiguous
+    scratch = np.empty(min(CHUNK, flat.size))
+    with np.errstate(divide="ignore"):
+        for start in range(0, flat.size, CHUNK):
+            chunk = flat[start:start + CHUNK]
+            log = scratch[:chunk.size]
+            np.log(chunk, out=log)
+            log[chunk == 0.0] = 0.0  # 0 ln 0 = 0
+            chunk *= log
     pbar = pbar[pbar > 0.0]
-    mi = float((plogp @ q).sum()) - float(pbar @ np.log(pbar))
-    log_prior = np.zeros_like(prior)
-    np.log(prior, out=log_prior, where=prior > 0.0)
-    return mi, -mi - float((q * log_prior) @ p.sum(axis=0))
+    mi = float((p @ q).sum()) - float(pbar @ np.log(pbar))
+    return mi, -mi - float(q_log_prior @ colsums)
 
 
 def bayes_quadratic_cost(joint: JointModel) -> float:
     """Minimal Bayes MSE, attained by the posterior mean: E_x[ Var(phi|x) ]."""
-    w = simpson_weights(joint.grid)
-    phi = joint.grid.values
+    w_phi, w_phi2 = joint.grid._simpson_moments
     jp = joint.joint_probs()
-    pbar = jp @ w
-    second = float((jp @ (w * phi * phi)).sum())
-    first = jp @ (w * phi)
+    pbar = jp @ simpson_weights(joint.grid)
+    second = float((jp @ w_phi2).sum())
+    first = jp @ w_phi
     pos = pbar > 0.0
     return second - float(np.sum(first[pos] ** 2 / pbar[pos]))
 
@@ -244,19 +267,53 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
 def _group_sum(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Sum the rows of ``table`` that share a key: one row per distinct key, in key order.
 
-    The sort is stable, so each group adds its rows one by one in table order;
-    a one-row group is its row plus 0.0, as ``np.sum`` gives it (-0.0 becomes
-    +0.0).  The result is a fresh array; the sorted table is never formed.
+    A fresh array; see :func:`_group_in_place` for the sums.
+    """
+    out = table.copy()
+    # shrink the copy to its leading rows, which keeps them; no view of it exists
+    out.resize((_group_in_place(out, keys),) + out.shape[1:], refcheck=False)
+    return out
+
+
+def _group_in_place(table: np.ndarray, keys: np.ndarray) -> int:
+    """Sum the rows of a C-contiguous ``table`` that share a key into its leading rows.
+
+    Returns the number of groups; row g then holds the g-th smallest key's
+    group.  The sort is stable, so each group adds its rows one by one in
+    table order; a one-row group is its row plus 0.0, as ``np.sum`` gives it
+    (-0.0 becomes +0.0).  Besides ``table``, the kernel holds one spare row.
     """
     order = np.argsort(keys, kind="stable")
+    # sort the rows: row i takes row order[i], along each cycle of the permutation
+    spare = np.empty_like(table[0])
+    source = order.tolist()
+    for start in range(len(source)):
+        if source[start] == start:
+            continue  # in place, or placed on an earlier cycle
+        spare[...] = table[start]
+        i = start
+        while source[i] != start:
+            nxt = source[i]
+            table[i] = table[nxt]
+            source[i] = i  # placed
+            i = nxt
+        table[i] = spare
+        source[i] = i
     sorted_keys = keys[order]
     starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    out = table[order[starts]]
-    out += 0.0
     ends = np.r_[starts[1:], len(keys)]
-    for g in np.flatnonzero(ends - starts > 1):
-        out[g] = table[order[starts[g]:ends[g]]].sum(axis=0)
-    return out
+    # the one-row groups before the first longer one are already in their rows
+    longer = np.flatnonzero(ends - starts > 1)
+    lead = int(longer[0]) if longer.size else len(starts)
+    np.add(table[:lead], 0.0, out=table[:lead])
+    # every later group g moves to row g <= its first row: the rows it overwrites are read
+    for g, first, end in zip(range(lead, len(starts)), starts[lead:].tolist(),
+                             ends[lead:].tolist()):
+        if end - first == 1:
+            np.add(table[first], 0.0, out=table[g])
+        else:
+            table[g] = table[first:end].sum(axis=0)
+    return len(starts)
 
 
 def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
@@ -305,8 +362,7 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
         if n < 1:
             raise ValueError(f"sample sizes must be >= 1, got {n}")
     probs = joint.conditional.probs
-    prior = joint.prior.density
-    w = simpson_weights(joint.grid)
+    q, q_log_prior = joint.prior._quadrature
     # large finite penalty instead of -inf so unobserved outcomes (count 0)
     # cannot produce 0 * inf
     logp = np.full(probs.shape, -1e15)
@@ -316,13 +372,15 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
     results = []
     for n in n_list:
         types = _types(n, len(probs), TYPE_BUDGET)
-        # types @ logp is also the exponent of p(t|phi): the penalty only
-        # stands where some t_x > 0 meets p_x = 0, which _type_probs zeroes
-        scores = types @ logp
-        mle = np.argmax(scores, axis=1)
-        by_mle = _group_sum(_type_probs(types, probs, scores), mle)
-        del scores  # now the ungrouped table: free it before the log pass reuses memory
-        h = _information(by_mle, prior, w)[1]
+        # the one table of this n: the scores, then p(t|phi), then the rows
+        # grouped by estimate, then their p ln p.  types @ logp is also the
+        # exponent of p(t|phi): the penalty only stands where some t_x > 0
+        # meets p_x = 0, which _type_probs zeroes
+        table = types @ logp
+        mle = np.argmax(table, axis=1)
+        _type_probs(types, probs, table)
+        by_mle = table[:_group_in_place(table, mle)]
+        h = _information_in_place(by_mle, q, q_log_prior, by_mle.sum(axis=0))[1]
         asymptote = -0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e))
         results.append(MleStudyPoint(n=int(n), h_conditional=h, asymptote=asymptote,
                                      gap=abs(h - asymptote)))

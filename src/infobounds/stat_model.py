@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import NumericError, ParameterGrid, central_difference, integrate
+from .numerics import NumericError, ParameterGrid, central_difference, integrate, simpson_weights
 
 __all__ = [
     "ConditionalModel",
@@ -126,6 +126,12 @@ class PriorDensity:
         return integrate(integrand, self.grid)
 
     @cached_property
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q, q ln p) with q = w p, w the Simpson weights: the prior terms of the
+        MI oracle, computed on first access and read-only."""
+        return _read_only(*_prior_terms(self.density, simpson_weights(self.grid)))
+
+    @cached_property
     def information(self) -> float:
         """Prior information P = int pdot^2 / p dphi; inf flags divergence.
 
@@ -180,18 +186,33 @@ class PriorDensity:
             raise ValueError(f"width must be positive, got {width}")
         if center - width / 2 < grid.lower - 1e-12 or center + width / 2 > grid.upper + 1e-12:
             raise ValueError("cosine window support must lie inside the grid")
-        phi = grid.values
-        u = phi - center
-        inside = np.abs(u) <= width / 2
-        if np.count_nonzero(inside) < 3:
+        u = grid.values - center
+        # u ascends, so the points with |u| <= width / 2 are one slice; the
+        # window is evaluated there only, and is 0 elsewhere
+        lo = int(np.searchsorted(u, -width / 2, side="left"))
+        hi = int(np.searchsorted(u, width / 2, side="right"))
+        if hi - lo < 3:
             raise ValueError(f"cosine window of width {width} holds fewer than 3 grid points "
                              f"(grid spacing {grid.spacing}); widen it or refine the grid")
-        dens = np.where(inside, (2.0 / width) * np.cos(np.pi * u / width) ** 2, 0.0)
-        deriv = np.where(inside, -(2.0 * np.pi / width ** 2) * np.sin(2.0 * np.pi * u / width), 0.0)
+        u = u[lo:hi]
+        dens = np.zeros(grid.points)
+        deriv = np.zeros(grid.points)
+        dens[lo:hi] = (2.0 / width) * np.cos(np.pi * u / width) ** 2
+        deriv[lo:hi] = -(2.0 * np.pi / width ** 2) * np.sin(2.0 * np.pi * u / width)
         mass = integrate(dens, grid)
-        dens, deriv = _read_only(dens / mass, deriv / mass)
+        dens[lo:hi] /= mass
+        deriv[lo:hi] /= mass
+        dens, deriv = _read_only(dens, deriv)
         return cls(grid, dens, "tabulated", deriv,
                    params={"window": "cosine", "center": center, "width": width})
+
+
+def _prior_terms(density: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(q, q ln p) of a prior density p and quadrature weights w, q = w p, with 0 ln 0 = 0."""
+    q = w * density
+    log_p = np.zeros_like(density)
+    np.log(density, out=log_p, where=density > 0.0)
+    return q, q * log_p
 
 
 def cosine_plateau(grid: ParameterGrid, flat_lower: float, flat_upper: float,
@@ -229,8 +250,10 @@ class ConditionalModel:
     ``probs`` and ``dprobs`` are (K, points) arrays over the grid, stored
     read-only by :func:`_frozen`: finite, ``probs`` nonnegative, shared with
     the caller only when already read-only float64 arrays owning their data.
-    ``derivative_source`` records whether ``dprobs`` came from an analytic
-    closure or from :func:`~infobounds.numerics.central_difference`.
+    The column sums sum_x p(x|phi) that validation takes are kept, read-only,
+    for the MI oracle.  ``derivative_source`` records whether ``dprobs`` came
+    from an analytic closure or from
+    :func:`~infobounds.numerics.central_difference`.
     Models compare and hash by identity: their fields include arrays.
     """
 
@@ -262,6 +285,7 @@ class ConditionalModel:
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "dprobs", dp)
         object.__setattr__(self, "outcomes", tuple(outcomes))
+        object.__setattr__(self, "_colsums", _read_only(colsums)[0])
 
     @property
     def n_outcomes(self) -> int:
@@ -373,8 +397,18 @@ class FisherProfile:
         # endpoints skipped: the 0/0 -> 0 rule can zero F at an end of an analytic family
         interior = self.values[1:-1][~self.divergent[1:-1]]
         if interior.size and np.ptp(interior) <= 1e-6 * max(1.0, float(np.max(interior))):
-            return float(np.median(interior))
+            return _median(interior)
         return None
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-D array, from ``np.partition``: np.median imports
+    numpy.ma, some 15 ms of a CLI call."""
+    mid = a.size // 2
+    if a.size % 2:
+        return float(np.partition(a, mid)[mid])
+    low, high = np.partition(a, (mid - 1, mid))[mid - 1:mid + 1]
+    return float((low + high) / 2.0)
 
 
 def _score_terms(p: np.ndarray, pdot: np.ndarray) -> np.ndarray:

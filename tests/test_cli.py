@@ -117,6 +117,27 @@ class TestStartup:
         assert "gaussian-prior-mse-simplified" in table
 
 
+NO_MASKED_ARRAYS_SCRIPT = """
+import contextlib, io, json, sys
+import infobounds.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert infobounds.cli.main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+
+
+class TestNoMaskedArrays:
+    def test_golden_commands_leave_numpy_ma_unimported(self):
+        # importing numpy.ma takes some 15 ms of a CLI call; np.median and np.unique load it
+        src = str(Path(infobounds.__file__).resolve().parents[1])
+        argvs = json.dumps([GOLDEN_COMMANDS[name] for name in sorted(GOLDEN_COMMANDS)])
+        proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS_SCRIPT, argvs],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestPriorQuantitiesOnce:
     @pytest.mark.parametrize("model", ["cos2", "cos2-gaussian"])
     def test_bounds_command(self, model, prior_calls, capsys):

@@ -1,17 +1,20 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from infobounds.mi_oracle import (
+    CHUNK,
     LOG_TINY,
     TYPE_BUDGET,
     BudgetError,
     MleStudyPoint,
     _group_sum,
     _information,
+    _information_in_place,
     _type_probs,
     _types,
     bayes_quadratic_cost,
@@ -570,6 +573,84 @@ class TestKernelsBitwise:
     def test_study_row_at_512(self):
         joint = gaussian_cos2(points=201)
         assert mle_convergence_study(joint, [512]) == [reference_study_row(joint, 512)]
+
+
+class TestInPlaceKernels:
+    """The kernels that group and take p ln p in place, against the references."""
+
+    def test_group_sum_with_signed_zeros_and_long_cycles(self):
+        rng = np.random.default_rng(19)
+        values = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 1e-300, -2.5])
+        for _ in range(300):
+            rows = int(rng.integers(1, 40))
+            table = rng.choice(values, size=(rows, int(rng.integers(1, 9))))
+            table.setflags(write=False)  # the kernel works on a copy
+            for keys in (rng.integers(0, int(rng.integers(1, rows + 1)), rows),
+                         np.roll(np.arange(rows), 1),   # one cycle through every row
+                         np.arange(rows)[::-1]):        # cycles of two rows
+                assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
+
+    @pytest.mark.parametrize("tail", range(16))
+    def test_p_log_p_in_chunks(self, tail):
+        # the chunks must give the bits of one whole-array pass, whatever the tail
+        rng = np.random.default_rng(tail)
+        for size in {tail, 2 * CHUNK + tail} - {0}:
+            p = rng.random((1, size))
+            p[0, rng.integers(0, size, 1 + size // 50)] = 0.0
+            p[0, rng.integers(0, size, 1 + size // 50)] = -0.0
+            p[0, rng.integers(0, size, 1 + size // 50)] = 1e-310
+            with np.errstate(divide="ignore"):
+                want = np.log(p)
+            want[p == 0.0] = 0.0
+            want *= p
+            prior, w = rng.random(size), rng.random(size)
+            p.setflags(write=False)
+            assert _information(p, prior, w) == reference_information(p, prior, w)
+            table = p.copy()
+            q = w * prior
+            _information_in_place(table, q, q, table.sum(axis=0))
+            assert_same_bits(table, want)
+
+    def test_erasure_at_64_samples(self):
+        # 2145 types over 3 outcomes, with zeros in two outcomes
+        joint = kernel_model("erasure")
+        assert mle_convergence_study(joint, [64]) == [reference_study_row(joint, 64)]
+        table = repeat_model(joint, 64).conditional.probs
+        keys = np.argmax(np.array(_types(64, 3, TYPE_BUDGET)) @ penalized_log(
+            joint.conditional.probs), axis=1)
+        assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
+
+
+def traced_peak(call):
+    """Peak bytes that ``call()`` holds above what was allocated before it, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestAllocationPeak:
+    """A warm oracle call holds one table at a time (glibc returns a freed heap top, so
+    each extra table costs page faults on every call)."""
+
+    def test_study_holds_one_table_per_sample_size(self):
+        joint = cos2_uniform(2001)
+        mle_convergence_study(joint, [64])
+        table = 65 * 2001 * 8
+        assert traced_peak(lambda: mle_convergence_study(joint, [64])) <= 1.3 * table
+
+    def test_mutual_information_holds_one_table(self):
+        joint = cos2_uniform(20001)
+        mutual_information(joint)
+        table = 2 * 20001 * 8
+        assert traced_peak(lambda: mutual_information(joint)) <= 1.3 * table
 
 
 class TestSampleSizeType:

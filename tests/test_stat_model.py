@@ -18,6 +18,7 @@ from infobounds.stat_model import (
     fisher_information,
     fisher_under_prior,
     jeffreys_length,
+    _median,
     _score_terms,
 )
 
@@ -173,6 +174,55 @@ class TestPriorDensity:
         away = (np.abs(grid.values - 0.25) > 3 * grid.spacing) \
             & (np.abs(grid.values - 1.75) > 3 * grid.spacing)
         np.testing.assert_allclose(tab.derivative[away], ref.derivative[away], atol=1e-3)
+
+
+def reference_cosine_window(grid, center, width):
+    """(density, derivative) of the cosine window as first written: evaluated on the
+    whole grid, then masked to the window."""
+    u = grid.values - center
+    inside = np.abs(u) <= width / 2
+    dens = np.where(inside, (2.0 / width) * np.cos(np.pi * u / width) ** 2, 0.0)
+    deriv = np.where(inside, -(2.0 * np.pi / width ** 2) * np.sin(2.0 * np.pi * u / width), 0.0)
+    mass = integrate(dens, grid)
+    return dens / mass, deriv / mass
+
+
+class TestCosineWindowSlice:
+    """The window is evaluated on its slice of the grid only, with the same bytes."""
+
+    @pytest.mark.parametrize("points", [101, 201, 1001, 2001, 4001])
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (0.0, math.pi), (-7.5, 12.25)])
+    def test_bytes_match_the_whole_grid_formula(self, points, lower, upper):
+        grid = ParameterGrid(lower, upper, points)
+        span = upper - lower
+        rng = np.random.default_rng(points)
+        # 200 random windows, then ones whose edges fall on grid points, and the whole grid
+        widths = list(rng.uniform(0.05, 1.0, 200) * span)
+        centers = [rng.uniform(lower + w / 2, upper - w / 2) for w in widths]
+        for k in (2, 10, (points - 1) // 2):
+            widths.append(2 * k * grid.spacing)
+            centers.append(float(grid.values[points // 2]))
+        widths.append(span)
+        centers.append(lower + span / 2)
+        for center, width in zip(centers, widths):
+            want = reference_cosine_window(grid, center, width)
+            if np.count_nonzero(want[0] != 0.0) < 3:
+                continue
+            prior = PriorDensity.cosine_window(grid, center, width)
+            assert prior.density.tobytes() == want[0].tobytes()
+            assert prior.derivative.tobytes() == want[1].tobytes()
+
+
+class TestMedian:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 999, 1000, 1999])
+    def test_same_bits_as_numpy_median(self, size):
+        rng = np.random.default_rng(size)
+        for a in (rng.normal(size=size), rng.integers(0, 4, size).astype(float),
+                  1.0 + rng.uniform(-1e-7, 1e-7, size), rng.uniform(0.0, 1e300, size)):
+            want = np.median(a)
+            have = _median(a)
+            assert type(have) is float
+            assert np.float64(have).tobytes() == want.tobytes()
 
 
 class TestCosinePlateau:
