@@ -37,10 +37,11 @@ tests keep the first versions as references).  The MLE study holds one
 their inputs are left alone.  ``repeat_model``'s derivative table is one
 product per outcome into a reused scratch table, added through a slice
 where its rows form one run (always for the first outcome), else through
-an index array.  :func:`mutual_information` reads q = w p(phi) and
-q ln p(phi) from the prior and the column sums from the conditional model,
-each kept there on first use, and applies ``_information_in_place`` to a
-copy of the conditional table.
+an index array.  The oracles read q = w p(phi), q ln p(phi), q phi and
+q phi^2 from the prior and the column sums from the conditional model, each
+kept there on first use; no oracle forms the joint table p(x|phi) p(phi).
+:func:`mutual_information` applies ``_information_in_place`` to a copy of
+the conditional table.
 
 The tables ``repeat_model`` and ``merge_outcomes`` build are made
 read-only and handed to :class:`~infobounds.stat_model.ConditionalModel`,
@@ -54,7 +55,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import simpson_weights
 from .stat_model import ConditionalModel, JointModel, _prior_terms, _read_only, average_fisher
 
 __all__ = [
@@ -106,12 +106,12 @@ def mutual_information(joint: JointModel) -> OracleResult:
     where pbar = p @ q and s(phi) = sum_x p(x|phi) are the measured column
     sums (1 to within validation tolerance; using them keeps H(phi|x) equal
     to the quadrature of its own integrand).  Terms with p(x|phi) = 0,
-    p(phi) = 0 or pbar_x = 0 contribute 0.  The joint table p(x|phi) p(phi)
-    is never formed.
+    p(phi) = 0 or pbar_x = 0 contribute 0.  Neither this nor
+    :func:`bayes_quadratic_cost` forms the joint table p(x|phi) p(phi).
     """
     cond = joint.conditional
-    mi, h_posterior = _information_in_place(cond.probs.copy(order="K"), *joint.prior._quadrature,
-                                            cond._colsums)
+    mi, h_posterior = _information_in_place(
+        cond.probs.copy(order="K"), *joint.prior._quadrature[:2], cond._colsums)
     return OracleResult(
         mi=mi,
         h_prior=joint.prior.entropy,
@@ -148,14 +148,16 @@ def _information_in_place(p: np.ndarray, q: np.ndarray, q_log_prior: np.ndarray,
 
 
 def bayes_quadratic_cost(joint: JointModel) -> float:
-    """Minimal Bayes MSE, attained by the posterior mean: E_x[ Var(phi|x) ]."""
-    w_phi, w_phi2 = joint.grid._simpson_moments
-    jp = joint.joint_probs()
-    pbar = jp @ simpson_weights(joint.grid)
-    second = float((jp @ w_phi2).sum())
-    first = jp @ w_phi
+    """Minimal Bayes MSE, attained by the posterior mean: E_x[ Var(phi|x) ].
+
+    With q, pbar = p @ q and s as in :func:`mutual_information`, it is
+    (q phi^2) . s - sum_x (p @ q phi)_x^2 / pbar_x over the x with pbar_x > 0.
+    """
+    q, _, q_phi, q_phi2 = joint.prior._quadrature
+    p = joint.conditional.probs
+    pbar, first = p @ q, p @ q_phi
     pos = pbar > 0.0
-    return second - float(np.sum(first[pos] ** 2 / pbar[pos]))
+    return float(q_phi2 @ joint.conditional._colsums) - float(np.sum(first[pos] ** 2 / pbar[pos]))
 
 
 def _types(n: int, k: int, budget: int) -> np.ndarray:
@@ -362,7 +364,7 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
         if n < 1:
             raise ValueError(f"sample sizes must be >= 1, got {n}")
     probs = joint.conditional.probs
-    q, q_log_prior = joint.prior._quadrature
+    q, q_log_prior = joint.prior._quadrature[:2]
     # large finite penalty instead of -inf so unobserved outcomes (count 0)
     # cannot produce 0 * inf
     logp = np.full(probs.shape, -1e15)

@@ -77,15 +77,6 @@ class ParameterGrid:
         w.setflags(write=False)
         return w
 
-    @cached_property
-    def _simpson_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w phi, w phi^2), the quadrature weights of the first two moments (read-only)."""
-        w_phi = self._simpson_weights * self.values
-        w_phi2 = w_phi * self.values
-        w_phi.setflags(write=False)
-        w_phi2.setflags(write=False)
-        return w_phi, w_phi2
-
     def refine(self, factor: int = 2) -> "ParameterGrid":
         """Same interval with ``factor`` times as many subintervals."""
         if factor < 1:

@@ -34,7 +34,7 @@ __all__ = [
 MASS_TOL = 1e-6        # prior and joint normalization
 OUTCOME_TOL = 1e-9     # sum_x p(x|phi) = 1 at every grid point
 DERIV_SUM_TOL = 1e-6   # sum_x dp(x|phi)/dphi = 0 at every grid point
-ZERO_DERIV_TOL = 1e-6  # |pdot| where p = 0 (in F, P and the CFI), or an end density, counts as 0
+ZERO_DERIV_TOL = 1e-6  # |pdot| where p = 0 (F, P, CFI) or end density * (upper - lower) is 0
 PRIOR_PARAMS = {"rectangle": ("width",), "gaussian": ("sigma",), "tabulated": ()}  # required params
 
 
@@ -126,22 +126,25 @@ class PriorDensity:
         return integrate(integrand, self.grid)
 
     @cached_property
-    def _quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """(q, q ln p) with q = w p, w the Simpson weights: the prior terms of the
-        MI oracle, computed on first access and read-only."""
-        return _read_only(*_prior_terms(self.density, simpson_weights(self.grid)))
+    def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(q, q ln p, q phi, q phi^2) with q = w p, w the Simpson weights: the prior
+        terms of the MI and Bayes-cost oracles, computed on first access and read-only."""
+        q, q_log_prior = _prior_terms(self.density, simpson_weights(self.grid))
+        q_phi = q * self.grid.values
+        return _read_only(q, q_log_prior, q_phi, q_phi * self.grid.values)
 
     @cached_property
     def information(self) -> float:
         """Prior information P = int pdot^2 / p dphi; inf flags divergence.
 
-        A jump diverges it (pdot != 0 where p = 0, or an end density above
-        ``ZERO_DERIV_TOL``): P then measures edge sharpness rather than width,
-        the failure mode the MI-based bounds avoid.  Computed on first access.
+        A jump diverges it (pdot != 0 where p = 0, or an end density x span above
+        ``ZERO_DERIV_TOL``, free of units): P then measures edge sharpness, not
+        width, the failure mode the MI-based bounds avoid.  Computed on first access.
         """
         p = self.density
         terms = _score_terms(p, self.derivative)
-        if max(p[0], p[-1]) > ZERO_DERIV_TOL or np.isinf(terms).any():
+        span = self.grid.upper - self.grid.lower
+        if max(p[0], p[-1]) * span > ZERO_DERIV_TOL or np.isinf(terms).any():
             return math.inf
         return integrate(terms, self.grid)
 
@@ -396,7 +399,7 @@ class FisherProfile:
         """Median of F if its interior points agree to 1e-6 relative, else None."""
         # endpoints skipped: the 0/0 -> 0 rule can zero F at an end of an analytic family
         interior = self.values[1:-1][~self.divergent[1:-1]]
-        if interior.size and np.ptp(interior) <= 1e-6 * max(1.0, float(np.max(interior))):
+        if interior.size and np.ptp(interior) <= 1e-6 * np.max(interior):
             return _median(interior)
         return None
 

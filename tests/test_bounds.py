@@ -28,7 +28,7 @@ from infobounds.bounds import (
 )
 from infobounds.cli import build_builtin
 from infobounds.mi_oracle import bayes_quadratic_cost, mutual_information
-from infobounds.numerics import ParameterGrid, integrate
+from infobounds.numerics import NumericError, ParameterGrid, integrate
 from infobounds.quantum_metrology import mi_cap
 from infobounds.random_models import random_joint_model
 from infobounds.stat_model import (
@@ -692,3 +692,48 @@ class TestBoundRegistry:
         all_bounds(joint)
         all_bounds(joint)
         assert calls == [joint.conditional]
+
+
+BUILTINS = ["cos2", "cos2-gaussian", "noon", "dephasing-qubit", "ampdamp-qubit", "erasure-qutrit"]
+SCALES = [1e-9, 1e-3, 1e3, 1e9]
+
+
+def rescaled(joint, a):
+    """``joint`` in the parameter a * phi: the grid and prior scaled, dp/dphi divided by a."""
+    grid = joint.grid
+    scaled = ParameterGrid(a * grid.lower, a * grid.upper, grid.points)
+    prior = joint.prior
+    if prior.kind == "rectangle":
+        prior = PriorDensity.rectangle(scaled)
+    else:
+        prior = PriorDensity.gaussian(scaled, a * prior.params["mean"], a * prior.params["sigma"])
+    cond = joint.conditional
+    return JointModel(prior, ConditionalModel(scaled, cond.probs, cond.dprobs / a,
+                                              cond.derivative_source, cond.outcomes))
+
+
+def rescaling_cases():
+    for name in BUILTINS:
+        for a in SCALES:
+            marks = ()
+            if (name, a) == ("noon", 1e-9):
+                marks = pytest.mark.xfail(strict=True, raises=NumericError,
+                                          reason="the p = 0 rule of F compares |pdot| (units "
+                                                 "1/phi) with an absolute tolerance; ROADMAP "
+                                                 "direction 1 makes it units-free")
+            yield pytest.param(name, a, marks=marks, id=f"{name}-{a:g}")
+
+
+@pytest.mark.parametrize("name, a", rescaling_cases())
+def test_rescaling_phi_keeps_flags_and_scales_mse_bounds(name, a):
+    # phi -> a phi leaves every MI bound unchanged and scales every MSE bound by a^2
+    joint = build_builtin(name)
+    want = all_bounds(joint)
+    have = all_bounds(rescaled(joint, a))
+    assert [(r.name, r.flags) for r in have] == [(r.name, r.flags) for r in want]
+    for got, ref in zip(have, want):
+        if ref.value is None:
+            assert got.value is None, got.name
+            continue
+        scale = 1.0 if ref.direction == UPPER_MI else a * a
+        assert abs(got.value / scale - ref.value) <= 1e-12 * abs(ref.value), got.name

@@ -299,6 +299,34 @@ class TestBoundsCommand:
         assert mse["flags"] == ""
         assert 0.0 < float(mse["value"]) <= float(rows["oracle-bayes-mse"]["value"])
 
+    def test_rescaled_model_file_keeps_its_flags(self, tmp_path):
+        # the same binary model on [0, pi] and on [0, pi 1e7]: P diverges for both
+        # rectangles and F is not constant, whatever the units of phi
+        rows = {}
+        for scale in (1.0, 1e7):
+            grid = ParameterGrid(0.0, PI * scale, 201)
+            p1 = 0.5 + 0.45 * np.cos(grid.values / scale)
+            path = tmp_path / f"model-{scale:g}.json"
+            path.write_text(json.dumps({
+                "grid": {"lower": 0.0, "upper": PI * scale, "points": 201},
+                "prior": {"kind": "rectangle"},
+                "conditional": {"matrix": [(1.0 - p1).tolist(), p1.tolist()]}}))
+            out = tmp_path / f"bounds-{scale:g}.csv"
+            assert run(["bounds", "--model", str(path), "--out", str(out)]) == 0
+            rows[scale] = {r["name"]: r for r in read_csv(str(out))}
+        assert {n: r["flags"] for n, r in rows[1e7].items()} == {
+            n: r["flags"] for n, r in rows[1.0].items()}
+        assert "mse-rectangle-closed-form" not in rows[1e7]
+        oracle_mi = float(rows[1e7]["oracle-mi"]["value"])
+        oracle_mse = float(rows[1e7]["oracle-bayes-mse"]["value"])
+        for row in rows[1e7].values():
+            if not row["value"] or row["direction"] == "oracle":
+                continue
+            if row["direction"] == "upper-bound-on-MI":
+                assert float(row["value"]) >= oracle_mi, row["name"]
+            else:
+                assert float(row["value"]) <= oracle_mse, row["name"]
+
     def test_stdout_table(self, capsys):
         assert run(["bounds", "--model", "cos2", "--grid-points", "401"]) == 0
         captured = capsys.readouterr().out

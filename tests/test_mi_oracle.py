@@ -181,6 +181,27 @@ def test_matches_two_ratio_quadrature(joint):
     assert result.h_posterior == pytest.approx(h_posterior, abs=1e-12)
 
 
+def longdouble_bayes_cost(joint):
+    """E_x Var(phi|x) from the joint table p(x|phi) p(phi), in ``np.longdouble``."""
+    ld = np.longdouble
+    jp = joint.conditional.probs.astype(ld) * joint.prior.density.astype(ld)
+    w = simpson_weights(joint.grid).astype(ld)
+    phi = joint.grid.values.astype(ld)
+    pbar, first = jp @ w, jp @ (w * phi)
+    pos = pbar > 0.0
+    return float((jp @ (w * phi * phi)).sum() - (first[pos] ** 2 / pbar[pos]).sum())
+
+
+def bayes_cost_cases():
+    # the first 20 models of ``verify``, a 20001-point table and n-sample type tables
+    rng = np.random.default_rng(42)
+    grid = ParameterGrid(0.0, 1.0, 2001)
+    cases = [pytest.param(random_joint_model(rng, grid), id=f"verify-{i}") for i in range(20)]
+    cases.append(pytest.param(cos2_uniform(20001), id="cos2-20001"))
+    return cases + [pytest.param(repeat_model(cos2_uniform(2001), n), id=f"cos2-x{n}")
+                    for n in (4, 8, 10)]
+
+
 class TestBayesQuadraticCost:
     def test_rectangle_no_measurement(self):
         d = 3.0
@@ -198,6 +219,11 @@ class TestBayesQuadraticCost:
         joint = cos2_uniform(1001)
         assert mutual_information(joint).bayes_mse == pytest.approx(
             bayes_quadratic_cost(joint), abs=1e-12)
+
+    @pytest.mark.parametrize("joint", bayes_cost_cases())
+    def test_matches_extended_precision_joint_table(self, joint):
+        want = longdouble_bayes_cost(joint)
+        assert abs(bayes_quadratic_cost(joint) - want) <= 1e-11 * want
 
 
 class TestRepeatModel:
@@ -645,6 +671,12 @@ class TestAllocationPeak:
         mle_convergence_study(joint, [64])
         table = 65 * 2001 * 8
         assert traced_peak(lambda: mle_convergence_study(joint, [64])) <= 1.3 * table
+
+    def test_bayes_cost_holds_no_table(self):
+        joint = cos2_uniform(20001)
+        bayes_quadratic_cost(joint)
+        table = 2 * 20001 * 8
+        assert traced_peak(lambda: bayes_quadratic_cost(joint)) <= 0.1 * table
 
     def test_mutual_information_holds_one_table(self):
         joint = cos2_uniform(20001)
