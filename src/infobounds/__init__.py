@@ -57,7 +57,7 @@ from .quantum_metrology import (
     random_povm,
     transition_sweep,
 )
-from .random_models import near_deterministic_model, random_joint_model
+from .random_models import random_joint_model
 from .stat_model import (
     ConditionalModel,
     FisherProfile,

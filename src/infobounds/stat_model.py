@@ -432,7 +432,7 @@ def fisher_information(model: ConditionalModel) -> FisherProfile:
     families); p = 0 with pdot != 0 marks the grid point divergent.
     """
     values = _score_terms(model.probs, model.dprobs).sum(axis=0)
-    return FisherProfile(model.grid, values, np.isinf(values))
+    return FisherProfile(model.grid, *_read_only(values, np.isinf(values)))
 
 
 def fisher_under_prior(joint: JointModel) -> np.ndarray:

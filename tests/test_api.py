@@ -50,7 +50,6 @@ EXPORTS = [
     "mse_bound_finite_support",
     "mse_bound_general_prior",
     "mutual_information",
-    "near_deterministic_model",
     "noon_family",
     "noon_outcome_model",
     "oracle_margin",

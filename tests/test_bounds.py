@@ -577,7 +577,7 @@ class TestGaussianPriorMseBounds:
 def test_adversarial_near_deterministic_model():
     # probabilities clipped at 1e-9: the Fisher information spikes but stays
     # finite, and every bound still dominates its oracle
-    from infobounds.random_models import near_deterministic_model
+    from test_mi_oracle import near_deterministic_model
     from infobounds.stat_model import fisher_information as fi
 
     grid = ParameterGrid(0.0, 1.0, 2001)

@@ -25,7 +25,7 @@ from infobounds.mi_oracle import (
 )
 from infobounds.numerics import ParameterGrid, simpson_weights
 from infobounds.quantum_metrology import channel_outcome_model
-from infobounds.random_models import near_deterministic_model, random_joint_model
+from infobounds.random_models import random_joint_model
 from infobounds.stat_model import (
     OUTCOME_TOL,
     ConditionalModel,
@@ -36,6 +36,30 @@ from infobounds.stat_model import (
 )
 
 PI = math.pi
+
+
+def near_deterministic_model(grid: ParameterGrid, clip: float = 1e-9,
+                             width: float = 1e-2) -> JointModel:
+    """Adversarial binary model: a logistic step with probabilities clipped at ``clip``.
+
+    The Fisher information spikes to order 1/clip around the step, which
+    stresses the bound-versus-oracle comparisons without ever dividing by
+    zero.
+    """
+    if not 0.0 < clip < 0.5:
+        raise ValueError(f"clip must be in (0, 0.5), got {clip}")
+    phi = grid.values
+    center = 0.5 * (grid.lower + grid.upper)
+    s = 1.0 / (1.0 + np.exp(-(phi - center) / width))
+    ds = s * (1.0 - s) / width
+    scale = 1.0 - 2.0 * clip
+    p1 = clip + scale * s
+    d1 = scale * ds
+    conditional = ConditionalModel(grid, np.vstack([1.0 - p1, p1]),
+                                   np.vstack([-d1, d1]), "analytic")
+    sigma = (grid.upper - grid.lower) / 16.0
+    prior = PriorDensity.gaussian(grid, center, sigma)
+    return JointModel(prior, conditional)
 
 
 def flat_model(grid, k=2):

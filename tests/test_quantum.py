@@ -6,6 +6,7 @@ import pytest
 from infobounds.mi_oracle import mutual_information
 from infobounds.numerics import ParameterGrid
 from infobounds.quantum_metrology import (
+    CHANNEL_KINDS,
     DensityMatrix,
     PhaseChannelFamily,
     Povm,
@@ -21,6 +22,7 @@ from infobounds.quantum_metrology import (
     random_povm,
     transition_sweep,
     _family_outcome_model,
+    _phase_tables,
 )
 from infobounds.stat_model import ZERO_DERIV_TOL, JointModel, PriorDensity
 
@@ -383,6 +385,13 @@ class TestTransitionSweep:
         rows = transition_sweep(0.9, self.NS[:40], regime="asymptotic")
         for row in rows:
             assert row["slope"] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("regime", ["finite-N", "asymptotic"])
+    def test_every_row_is_mi_cap_bitwise(self, regime):
+        # a vector np.log1p differs from math.log1p in the last bit on some CPUs
+        for eta in (0.1, 0.5, 0.9, 0.99):
+            for row in transition_sweep(eta, range(1, 400), regime):
+                assert row["mi_cap_nats"] == mi_cap(row["N"], eta, regime).value, row
 
 
 class TestNoonOutcomeModel:
@@ -779,6 +788,72 @@ class TestTrigSymmetry:
                 f"np.sin is not odd bitwise at winding {winding} on {points} points"
 
 
+def reference_random_povm(rng, dim, n_outcomes):
+    """``random_povm`` as a loop over outcomes, its first form: two normal
+    draws per outcome, a Python sum, one sandwich per element."""
+    raw = []
+    for _ in range(n_outcomes):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raw.append(a @ a.conj().T)
+    total = sum(raw)
+    evals, evecs = np.linalg.eigh(total)
+    inv_sqrt = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
+    return Povm(tuple(inv_sqrt @ e @ inv_sqrt for e in raw))
+
+
+class TestPhaseCovariance:
+    # every noise kind commutes with the gate, which is what lets the QFI be
+    # computed once per family; a kind that does not must fail here
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    @pytest.mark.parametrize("gates", [1, 3, 16])
+    def test_states_are_gate_conjugates_of_phase_zero(self, kind, gates):
+        rng = np.random.default_rng(gates)
+        for _ in range(5):
+            family, _ = random_family_and_povm(rng, kind, gates)
+            rho0, drho0 = family.state(0.0), family.derivative(0.0)
+            for phi in rng.uniform(-PI, 3.0 * PI, 4):
+                u = phase_gate(gates * phi, rho0.shape[0])
+                for have, at_zero in ((family.state(phi), rho0), (family.derivative(phi), drho0)):
+                    want = u @ at_zero @ u.conj().T
+                    assert np.max(np.abs(have - want)) <= 1e-15 * np.linalg.norm(at_zero)
+
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
+    def test_qfi_is_the_same_float_at_every_phase(self, kind):
+        rng = np.random.default_rng(11)
+        family, _ = random_family_and_povm(rng, kind, int(rng.integers(1, 17)))
+        at_zero = qfi(family, 0.0)
+        assert all(qfi(family, float(phi)) == at_zero for phi in rng.uniform(-10.0, 10.0, 8))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_outcomes", [2, 3, 4, 5, 6])
+    def test_random_povm_bits_equal_the_loop(self, dim, n_outcomes):
+        for seed in range(20):
+            povm = random_povm(np.random.default_rng(seed), dim, n_outcomes)
+            reference = reference_random_povm(np.random.default_rng(seed), dim, n_outcomes)
+            assert povm._stack.tobytes() == reference._stack.tobytes()
+
+    def test_phase_tables_are_built_once_per_grid(self, monkeypatch):
+        def counted(f):
+            def call(*args, **kwargs):
+                calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return call
+
+        calls = []
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        first = channel_outcome_model("erasure", 0.8, ParameterGrid(0.25, 0.25 + 2.0 * PI, 1201))
+        assert calls
+        calls.clear()
+        again = channel_outcome_model("erasure", 0.8, ParameterGrid(0.25, 0.25 + 2.0 * PI, 1201))
+        assert calls == []
+        assert again.probs.tobytes() == first.probs.tobytes()
+        assert again.dprobs.tobytes() == first.dprobs.tobytes()
+        winding = PhaseChannelFamily("erasure", 0.8, np.eye(3) / 3.0).winding
+        tables = _phase_tables(first.grid, tuple(winding.reshape(-1).tolist()))
+        assert not any(table.flags.writeable for table in tables)
+
+
 class TestQuantumInputsNamed:
     def test_povm_elements_of_different_shapes(self):
         with pytest.raises(ValueError, match=r"POVM element 1 has shape \(3, 3\), "
@@ -797,6 +872,15 @@ class TestQuantumInputsNamed:
     def test_non_finite_phi(self, fisher, phi):
         with pytest.raises(ValueError, match="phi must be finite"):
             fisher(PhaseChannelFamily("dephasing", 0.9, PLUS), phi)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Povm((np.zeros((0, 0)),)), r"POVM element 0 must be at least 1x1, got \(0, 0\)"),
+        (lambda: DensityMatrix(np.zeros((0, 0))), r"density matrix must be at least 1x1"),
+        (lambda: random_povm(np.random.default_rng(0), 0, 2), "dim must be >= 1, got 0"),
+    ], ids=["povm", "density-matrix", "random-povm"])
+    def test_empty_matrices_rejected_by_name(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_povm_elements_are_read_only_views_of_one_stack(self):
         povm = random_povm(np.random.default_rng(4), 3, 4)
