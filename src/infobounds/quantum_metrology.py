@@ -16,6 +16,7 @@ Heisenberg-to-SQL transition shows up.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -101,26 +102,50 @@ class DensityMatrix:
         return cls(np.outer(psi, psi.conj()))
 
 
+def _kept_stack(elements) -> np.ndarray | None:
+    """The (K, d, d) array whose rows ``elements`` are, in order, if it is one that
+    :func:`_frozen` keeps (a read-only complex array owning its data), C-contiguous,
+    square, nonempty and finite; else None."""
+    stack = getattr(elements[0], "base", None) if type(elements) is tuple and elements else None
+    if not (type(stack) is np.ndarray and stack.dtype == complex and stack.ndim == 3
+            and stack.flags.owndata and not stack.flags.writeable and stack.flags.c_contiguous
+            and len(stack) == len(elements) and stack.shape[1] == stack.shape[2] > 0):
+        return None
+    start, step = stack.__array_interface__["data"][0], stack.strides[0]
+    for i, m in enumerate(elements):
+        if not (type(m) is np.ndarray and m.base is stack and m.shape == stack.shape[1:]
+                and m.strides == stack.strides[1:]
+                and m.__array_interface__["data"][0] == start + i * step):
+            return None
+    # a non-finite entry takes the per-element path, which names it
+    return stack if cmath.isfinite(stack.sum()) else None
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Positive operator-valued measure: M_x >= 0, sum_x M_x = identity.
 
     The elements are held as one read-only (K, d, d) stack; ``elements`` are
-    its views.  Compared and hashed by identity.
+    its views.  Elements that are already the rows, in order, of such a stack
+    owning its data (as :func:`random_povm` hands them over) keep that stack
+    uncopied; anything else is copied.  Compared and hashed by identity.
     """
 
     elements: tuple
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = [_square(f"POVM element {i}", m) for i, m in enumerate(self.elements)]
-        if not ops:
-            raise ValueError("POVM needs at least one element")
-        labels = [f"POVM element {i}" for i in range(len(ops))]
-        for label, m in zip(labels, ops):
-            if m.shape != ops[0].shape:
-                raise ValueError(f"{label} has shape {m.shape}, element 0 has shape {ops[0].shape}")
-        stack = np.stack(ops)
+        stack = _kept_stack(self.elements)
+        if stack is None:
+            ops = [_square(f"POVM element {i}", m) for i, m in enumerate(self.elements)]
+            if not ops:
+                raise ValueError("POVM needs at least one element")
+            for i, m in enumerate(ops):
+                if m.shape != ops[0].shape:
+                    raise ValueError(f"POVM element {i} has shape {m.shape}, "
+                                     f"element 0 has shape {ops[0].shape}")
+            stack = np.stack(ops)
+        labels = [f"POVM element {i}" for i in range(len(stack))]
         _check_hermitian_psd(stack, labels, MATRIX_TOL, "is not positive semidefinite")
         if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) > MATRIX_TOL:
             raise ValueError("POVM elements do not resolve the identity")
@@ -328,7 +353,7 @@ def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:
     total = raw.sum(axis=0)
     evals, evecs = np.linalg.eigh(total)
     inv_sqrt = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-    return Povm(tuple(inv_sqrt @ raw @ inv_sqrt))
+    return Povm(tuple(_read_only(inv_sqrt @ raw @ inv_sqrt)[0]))
 
 
 def asymptotic_fi_cap(n: int, eta: float) -> float:
@@ -399,12 +424,16 @@ def transition_sweep(eta: float, n_values, regime: str = "finite-N") -> list[dic
     limit (ln(N)/2) reference scalings, and the local log-log slope of the
     bound argument pi sqrt(F_cap(N)).  In the default finite-N regime the
     slope moves from 1 (Heisenberg) to 1/2 (SQL) around N ~ eta/(1-eta);
-    stronger noise moves the transition to smaller N.
+    stronger noise moves the transition to smaller N.  The asymptotic
+    regime has no cap at eta = 1, so sweeping it there raises ValueError.
     """
     ns = np.array(sorted({_checked_gates(n, eta, "N values") for n in n_values}), dtype=np.int64)
     if ns.size < 2:
         raise ValueError("need at least two distinct N values for a sweep")
     cap_fn = _fi_cap_function(regime)
+    if regime == "asymptotic" and eta == 1.0:
+        raise ValueError("the noiseless asymptotic regime (eta = 1) has no Fisher cap to "
+                         "sweep; use eta < 1 or the finite-N regime")
     caps = np.array([cap_fn(int(n), eta) for n in ns])
     arg = math.pi * np.sqrt(caps)
     slope = np.gradient(np.log(arg), np.log(ns.astype(float)))

@@ -120,18 +120,21 @@ class PriorDensity:
 
         Computed on first access; the density is read-only.
         """
-        p = self.density
-        with np.errstate(divide="ignore", invalid="ignore"):  # -0 ln 0 is nan, replaced by 0
-            integrand = np.where(p > 0.0, -p * np.log(p), 0.0)
-        return integrate(integrand, self.grid)
+        return integrate(-(self.density * self._log_density), self.grid)
+
+    @cached_property
+    def _log_density(self) -> np.ndarray:
+        """ln p with 0 where p = 0, read by :attr:`entropy` and :attr:`_quadrature`;
+        computed on first access and read-only."""
+        return _read_only(_log_or_zero(self.density))[0]
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(q, q ln p, q phi, q phi^2) with q = w p, w the Simpson weights: the prior
         terms of the MI and Bayes-cost oracles, computed on first access and read-only."""
-        q, q_log_prior = _prior_terms(self.density, simpson_weights(self.grid))
+        q = simpson_weights(self.grid) * self.density
         q_phi = q * self.grid.values
-        return _read_only(q, q_log_prior, q_phi, q_phi * self.grid.values)
+        return _read_only(q, q * self._log_density, q_phi, q_phi * self.grid.values)
 
     @cached_property
     def information(self) -> float:
@@ -210,12 +213,17 @@ class PriorDensity:
                    params={"window": "cosine", "center": center, "width": width})
 
 
+def _log_or_zero(p: np.ndarray) -> np.ndarray:
+    """ln p where p > 0, else 0, in a fresh array."""
+    log_p = np.zeros_like(p)
+    np.log(p, out=log_p, where=p > 0.0)
+    return log_p
+
+
 def _prior_terms(density: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(q, q ln p) of a prior density p and quadrature weights w, q = w p, with 0 ln 0 = 0."""
     q = w * density
-    log_p = np.zeros_like(density)
-    np.log(density, out=log_p, where=density > 0.0)
-    return q, q * log_p
+    return q, q * _log_or_zero(density)
 
 
 def cosine_plateau(grid: ParameterGrid, flat_lower: float, flat_upper: float,

@@ -654,3 +654,23 @@ class TestMetrologyCommand:
     def test_empty_eta_rejected(self, capsys):
         assert run(["metrology", "--eta", ""]) == 1
         assert "eta" in capsys.readouterr().err
+
+    def test_noiseless_asymptotic_sweep_rejected_without_warnings(self):
+        # at eta = 1 the asymptotic cap is inf: the sweep used to print nan slopes with
+        # RuntimeWarnings on stderr; under -W error any warning would end the run early
+        src = str(Path(infobounds.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "infobounds.cli",
+                               "metrology", "--eta", "1.0", "--regime", "asymptotic",
+                               "--n-count", "5", "--n-max", "100"],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: the noiseless asymptotic regime (eta = 1) has no Fisher "
+                               "cap to sweep; use eta < 1 or the finite-N regime\n")
+
+    def test_noiseless_eta_in_a_list_leaves_stdout_empty(self, capsys):
+        assert run(["metrology", "--eta", "0.5,1.0", "--regime", "asymptotic",
+                    "--n-count", "5", "--n-max", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "noiseless asymptotic regime" in captured.err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +386,19 @@ class TestTransitionSweep:
         rows = transition_sweep(0.9, self.NS[:40], regime="asymptotic")
         for row in rows:
             assert row["slope"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_noiseless_asymptotic_regime_rejected_by_name(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"noiseless asymptotic regime \(eta = 1\) "
+                                                 r"has no Fisher cap to sweep"):
+                transition_sweep(1.0, [1, 10, 100], regime="asymptotic")
+            # the single cap keeps its divergence value and flag
+            cap = mi_cap(10, 1.0, "asymptotic")
+            assert cap.value == math.inf and "noiseless-no-cap" in cap.flags
+            # the finite-N regime still sweeps the noiseless Heisenberg form pi N
+            rows = transition_sweep(1.0, [1, 10, 100])
+        assert [row["slope"] for row in rows] == pytest.approx([1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("regime", ["finite-N", "asymptotic"])
     def test_every_row_is_mi_cap_bitwise(self, regime):
@@ -854,6 +868,11 @@ class TestPhaseCovariance:
         assert not any(table.flags.writeable for table in tables)
 
 
+def _read_only_rows(stack):
+    stack.setflags(write=False)
+    return stack
+
+
 class TestQuantumInputsNamed:
     def test_povm_elements_of_different_shapes(self):
         with pytest.raises(ValueError, match=r"POVM element 1 has shape \(3, 3\), "
@@ -887,6 +906,54 @@ class TestQuantumInputsNamed:
         stack = povm.elements[0].base
         assert stack.shape == (4, 3, 3) and not stack.flags.writeable
         assert all(m.base is stack and not m.flags.writeable for m in povm.elements)
+
+    def test_random_povm_stack_is_kept(self):
+        povm = random_povm(np.random.default_rng(4), 3, 4)
+        assert all(m.base is povm._stack for m in povm.elements)
+        # the elements are rows of a read-only stack owning its data: it is kept again
+        assert Povm(povm.elements)._stack is povm._stack
+        assert Povm(tuple(povm._stack))._stack is povm._stack
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_outcomes", [2, 4, 5])
+    def test_kept_stack_keeps_stacks_and_tables(self, dim, n_outcomes):
+        kind = "erasure" if dim == 3 else "dephasing"
+        grid = ParameterGrid(0.0, 2.0 * PI, 101)
+        for seed in range(10):
+            povm = random_povm(np.random.default_rng(seed), dim, n_outcomes)
+            copied = Povm(tuple(m.copy() for m in povm.elements))   # the per-element path
+            assert copied._stack is not povm._stack
+            assert povm._stack.tobytes() == copied._stack.tobytes()
+            if dim == 1:
+                continue
+            rho0 = np.eye(dim) / dim
+            kept = channel_outcome_model(kind, 0.8, grid, rho0, povm)
+            want = channel_outcome_model(kind, 0.8, grid, rho0, copied)
+            assert kept.probs.tobytes() == want.probs.tobytes()
+            assert kept.dprobs.tobytes() == want.dprobs.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda s: tuple(s.copy()),                                           # writable
+        lambda s: tuple(_read_only_rows(np.concatenate([s, s[:1]]))[:-1]),   # base is longer
+        lambda s: tuple(_read_only_rows(s.copy())[::-1]),                    # out of order
+        lambda s: tuple(_read_only_rows(m.copy()) for m in s),               # not views
+    ], ids=["writable", "longer-base", "reordered", "not-views"])
+    def test_other_elements_are_copied(self, make):
+        elements = make(random_povm(np.random.default_rng(2), 2, 4)._stack)
+        povm = Povm(elements)
+        assert not any(povm._stack is m.base for m in elements)
+        assert povm._stack.flags.owndata and not povm._stack.flags.writeable
+        assert povm._stack.tobytes() == np.stack(elements).tobytes()
+        if elements[0].flags.writeable:
+            elements[0][0, 0] = 5.0   # the caller's array stays theirs
+            assert povm.elements[0][0, 0] != 5.0
+
+    def test_non_finite_in_a_kept_stack_named_per_element(self):
+        stack = random_povm(np.random.default_rng(2), 2, 3)._stack.copy()
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"POVM element 2 has a non-finite value at "
+                                             r"index \(1, 0\)"):
+            Povm(tuple(_read_only_rows(stack)))
 
     @pytest.mark.parametrize("bad, message", [
         (np.array([[0.5, 0.5], [0.0, 0.5]]), "POVM element 1 is not Hermitian"),

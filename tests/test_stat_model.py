@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from infobounds.cli import DEFAULT_GRID_POINTS, DEFAULT_SEED, build_builtin
 from infobounds.mi_oracle import repeat_model
 from infobounds.numerics import NumericError, ParameterGrid, integrate, simpson_weights
 from infobounds.quantum_metrology import DensityMatrix, PhaseChannelFamily, plus_minus_povm
+from infobounds.random_models import random_joint_model
 from infobounds.stat_model import (
     ZERO_DERIV_TOL,
     ConditionalModel,
@@ -611,3 +613,56 @@ class TestJointAndMarginal:
     def test_average_fisher_cos2(self, pi_grid):
         joint = JointModel(PriorDensity.rectangle(pi_grid), cos2_model(pi_grid))
         assert average_fisher(joint) == pytest.approx(1.0, abs=1e-3)
+
+
+def old_entropy(prior):
+    """H(phi) as first written: one log of the whole density, masked by np.where."""
+    p = prior.density
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = np.where(p > 0.0, -p * np.log(p), 0.0)
+    return integrate(integrand, prior.grid)
+
+
+def old_quadrature(prior):
+    """(q, q ln p, q phi, q phi^2) as first written, with a log of their own."""
+    q = simpson_weights(prior.grid) * prior.density
+    log_p = np.zeros_like(prior.density)
+    np.log(prior.density, out=log_p, where=prior.density > 0.0)
+    q_phi = q * prior.grid.values
+    return q, q * log_p, q_phi, q_phi * prior.grid.values
+
+
+def guard_priors():
+    for name in ("cos2", "cos2-gaussian", "noon", "dephasing-qubit", "ampdamp-qubit",
+                 "erasure-qutrit"):
+        yield build_builtin(name).prior
+    rng = np.random.default_rng(DEFAULT_SEED)   # the models of `verify --count 200`
+    grid = ParameterGrid(0.0, 1.0, DEFAULT_GRID_POINTS)
+    for _ in range(200):
+        yield random_joint_model(rng, grid).prior
+
+
+class TestOneLogPerPrior:
+    def test_entropy_and_quadrature_keep_their_bytes(self):
+        kinds = set()
+        for prior in guard_priors():
+            kinds.add(prior.kind)
+            assert float(prior.entropy).hex() == float(old_entropy(prior)).hex()
+            for have, want in zip(prior._quadrature, old_quadrature(prior), strict=True):
+                assert have.tobytes() == want.tobytes()
+        assert kinds == {"rectangle", "gaussian", "tabulated"}
+
+    def test_log_is_taken_once(self, monkeypatch, pi_grid):
+        prior = PriorDensity.cosine_window(pi_grid, 1.0, 1.2)
+        calls = []
+        log = np.log
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return log(*args, **kwargs)
+
+        monkeypatch.setattr(np, "log", counted)
+        prior.entropy, prior._quadrature
+        assert len(calls) == 1
+        assert not prior._log_density.flags.writeable
+        assert np.all(prior._log_density[prior.density == 0.0] == 0.0)
