@@ -55,29 +55,36 @@ def longdouble_product(coef, dtau, basis):
     return c @ big, np.abs(c) @ np.abs(big)
 
 
+def per_outcome_trig_rows(rng, grid, n_outcomes, degree, floor):
+    """Reference: one coefficient pair draw per outcome, set entry by entry into
+    the coefficient matrix, whose product with the basis gives every row."""
+    dtau = 2.0 * np.pi / (grid.upper - grid.lower)
+    coef = np.array([(rng.normal(size=degree + 1), rng.normal(size=degree + 1))
+                     for _ in range(n_outcomes)])
+    rows = coefficient_matrix(coef, dtau) @ _trig_basis(grid, degree)
+    poly, dpoly = rows[:n_outcomes], rows[n_outcomes:]
+    return poly * poly + floor, poly * 2.0 * dpoly
+
+
 class TestTrigRows:
     GRID = ParameterGrid(-0.5, 2.0, 401)
 
-    def test_rows_are_one_coefficient_product(self):
-        grid = self.GRID
-        dtau = 2.0 * np.pi / (grid.upper - grid.lower)
-        for n_outcomes in range(2, 9):
-            for degree in range(1, 6):
-                for seed in range(20):
-                    have_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    w, dw = _trig_rows(have_rng, grid, n_outcomes, degree, 0.05)
-                    coef = want_rng.normal(size=(n_outcomes, 2, degree + 1))
-                    rows = coefficient_matrix(coef, dtau) @ _trig_basis(grid, degree)
-                    poly, dpoly = rows[:n_outcomes], rows[n_outcomes:]
-                    assert w.tobytes() == (poly * poly + 0.05).tobytes()
-                    assert dw.tobytes() == (poly * 2.0 * dpoly).tobytes()
-                    # one draw of the same size: the generator is left where it was
-                    assert have_rng.random() == want_rng.random()
+    @pytest.mark.parametrize("degree", range(1, 6))
+    @pytest.mark.parametrize("n_outcomes", range(2, 9))
+    def test_bitwise_equal_to_per_outcome_loop(self, n_outcomes, degree):
+        for seed in range(20):
+            have_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            w, dw = _trig_rows(have_rng, self.GRID, n_outcomes, degree, 0.05)
+            want_w, want_dw = per_outcome_trig_rows(want_rng, self.GRID, n_outcomes, degree, 0.05)
+            assert w.tobytes() == want_w.tobytes()
+            assert dw.tobytes() == want_dw.tobytes()
+            # the generator is left where the per-outcome draws leave it
+            assert have_rng.random() == want_rng.random()
 
     @pytest.mark.parametrize("degree", range(1, 6))
     @pytest.mark.parametrize("n_outcomes", range(2, 9))
     def test_within_4_eps_of_a_longdouble_product(self, n_outcomes, degree):
-        # both the product of test_rows_are_one_coefficient_product and the retired
+        # both the product of test_bitwise_equal_to_per_outcome_loop and the retired
         # row loop are within 4 eps of the sum of |terms| of the exact contraction
         grid = self.GRID
         dtau = 2.0 * np.pi / (grid.upper - grid.lower)
