@@ -19,29 +19,51 @@ bit of any table, :class:`OracleResult` or :class:`MleStudyPoint` (the
 tests keep the first versions as references).  The MLE study holds one
 (types, points) table per sample size and makes these passes over it:
 
-* ``_type_probs``: one matmul for the exponent (the study hands in its
-  scores, the same matrix), one add of ln C(t), -inf only on the zero
-  columns of outcomes that have zeros, one fill of the entries at or
-  below ``LOG_TINY`` with -inf, one plain ``exp`` in place;
-* ``_group_in_place``: the rows sorted by estimate in place, following the
-  cycles of the stable ``argsort`` with one spare row; then each run of
-  equal estimates compacted into the leading rows, a one-row group as its
-  row plus 0.0, a longer one as the sum of its rows in table order;
+* scores: one matmul ``types @ ln p``, ln p the penalised log the
+  conditional model keeps (-1e15 where p = 0);
+* estimates: the row-wise ``argmax`` of the scores;
+* scores of the permuted types: unless the estimates already ascend, the
+  type rows and their ln C(t) are put in the stable estimate order and the
+  matmul runs again into the same table.  A row's product does not depend
+  on the row's position, so each row gets the bits it had, and p(t|phi)
+  is then built in estimate order;
+* ``_type_probs``: one add of ln C(t), one fill of the entries at or below
+  ``LOG_TINY`` with -inf (which covers every t_x > 0 meeting p_x = 0: its
+  exponent is near -1e15), one plain ``exp`` in place;
+* run sums (``_sum_runs``): each run of equal estimates compacted into the
+  leading rows, a longer one as the sum of its rows in table order; a
+  one-row run stays as it is (p(t|phi) >= +0, so the reference's + 0.0
+  changes nothing);
 * ``_information_in_place``: on the grouped rows, the matrix-vector
   product p @ q and the column sums first, then p overwritten with p ln p
   in flat chunks through one small scratch (elementwise, so the chunks
   give the same bits as one pass), then the same matrix-vector product
   on the whole table (a product over row chunks would not keep the bits).
 
-``_group_sum`` and ``_information`` apply those kernels to a copy, so
-their inputs are left alone.  ``repeat_model``'s derivative table is one
-product per outcome into a reused scratch table, added through a slice
-where its rows form one run (always for the first outcome), else through
-an index array.  The oracles read q = w p(phi), q ln p(phi), q phi and
-q phi^2 from the prior and the column sums from the conditional model, each
-kept there on first use; no oracle forms the joint table p(x|phi) p(phi).
-:func:`mutual_information` applies ``_information_in_place`` to a copy of
-the conditional table.
+Two caches keep what the oracles would otherwise rebuild:
+
+* the type tables: ``_type_rows`` keeps the read-only (types, ln C(t))
+  pair of the last ``TYPE_CACHE`` = 32 (n, K) requested, after the budget
+  check.  At the 4096-type budget an entry holds at most 2.98 MB (n = 2,
+  K = 90: 4095 x 90 int64 counts and 4095 float64 ln C(t)).  A one-sample
+  table is the K x K identity, up to 128 MiB, so it is built and not kept;
+* the penalised ln p of a conditional model, ``ConditionalModel._log_probs``,
+  one (K, points) float64 table per model, which ``repeat_model`` and the
+  study both read.
+
+``_group_sum`` (for :func:`merge_outcomes`) sorts the rows of a copy in
+place, following the cycles of the stable ``argsort`` with one spare row,
+then sums runs as the study does, a one-row run as its row plus 0.0 (as
+``np.sum`` gives it: -0.0 becomes +0.0).  ``_information`` applies
+``_information_in_place`` to a copy.  ``repeat_model``'s derivative table
+is one product per outcome into a reused scratch table, added through a
+slice where its rows form one run (always for the first outcome), else
+through an index array.  The oracles read q = w p(phi), q ln p(phi), q phi
+and q phi^2 from the prior and the column sums from the conditional model,
+each kept there on first use; no oracle forms the joint table p(x|phi)
+p(phi).  :func:`mutual_information` forms pbar = p @ q once, for the
+entropy terms and the Bayes cost, and applies ``_information_in_place`` to
+a copy of the conditional table.
 
 The tables ``repeat_model`` and ``merge_outcomes`` build are made
 read-only and handed to :class:`~infobounds.stat_model.ConditionalModel`,
@@ -50,12 +72,14 @@ which keeps such tables without a copy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .stat_model import ConditionalModel, JointModel, _prior_terms, _read_only, average_fisher
+from .stat_model import (ConditionalModel, JointModel, _log_or, _prior_terms, _read_only,
+                         average_fisher)
 
 __all__ = [
     "BudgetError",
@@ -70,6 +94,7 @@ __all__ = [
 
 
 TYPE_BUDGET = 4096  # default cap on the rows of a type table
+TYPE_CACHE = 32     # type tables kept, one per (n, K), see _type_rows
 CHUNK = 8192        # entries per pass of the in-place p ln p, a 64 KiB scratch
 LOG_TINY = math.log(np.finfo(float).tiny)  # below this exp(.) is subnormal
 
@@ -110,13 +135,15 @@ def mutual_information(joint: JointModel) -> OracleResult:
     :func:`bayes_quadratic_cost` forms the joint table p(x|phi) p(phi).
     """
     cond = joint.conditional
+    q, q_log_prior = joint.prior._quadrature[:2]
+    pbar = cond.probs @ q
     mi, h_posterior = _information_in_place(
-        cond.probs.copy(order="K"), *joint.prior._quadrature[:2], cond._colsums)
+        cond.probs.copy(order="K"), q, q_log_prior, cond._colsums, pbar)
     return OracleResult(
         mi=mi,
         h_prior=joint.prior.entropy,
         h_posterior=h_posterior,
-        bayes_mse=bayes_quadratic_cost(joint),
+        bayes_mse=_bayes_cost(joint, pbar),
     )
 
 
@@ -126,13 +153,16 @@ def _information(p: np.ndarray, prior: np.ndarray, w: np.ndarray) -> tuple[float
 
 
 def _information_in_place(p: np.ndarray, q: np.ndarray, q_log_prior: np.ndarray,
-                          colsums: np.ndarray) -> tuple[float, float]:
+                          colsums: np.ndarray, pbar: np.ndarray | None = None
+                          ) -> tuple[float, float]:
     """(I, H(phi|x)) of a contiguous (K, points) table p(x|phi), overwritten with p ln p.
 
-    ``q`` is w p(phi), ``q_log_prior`` is q ln p(phi) and ``colsums`` is
-    sum_x p(x|phi), as :func:`mutual_information` defines them.
+    ``q`` is w p(phi), ``q_log_prior`` is q ln p(phi), ``colsums`` is
+    sum_x p(x|phi) and ``pbar``, taken here if not given, is p @ q, as
+    :func:`mutual_information` defines them.
     """
-    pbar = p @ q
+    if pbar is None:
+        pbar = p @ q
     flat = p.ravel(order="K")  # a view: p is contiguous
     scratch = np.empty(min(CHUNK, flat.size))
     with np.errstate(divide="ignore"):
@@ -153,25 +183,45 @@ def bayes_quadratic_cost(joint: JointModel) -> float:
     With q, pbar = p @ q and s as in :func:`mutual_information`, it is
     (q phi^2) . s - sum_x (p @ q phi)_x^2 / pbar_x over the x with pbar_x > 0.
     """
-    q, _, q_phi, q_phi2 = joint.prior._quadrature
-    p = joint.conditional.probs
-    pbar, first = p @ q, p @ q_phi
+    return _bayes_cost(joint, joint.conditional.probs @ joint.prior._quadrature[0])
+
+
+def _bayes_cost(joint: JointModel, pbar: np.ndarray) -> float:
+    """:func:`bayes_quadratic_cost` given pbar = p @ q."""
+    _, _, q_phi, q_phi2 = joint.prior._quadrature
+    first = joint.conditional.probs @ q_phi
     pos = pbar > 0.0
     return float(q_phi2 @ joint.conditional._colsums) - float(np.sum(first[pos] ** 2 / pbar[pos]))
 
 
-def _types(n: int, k: int, budget: int) -> np.ndarray:
-    """Every count vector of n samples over k outcomes, as a (count, k) int array.
+def _types(n: int, k: int, budget: int = TYPE_BUDGET) -> np.ndarray:
+    """The read-only type table of :func:`_type_table`, without its ln C(t) column."""
+    return _type_table(n, k, budget)[0]
+
+
+def _type_table(n: int, k: int, budget: int = TYPE_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+    """(types, ln C(t)): every count vector of n samples over k outcomes, as a read-only
+    (count, k) int array, and the read-only log multinomial coefficient of each row.
 
     Rows are in descending lexicographic order, so row 0 is (n, 0, ..., 0)
     and the last row is (0, ..., 0, n).  More than ``budget`` rows raise
-    :class:`BudgetError` before any is built.
+    :class:`BudgetError` before any is built.  Tables with n > 1 are kept
+    per (n, k) (see the module docstring); the one-sample table is the
+    identity, every ln C(t) 0.
     """
     count = math.comb(n + k - 1, k - 1)
     if count > budget:
         raise BudgetError(
             f"C(n+K-1, K-1) = C({n + k - 1}, {k - 1}) = {count} types exceed the "
             f"budget of {budget}")
+    if n == 1:  # the k x k identity, up to 128 MiB at the budget: built, not kept
+        return _read_only(np.eye(k, dtype=np.int64), np.zeros(k))
+    return _type_rows(int(n), int(k))
+
+
+@functools.lru_cache(maxsize=TYPE_CACHE)
+def _type_rows(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of :func:`_type_table`, built without a budget check."""
     rows = np.zeros((1, 0), dtype=np.int64)
     left = np.array([n], dtype=np.int64)
     for _ in range(k - 1):
@@ -180,36 +230,41 @@ def _types(n: int, k: int, budget: int) -> np.ndarray:
         first = np.repeat(left, reps) - offset  # left, left - 1, ..., 0 per prefix
         rows = np.column_stack([np.repeat(rows, reps, axis=0), first])
         left = np.repeat(left, reps) - first
-    return np.column_stack([rows, left])
+    types = np.column_stack([rows, left])
+    return _read_only(types, _log_coefficients(types))
 
 
-def _type_probs(types: np.ndarray, probs: np.ndarray,
-                exponent: np.ndarray | None = None) -> np.ndarray:
-    """p(t|phi) = exp(ln C(t) + sum_x t_x ln p_x(phi)) for every type row t.
+def _log_coefficients(types: np.ndarray) -> np.ndarray:
+    """ln C(t) = ln n! - sum_x ln t_x! of every row of a type table, from ``math.lgamma``.
 
-    C(t) = n! / prod_x t_x! is taken from ``math.lgamma``, accurate to a few
-    ulps per factorial, so its error does not grow with n as a running sum of
-    logarithms would; what is left is the rounding of the exponent.  An
-    entry is exactly 0 where some t_x > 0 meets p_x = 0 (its exponent could
-    overflow), or where it would be subnormal (an exp that underflows runs
-    many times slower than a normal one); those entries go to -inf before
-    one plain ``exp``.  ``exponent``, if given, is ``types @ ln p`` from the
-    caller, with any finite value standing for ln 0 (a zero count times it
-    is 0, and the entries it meets with a positive count are set to -inf
-    here); it is overwritten.
+    Each factorial is accurate to a few ulps, so the error does not grow
+    with n as a running sum of logarithms would.
     """
     n = int(types[0].sum())
     log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
-    log_coef = log_fact[n] - log_fact[types].sum(axis=1)
-    zero = probs <= 0.0
+    return log_fact[n] - log_fact[types].sum(axis=1)
+
+
+def _type_probs(types: np.ndarray, probs: np.ndarray, exponent: np.ndarray | None = None,
+                log_coef: np.ndarray | None = None) -> np.ndarray:
+    """p(t|phi) = exp(ln C(t) + sum_x t_x ln p_x(phi)) for every type row t.
+
+    ``exponent``, if given, is ``types @ ln p`` from the caller with ln 0
+    taken as -1e15, the penalised log ``ConditionalModel._log_probs``; it is
+    overwritten.  ``log_coef``, if given, is the ln C(t) column of these
+    rows; :func:`_log_coefficients` gives it to a few ulps, so what is left
+    of the error is the rounding of the exponent.  An entry is exactly 0
+    where some t_x > 0 meets p_x = 0 (its exponent is near -1e15), or where
+    it would be subnormal (an exp that underflows runs many times slower
+    than a normal one): every entry at or below ``LOG_TINY`` goes to -inf
+    before one plain ``exp``.
+    """
     if exponent is None:
-        log_p = np.zeros(probs.shape)
-        np.log(probs, out=log_p, where=~zero)
-        exponent = types.astype(float) @ log_p
+        exponent = types @ _log_or(probs, -1e15)
+    if log_coef is None:
+        log_coef = _log_coefficients(types)
     out = exponent
     out += log_coef[:, None]
-    for x in np.flatnonzero(zero.any(axis=1)):
-        out[np.ix_(types[:, x] > 0, zero[x])] = -np.inf
     out[out <= LOG_TINY] = -np.inf
     np.exp(out, out=out)
     return out
@@ -241,14 +296,14 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
         return joint
     cond = joint.conditional
     k = cond.n_outcomes
-    types = _types(n, k, budget)
-    probs = _type_probs(types, cond.probs)
+    types, log_coef = _type_table(n, k, budget)
     # the rows with t_x >= 1, minus e_x, are the (n-1)-types in table order:
     # subtracting one fixed vector keeps the lexicographic order of the rows;
     # for x = 0 they are the leading rows, the first coordinate descending
-    prev = types[:math.comb(n + k - 2, k - 1)].copy()
-    prev[:, 0] -= 1
-    prev_probs = _type_probs(prev, cond.probs)
+    prev, prev_coef = _type_table(n - 1, k, budget)
+    log_p = cond._log_probs
+    probs = _type_probs(types, cond.probs, types @ log_p, log_coef)
+    prev_probs = _type_probs(prev, cond.probs, prev @ log_p, prev_coef)
     dprobs = np.zeros(probs.shape)
     product = np.empty_like(prev_probs)
     for x in range(k):
@@ -301,21 +356,33 @@ def _group_in_place(table: np.ndarray, keys: np.ndarray) -> int:
             i = nxt
         table[i] = spare
         source[i] = i
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    ends = np.r_[starts[1:], len(keys)]
-    # the one-row groups before the first longer one are already in their rows
-    longer = np.flatnonzero(ends - starts > 1)
-    lead = int(longer[0]) if longer.size else len(starts)
-    np.add(table[:lead], 0.0, out=table[:lead])
-    # every later group g moves to row g <= its first row: the rows it overwrites are read
-    for g, first, end in zip(range(lead, len(starts)), starts[lead:].tolist(),
-                             ends[lead:].tolist()):
-        if end - first == 1:
+    return _sum_runs(table, keys[order], plus_zero=True)
+
+
+def _sum_runs(table: np.ndarray, sorted_keys: np.ndarray, plus_zero: bool) -> int:
+    """Sum each run of equal ``sorted_keys`` in a C-contiguous ``table`` into its leading rows.
+
+    Returns the number of runs; row g then holds the g-th run, a longer run
+    as the sum of its rows in table order, a one-row run as its row, plus
+    0.0 if ``plus_zero``.
+    """
+    bounds = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
+    bounds = [0, *bounds, len(sorted_keys)]
+    runs = len(bounds) - 1
+    # the one-row runs before the first longer one are already in their rows
+    lead = next((g for g in range(runs) if bounds[g + 1] - bounds[g] > 1), runs)
+    if plus_zero:
+        np.add(table[:lead], 0.0, out=table[:lead])
+    # every later run g moves to row g <= its first row: the rows it overwrites are read
+    for g in range(lead, runs):
+        first, end = bounds[g], bounds[g + 1]
+        if end - first > 1:
+            table[g] = table[first:end].sum(axis=0)
+        elif plus_zero:
             np.add(table[first], 0.0, out=table[g])
         else:
-            table[g] = table[first:end].sum(axis=0)
-    return len(starts)
+            table[g] = table[first]
+    return runs
 
 
 def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
@@ -363,25 +430,26 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
             raise TypeError(f"sample sizes must be integers, got {n!r}")
         if n < 1:
             raise ValueError(f"sample sizes must be >= 1, got {n}")
-    probs = joint.conditional.probs
+    cond = joint.conditional
+    log_p = cond._log_probs
     q, q_log_prior = joint.prior._quadrature[:2]
-    # large finite penalty instead of -inf so unobserved outcomes (count 0)
-    # cannot produce 0 * inf
-    logp = np.full(probs.shape, -1e15)
-    np.log(probs, out=logp, where=probs > 0.0)
     avg_f1 = average_fisher(joint)
 
     results = []
     for n in n_list:
-        types = _types(n, len(probs), TYPE_BUDGET)
-        # the one table of this n: the scores, then p(t|phi), then the rows
-        # grouped by estimate, then their p ln p.  types @ logp is also the
-        # exponent of p(t|phi): the penalty only stands where some t_x > 0
-        # meets p_x = 0, which _type_probs zeroes
-        table = types @ logp
+        types, log_coef = _type_table(n, cond.n_outcomes)
+        # the one table of this n: the scores, then p(t|phi) in estimate
+        # order, then its runs summed, then their p ln p.  The scores are
+        # also the exponent of p(t|phi): the penalty only stands where some
+        # t_x > 0 meets p_x = 0, which _type_probs zeroes
+        table = types @ log_p
         mle = np.argmax(table, axis=1)
-        _type_probs(types, probs, table)
-        by_mle = table[:_group_in_place(table, mle)]
+        if (mle[1:] < mle[:-1]).any():
+            order = np.argsort(mle, kind="stable")
+            types, log_coef, mle = types[order], log_coef[order], mle[order]
+            np.matmul(types, log_p, out=table)  # each row keeps its bits
+        _type_probs(types, cond.probs, table, log_coef)
+        by_mle = table[:_sum_runs(table, mle, plus_zero=False)]
         h = _information_in_place(by_mle, q, q_log_prior, by_mle.sum(axis=0))[1]
         asymptote = -0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e))
         results.append(MleStudyPoint(n=int(n), h_conditional=h, asymptote=asymptote,

@@ -126,7 +126,7 @@ class PriorDensity:
     def _log_density(self) -> np.ndarray:
         """ln p with 0 where p = 0, read by :attr:`entropy` and :attr:`_quadrature`;
         computed on first access and read-only."""
-        return _read_only(_log_or_zero(self.density))[0]
+        return _read_only(_log_or(self.density, 0.0))[0]
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -213,9 +213,9 @@ class PriorDensity:
                    params={"window": "cosine", "center": center, "width": width})
 
 
-def _log_or_zero(p: np.ndarray) -> np.ndarray:
-    """ln p where p > 0, else 0, in a fresh array."""
-    log_p = np.zeros_like(p)
+def _log_or(p: np.ndarray, zero: float) -> np.ndarray:
+    """ln p where p > 0, else ``zero``, in a fresh array."""
+    log_p = np.full_like(p, zero)
     np.log(p, out=log_p, where=p > 0.0)
     return log_p
 
@@ -223,7 +223,7 @@ def _log_or_zero(p: np.ndarray) -> np.ndarray:
 def _prior_terms(density: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(q, q ln p) of a prior density p and quadrature weights w, q = w p, with 0 ln 0 = 0."""
     q = w * density
-    return q, q * _log_or_zero(density)
+    return q, q * _log_or(density, 0.0)
 
 
 def cosine_plateau(grid: ParameterGrid, flat_lower: float, flat_upper: float,
@@ -306,6 +306,13 @@ class ConditionalModel:
     def fisher(self) -> "FisherProfile":
         """F(phi) of this model, computed on first access (the tables are read-only)."""
         return fisher_information(self)
+
+    @cached_property
+    def _log_probs(self) -> np.ndarray:
+        """ln p(x|phi) with -1e15 where p = 0, read by the type-table oracles; computed
+        on first access and read-only.  A large finite stand-in for ln 0, not -inf: a
+        zero count times it is 0, a positive count puts the product far below exp's range."""
+        return _read_only(_log_or(self.probs, -1e15))[0]
 
     @classmethod
     def from_probs(cls, grid: ParameterGrid, probs) -> "ConditionalModel":

@@ -1,7 +1,11 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from infobounds.mi_oracle import (
     _information,
     _information_in_place,
     _type_probs,
+    _type_table,
     _types,
     bayes_quadratic_cost,
     merge_outcomes,
@@ -671,6 +676,64 @@ class TestInPlaceKernels:
         assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
 
 
+SAMPLE_SIZES = sorted({n for ns in KERNEL_SAMPLES.values() for n in ns})
+
+
+class TestTypeTableCache:
+    """Type tables and ln p are kept and shared, read-only, and keep their bits."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", SAMPLE_SIZES)
+    def test_previous_types_are_the_leading_rows_less_one(self, k, n):
+        # the (n-1)-types repeat_model reads are the rows with t_0 >= 1, minus e_0
+        budget = math.comb(n + k - 1, k - 1)  # exactly the n-sample table is allowed
+        want = np.array(_types(n, k, budget)[:math.comb(n + k - 2, k - 1)])
+        want[:, 0] -= 1
+        assert_same_bits(_types(n - 1, k, budget), want)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, *SAMPLE_SIZES])
+    def test_log_coefficients_are_the_first_ones(self, k, n):
+        types, log_coef = _type_table(n, k, math.comb(n + k - 1, k - 1))
+        log_fact = np.array([math.lgamma(m + 1.0) for m in range(n + 1)])
+        assert_same_bits(log_coef, log_fact[n] - log_fact[types].sum(axis=1))
+        exact = [math.factorial(n) // math.prod(map(math.factorial, t)) for t in types.tolist()]
+        np.testing.assert_allclose(np.exp(log_coef), np.array(exact, dtype=float), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_tables_are_read_only(self, n):
+        for table in _type_table(n, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] += 1
+
+    def test_tables_are_kept_per_sample_size_and_outcome_count(self):
+        assert _types(8, 3) is _type_table(8, 3)[0]
+        assert _types(1, 3) is not _types(1, 3)  # a one-sample table is built, not kept
+
+    def test_budget_is_checked_on_a_kept_table(self):
+        _types(30, 4, 5456)
+        with pytest.raises(BudgetError, match=r"C\(33, 3\) = 5456 types"):
+            _types(30, 4)
+
+    def test_log_probs_once_per_model(self, monkeypatch):
+        import infobounds.stat_model as stat_model
+        joint = kernel_model("erasure")  # zeros in two outcomes
+        cond = ConditionalModel(joint.grid, joint.conditional.probs, joint.conditional.dprobs)
+        fresh = JointModel(joint.prior, cond)
+        calls = []
+        original = stat_model._log_or
+        monkeypatch.setattr(stat_model, "_log_or",
+                            lambda p, zero: calls.append(p) or original(p, zero))
+        for n in (2, 4, 8):
+            repeat_model(fresh, n)
+        mle_convergence_study(fresh, [1, 4, 16])
+        repeat_model(fresh, 3)
+        assert sum(p is cond.probs for p in calls) == 1  # the prior's log is taken here too
+        assert_same_bits(cond._log_probs, penalized_log(cond.probs))
+        with pytest.raises(ValueError, match="read-only"):
+            cond._log_probs[0, 0] = 0.0
+
+
 def traced_peak(call):
     """Peak bytes that ``call()`` holds above what was allocated before it, by tracemalloc."""
     tracing = tracemalloc.is_tracing()
@@ -695,6 +758,14 @@ class TestAllocationPeak:
         mle_convergence_study(joint, [64])
         table = 65 * 2001 * 8
         assert traced_peak(lambda: mle_convergence_study(joint, [64])) <= 1.3 * table
+
+    def test_repeat_model_holds_its_tables_and_one_scratch(self):
+        joint = cos2_uniform(2001)
+        repeat_model(joint, 10)
+        row = 2001 * 8
+        tables = (11 + 11 + 10 + 10) * row  # probs, dprobs, the 9-sample table, one product
+        buffer = np.getbufsize() * 8       # one ufunc buffer, 64 KiB
+        assert traced_peak(lambda: repeat_model(joint, 10)) <= 1.01 * tables + buffer
 
     def test_bayes_cost_holds_no_table(self):
         joint = cos2_uniform(20001)
@@ -724,3 +795,24 @@ class TestSampleSizeType:
         joint = gaussian_cos2(201)
         assert repeat_model(joint, np.int64(3)).conditional.n_outcomes == 4
         assert mle_convergence_study(joint, [np.int32(4)]) == mle_convergence_study(joint, [4])
+
+
+def dynamic_arch_openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(),
+                    reason="OPENBLAS_CORETYPE acts only on a DYNAMIC_ARCH OpenBLAS")
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_kernel_bits_under_other_blas_cores(core):
+    # the study recomputes the scores of permuted type rows and relies on a row's
+    # product not depending on the row's position, under every kernel OpenBLAS picks
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE=core,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           __file__, "-k", "Bitwise or InPlace"],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
