@@ -51,11 +51,10 @@ Two caches keep what the oracles would otherwise rebuild:
   one (K, points) float64 table per model, which ``repeat_model`` and the
   study both read.
 
-``_group_sum`` (for :func:`merge_outcomes`) sorts the rows of a copy in
-place, following the cycles of the stable ``argsort`` with one spare row,
-then sums runs as the study does, a one-row run as its row plus 0.0 (as
-``np.sum`` gives it: -0.0 becomes +0.0).  ``_information`` applies
-``_information_in_place`` to a copy.  ``repeat_model``'s derivative table
+``_group_sum`` (for :func:`merge_outcomes`) gathers the rows in the
+stable ``argsort`` order of their keys, one copy, then sums runs as the
+study does, a one-row run as its row plus 0.0 (as ``np.sum`` gives it:
+-0.0 becomes +0.0).  ``repeat_model``'s derivative table
 is one product per outcome into a reused scratch table, added through a
 slice where its rows form one run (always for the first outcome), else
 through an index array.  The oracles read q = w p(phi), q ln p(phi), q phi
@@ -78,8 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stat_model import (ConditionalModel, JointModel, _log_or, _prior_terms, _read_only,
-                         average_fisher)
+from .stat_model import ConditionalModel, JointModel, _read_only, average_fisher
 
 __all__ = [
     "BudgetError",
@@ -147,11 +145,6 @@ def mutual_information(joint: JointModel) -> OracleResult:
     )
 
 
-def _information(p: np.ndarray, prior: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """(I, H(phi|x)) of a bare (K, points) table p(x|phi), prior density and Simpson weights."""
-    return _information_in_place(p.copy(order="K"), *_prior_terms(prior, w), p.sum(axis=0))
-
-
 def _information_in_place(p: np.ndarray, q: np.ndarray, q_log_prior: np.ndarray,
                           colsums: np.ndarray, pbar: np.ndarray | None = None
                           ) -> tuple[float, float]:
@@ -192,11 +185,6 @@ def _bayes_cost(joint: JointModel, pbar: np.ndarray) -> float:
     first = joint.conditional.probs @ q_phi
     pos = pbar > 0.0
     return float(q_phi2 @ joint.conditional._colsums) - float(np.sum(first[pos] ** 2 / pbar[pos]))
-
-
-def _types(n: int, k: int, budget: int = TYPE_BUDGET) -> np.ndarray:
-    """The read-only type table of :func:`_type_table`, without its ln C(t) column."""
-    return _type_table(n, k, budget)[0]
 
 
 def _type_table(n: int, k: int, budget: int = TYPE_BUDGET) -> tuple[np.ndarray, np.ndarray]:
@@ -245,24 +233,19 @@ def _log_coefficients(types: np.ndarray) -> np.ndarray:
     return log_fact[n] - log_fact[types].sum(axis=1)
 
 
-def _type_probs(types: np.ndarray, probs: np.ndarray, exponent: np.ndarray | None = None,
-                log_coef: np.ndarray | None = None) -> np.ndarray:
-    """p(t|phi) = exp(ln C(t) + sum_x t_x ln p_x(phi)) for every type row t.
+def _type_probs(exponent: np.ndarray, log_coef: np.ndarray) -> np.ndarray:
+    """p(t|phi) = exp(ln C(t) + sum_x t_x ln p_x(phi)) for every type row t, in place.
 
-    ``exponent``, if given, is ``types @ ln p`` from the caller with ln 0
-    taken as -1e15, the penalised log ``ConditionalModel._log_probs``; it is
-    overwritten.  ``log_coef``, if given, is the ln C(t) column of these
-    rows; :func:`_log_coefficients` gives it to a few ulps, so what is left
-    of the error is the rounding of the exponent.  An entry is exactly 0
+    ``exponent`` is ``types @ ln p`` with ln 0 taken as -1e15, the penalised
+    log ``ConditionalModel._log_probs``; it is overwritten and returned.
+    ``log_coef`` is the ln C(t) column of these rows;
+    :func:`_log_coefficients` gives it to a few ulps, so what is left of the
+    error is the rounding of the exponent.  An entry is exactly 0
     where some t_x > 0 meets p_x = 0 (its exponent is near -1e15), or where
     it would be subnormal (an exp that underflows runs many times slower
     than a normal one): every entry at or below ``LOG_TINY`` goes to -inf
     before one plain ``exp``.
     """
-    if exponent is None:
-        exponent = types @ _log_or(probs, -1e15)
-    if log_coef is None:
-        log_coef = _log_coefficients(types)
     out = exponent
     out += log_coef[:, None]
     out[out <= LOG_TINY] = -np.inf
@@ -302,8 +285,8 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
     # for x = 0 they are the leading rows, the first coordinate descending
     prev, prev_coef = _type_table(n - 1, k, budget)
     log_p = cond._log_probs
-    probs = _type_probs(types, cond.probs, types @ log_p, log_coef)
-    prev_probs = _type_probs(prev, cond.probs, prev @ log_p, prev_coef)
+    probs = _type_probs(types @ log_p, log_coef)
+    prev_probs = _type_probs(prev @ log_p, prev_coef)
     dprobs = np.zeros(probs.shape)
     product = np.empty_like(prev_probs)
     for x in range(k):
@@ -324,39 +307,15 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
 def _group_sum(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Sum the rows of ``table`` that share a key: one row per distinct key, in key order.
 
-    A fresh array; see :func:`_group_in_place` for the sums.
-    """
-    out = table.copy()
-    # shrink the copy to its leading rows, which keeps them; no view of it exists
-    out.resize((_group_in_place(out, keys),) + out.shape[1:], refcheck=False)
-    return out
-
-
-def _group_in_place(table: np.ndarray, keys: np.ndarray) -> int:
-    """Sum the rows of a C-contiguous ``table`` that share a key into its leading rows.
-
-    Returns the number of groups; row g then holds the g-th smallest key's
-    group.  The sort is stable, so each group adds its rows one by one in
-    table order; a one-row group is its row plus 0.0, as ``np.sum`` gives it
-    (-0.0 becomes +0.0).  Besides ``table``, the kernel holds one spare row.
+    A fresh array.  The sort is stable, so each group adds its rows one by
+    one in table order; a one-row group is its row plus 0.0, as ``np.sum``
+    gives it (-0.0 becomes +0.0).
     """
     order = np.argsort(keys, kind="stable")
-    # sort the rows: row i takes row order[i], along each cycle of the permutation
-    spare = np.empty_like(table[0])
-    source = order.tolist()
-    for start in range(len(source)):
-        if source[start] == start:
-            continue  # in place, or placed on an earlier cycle
-        spare[...] = table[start]
-        i = start
-        while source[i] != start:
-            nxt = source[i]
-            table[i] = table[nxt]
-            source[i] = i  # placed
-            i = nxt
-        table[i] = spare
-        source[i] = i
-    return _sum_runs(table, keys[order], plus_zero=True)
+    out = table[order]
+    # shrink the gathered copy to its leading rows, which keeps them; no view of it exists
+    out.resize((_sum_runs(out, keys[order], plus_zero=True),) + out.shape[1:], refcheck=False)
+    return out
 
 
 def _sum_runs(table: np.ndarray, sorted_keys: np.ndarray, plus_zero: bool) -> int:
@@ -448,7 +407,7 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
             order = np.argsort(mle, kind="stable")
             types, log_coef, mle = types[order], log_coef[order], mle[order]
             np.matmul(types, log_p, out=table)  # each row keeps its bits
-        _type_probs(types, cond.probs, table, log_coef)
+        _type_probs(table, log_coef)
         by_mle = table[:_sum_runs(table, mle, plus_zero=False)]
         h = _information_in_place(by_mle, q, q_log_prior, by_mle.sum(axis=0))[1]
         asymptote = -0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e))

@@ -8,8 +8,8 @@ the gate and does not depend on phi, so every outcome probability is an
 exact trigonometric polynomial in phi; the cos(W phi) and sin(W phi) rows
 of a grid are built once per (grid, winding) and kept read-only.  Every
 noise kind commutes with the gate, so a family's QFI does not depend on phi
-and is computed once per family.  Known Fisher-information caps for N
-noisy gates translate into global mutual-information caps
+and is a closed form of the state at phi = 0.  Known Fisher-information
+caps for N noisy gates translate into global mutual-information caps
 ln(1 + pi sqrt(F_cap)) on the phase interval [0, 2 pi), which is where the
 Heisenberg-to-SQL transition shows up.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import BoundReport, UPPER_MI
 from .numerics import ParameterGrid
-from .stat_model import ConditionalModel, _frozen, _read_only, _score_terms
+from .stat_model import ZERO_DERIV_TOL, ConditionalModel, _frozen, _read_only, _score_terms
 
 __all__ = [
     "DensityMatrix",
@@ -46,7 +46,6 @@ __all__ = [
 
 MATRIX_TOL = 1e-12     # hermiticity / trace / completeness / POVM resolution
 PSD_TOL = 1e-10        # eigenvalue negativity allowance for states
-QFI_EIG_TOL = 1e-12    # eigenvalue-sum regularization in the QFI formula
 
 CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
 
@@ -268,13 +267,13 @@ class PhaseChannelFamily:
 
     @cached_property
     def _qfi(self) -> float:
-        """The QFI at phi = 0, where the wound state is rho0; see :func:`qfi`."""
-        rho, drho = self._state_and_derivative(0.0)
-        evals, evecs = np.linalg.eigh(rho)
-        d = evecs.conj().T @ drho @ evecs
-        sums = evals[:, None] + evals[None, :]
-        keep = sums > QFI_EIG_TOL
-        return float(2.0 * np.sum(np.abs(d[keep]) ** 2 / sums[keep]))
+        """4 g^2 |rho_01|^2 / (rho_00 + rho_11) of rho = ``state(0.0)``, 0 where that
+        weight is 0; see :func:`qfi`."""
+        rho = self.state(0.0)
+        weight = (rho[0, 0] + rho[1, 1]).real
+        if weight <= 0.0:
+            return 0.0
+        return float(4.0 * self.gates ** 2 * abs(rho[0, 1]) ** 2 / weight)
 
 
 def noon_family(n: int) -> PhaseChannelFamily:
@@ -286,17 +285,20 @@ def noon_family(n: int) -> PhaseChannelFamily:
 def qfi(family: PhaseChannelFamily, phi: float) -> float:
     """Quantum Fisher information of a phase-channel family at phi.
 
-    QFI = 2 sum_{j,k: l_j + l_k > eps} |<j| d rho |k>|^2 / (l_j + l_k) over
-    the eigendecomposition of rho(phi), with eps = 1e-12 handling rank
-    deficiency, and the family's analytic derivative.  Raises ValueError
-    when the family's input state is not a density matrix or phi is not finite.
-
     Every noise kind is phase-covariant: each Kraus operator satisfies
-    K_k U_phi = e^{i theta_k} U_phi K_k, so rho(phi) = U rho(0) U^dag and
-    d rho(phi) = U d rho(0) U^dag.  The eigenvalues and the sum above are then
-    the same at every phi, so the QFI is computed once per family, at
-    phi = 0, and kept on the family; it differs from a direct evaluation at
-    phi by round-off only (measured at most 2.2e-15 relative).
+    K_k U_phi = e^{i theta_k} U_phi K_k, so rho(phi) = U rho(0) U^dag with
+    U = exp(i phi g |1><1|), and the QFI is the same at every phi.  No
+    channel leaves a coherence between the loss level 2 and {|0>, |1>}, and
+    the generator acts inside that qubit block B of weight p = B_00 + B_11,
+    so the QFI is p times that of the qubit B / p turned about z:
+
+        QFI = 4 g^2 |rho_01|^2 / (rho_00 + rho_11),   0 where rho_00 + rho_11 = 0,
+
+    of rho = rho(0), computed once per family and kept on it.  It agrees
+    with 2 sum_{j,k} |<j| d rho |k>|^2 / (l_j + l_k) over the eigenvalues of
+    rho(phi) to round-off (measured at most 1.7e-15 relative).  Raises
+    ValueError when the family's input state is not a density matrix or phi
+    is not finite.
     """
     family.input_state  # raises unless rho0 is a density matrix
     _checked_phi(phi)
@@ -308,7 +310,8 @@ def classical_fi_of_povm(family: PhaseChannelFamily, povm: Povm, phi: float) -> 
 
     Never exceeds the QFI of the family.  Returns inf when some outcome has
     zero probability but a probability derivative above ``ZERO_DERIV_TOL``
-    (1e-6), the rule of F(phi).  Raises ValueError when the family's input
+    (1e-6), the rule of F(phi) with phi an angle: one phi is at hand, so
+    there is no span to scale by.  Raises ValueError when the family's input
     state is not a density matrix, the POVM acts on another dimension, or
     phi is not finite.
     """
@@ -321,7 +324,7 @@ def classical_fi_of_povm(family: PhaseChannelFamily, povm: Povm, phi: float) -> 
     probs = elements @ rho.reshape(-1).view(np.float64)
     dprobs = elements @ drho.reshape(-1).view(np.float64)
     # in outcome order: a 1-D np.sum adds pairwise, Python 3.12's sum compensates
-    return float(np.add.accumulate(_score_terms(probs, dprobs))[-1])
+    return float(np.add.accumulate(_score_terms(probs, dprobs, ZERO_DERIV_TOL))[-1])
 
 
 def plus_minus_povm(dim: int = 2) -> Povm:

@@ -33,8 +33,8 @@ __all__ = [
 
 MASS_TOL = 1e-6        # prior and joint normalization
 OUTCOME_TOL = 1e-9     # sum_x p(x|phi) = 1 at every grid point
-DERIV_SUM_TOL = 1e-6   # sum_x dp(x|phi)/dphi = 0 at every grid point
-ZERO_DERIV_TOL = 1e-6  # |pdot| where p = 0 (F, P, CFI) or end density * (upper - lower) is 0
+DERIV_SUM_TOL = 1e-6   # |sum_x dp(x|phi)/dphi| * (upper - lower) at every grid point
+ZERO_DERIV_TOL = 1e-6  # |pdot| * span where p = 0 (F, P; the CFI: |pdot|), end density * span
 PRIOR_PARAMS = {"rectangle": ("width",), "gaussian": ("sigma",), "tabulated": ()}  # required params
 
 
@@ -140,13 +140,14 @@ class PriorDensity:
     def information(self) -> float:
         """Prior information P = int pdot^2 / p dphi; inf flags divergence.
 
-        A jump diverges it (pdot != 0 where p = 0, or an end density x span above
-        ``ZERO_DERIV_TOL``, free of units): P then measures edge sharpness, not
-        width, the failure mode the MI-based bounds avoid.  Computed on first access.
+        A jump diverges it (|pdot| x span where p = 0, or an end density x span,
+        above ``ZERO_DERIV_TOL``, both free of units): P then measures edge
+        sharpness, not width, the failure mode the MI-based bounds avoid.
+        Computed on first access.
         """
         p = self.density
-        terms = _score_terms(p, self.derivative)
         span = self.grid.upper - self.grid.lower
+        terms = _score_terms(p, self.derivative, ZERO_DERIV_TOL / span)
         if max(p[0], p[-1]) * span > ZERO_DERIV_TOL or np.isinf(terms).any():
             return math.inf
         return integrate(terms, self.grid)
@@ -220,12 +221,6 @@ def _log_or(p: np.ndarray, zero: float) -> np.ndarray:
     return log_p
 
 
-def _prior_terms(density: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q, q ln p) of a prior density p and quadrature weights w, q = w p, with 0 ln 0 = 0."""
-    q = w * density
-    return q, q * _log_or(density, 0.0)
-
-
 def cosine_plateau(grid: ParameterGrid, flat_lower: float, flat_upper: float,
                    ramp: float) -> tuple[np.ndarray, np.ndarray]:
     """Smooth plateau: 1 on [flat_lower, flat_upper], cos^2 ramps to 0 outside.
@@ -288,8 +283,10 @@ class ConditionalModel:
         if worst > OUTCOME_TOL:
             raise ValueError(f"outcome probabilities sum to 1 +/- {worst:.2e} > {OUTCOME_TOL}")
         dworst = np.max(np.abs(dsums))
-        if dworst > DERIV_SUM_TOL:
-            raise ValueError(f"outcome derivatives sum to {dworst:.2e} > {DERIV_SUM_TOL}")
+        span = self.grid.upper - self.grid.lower
+        if dworst * span > DERIV_SUM_TOL:
+            raise ValueError(f"outcome derivatives sum to {dworst:.2e}; times the span {span:.3g} "
+                             f"that is {dworst * span:.2e} > {DERIV_SUM_TOL}")
         outcomes = self.outcomes or tuple(range(p.shape[0]))
         if len(outcomes) != p.shape[0]:
             raise ValueError("outcome labels must match the number of rows")
@@ -358,10 +355,6 @@ class JointModel:
     def grid(self) -> ParameterGrid:
         return self.prior.grid
 
-    def joint_probs(self) -> np.ndarray:
-        """(K, points) array of p(x, phi)."""
-        return self.conditional.probs * self.prior.density[None, :]
-
     def joint_derivative(self) -> np.ndarray:
         """(K, points) array of the smooth part of d p(x, phi) / d phi."""
         return (self.conditional.dprobs * self.prior.density[None, :]
@@ -429,14 +422,14 @@ def _median(a: np.ndarray) -> float:
     return float((low + high) / 2.0)
 
 
-def _score_terms(p: np.ndarray, pdot: np.ndarray) -> np.ndarray:
+def _score_terms(p: np.ndarray, pdot: np.ndarray, tol: float) -> np.ndarray:
     """pdot^2 / p term by term, the one rule of F, P and the CFI: where p <= 0 a term is
-    0 if |pdot| <= ``ZERO_DERIV_TOL`` (a zero of p is a minimum), else +inf, as on overflow."""
+    0 if |pdot| <= ``tol`` (a zero of p is a minimum), else +inf, as on overflow."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = pdot * pdot / p
     zero = p <= 0.0
     if zero.any():
-        terms[zero] = np.where(np.abs(pdot[zero]) > ZERO_DERIV_TOL, np.inf, 0.0)
+        terms[zero] = np.where(np.abs(pdot[zero]) > tol, np.inf, 0.0)
     return terms
 
 
@@ -444,9 +437,11 @@ def fisher_information(model: ConditionalModel) -> FisherProfile:
     """F(phi) = sum_x pdot(x|phi)^2 / p(x|phi), pointwise on the grid.
 
     A term with p = 0 and pdot = 0 contributes 0 (the limit along analytic
-    families); p = 0 with pdot != 0 marks the grid point divergent.
+    families); p = 0 with |pdot| x (upper - lower) above ``ZERO_DERIV_TOL``
+    marks the grid point divergent, a rule free of the units of phi.
     """
-    values = _score_terms(model.probs, model.dprobs).sum(axis=0)
+    span = model.grid.upper - model.grid.lower
+    values = _score_terms(model.probs, model.dprobs, ZERO_DERIV_TOL / span).sum(axis=0)
     return FisherProfile(model.grid, *_read_only(values, np.isinf(values)))
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from infobounds.bounds import (
 )
 from infobounds.cli import build_builtin
 from infobounds.mi_oracle import bayes_quadratic_cost, mutual_information
-from infobounds.numerics import NumericError, ParameterGrid, integrate
+from infobounds.numerics import ParameterGrid, integrate
 from infobounds.quantum_metrology import mi_cap
 from infobounds.random_models import random_joint_model
 from infobounds.stat_model import (
@@ -695,39 +696,46 @@ class TestBoundRegistry:
 
 
 BUILTINS = ["cos2", "cos2-gaussian", "noon", "dephasing-qubit", "ampdamp-qubit", "erasure-qutrit"]
+RANDOM_MODELS = [f"random-{i}" for i in range(20)]  # the first verify models of seed 0
 SCALES = [1e-9, 1e-3, 1e3, 1e9]
 
 
-def rescaled(joint, a):
-    """``joint`` in the parameter a * phi: the grid and prior scaled, dp/dphi divided by a."""
+@functools.cache
+def seed0_models():
+    rng = np.random.default_rng(0)
+    return [random_joint_model(rng, ParameterGrid(0.0, 1.0, 2001)) for _ in RANDOM_MODELS]
+
+
+def rescaling_joint(name):
+    if name in RANDOM_MODELS:
+        return seed0_models()[RANDOM_MODELS.index(name)]
+    return build_builtin(name)
+
+
+def rescaled(joint, a, dprobs=None):
+    """``joint`` in the parameter a * phi: the grid and prior scaled, dp/dphi (``dprobs``,
+    by default the model's) divided by a."""
     grid = joint.grid
     scaled = ParameterGrid(a * grid.lower, a * grid.upper, grid.points)
     prior = joint.prior
     if prior.kind == "rectangle":
         prior = PriorDensity.rectangle(scaled)
-    else:
+    elif prior.kind == "gaussian":
         prior = PriorDensity.gaussian(scaled, a * prior.params["mean"], a * prior.params["sigma"])
+    else:
+        prior = PriorDensity.tabulated(scaled, prior.density / a, prior.derivative / (a * a),
+                                       smooth=prior.smooth)
     cond = joint.conditional
-    return JointModel(prior, ConditionalModel(scaled, cond.probs, cond.dprobs / a,
+    dprobs = cond.dprobs if dprobs is None else dprobs
+    return JointModel(prior, ConditionalModel(scaled, cond.probs, dprobs / a,
                                               cond.derivative_source, cond.outcomes))
 
 
-def rescaling_cases():
-    for name in BUILTINS:
-        for a in SCALES:
-            marks = ()
-            if (name, a) == ("noon", 1e-9):
-                marks = pytest.mark.xfail(strict=True, raises=NumericError,
-                                          reason="the p = 0 rule of F compares |pdot| (units "
-                                                 "1/phi) with an absolute tolerance; ROADMAP "
-                                                 "direction 1 makes it units-free")
-            yield pytest.param(name, a, marks=marks, id=f"{name}-{a:g}")
-
-
-@pytest.mark.parametrize("name, a", rescaling_cases())
+@pytest.mark.parametrize("name, a", [pytest.param(name, a, id=f"{name}-{a:g}")
+                                     for name in BUILTINS + RANDOM_MODELS for a in SCALES])
 def test_rescaling_phi_keeps_flags_and_scales_mse_bounds(name, a):
     # phi -> a phi leaves every MI bound unchanged and scales every MSE bound by a^2
-    joint = build_builtin(name)
+    joint = rescaling_joint(name)
     want = all_bounds(joint)
     have = all_bounds(rescaled(joint, a))
     assert [(r.name, r.flags) for r in have] == [(r.name, r.flags) for r in want]
@@ -737,3 +745,13 @@ def test_rescaling_phi_keeps_flags_and_scales_mse_bounds(name, a):
             continue
         scale = 1.0 if ref.direction == UPPER_MI else a * a
         assert abs(got.value / scale - ref.value) <= 1e-12 * abs(ref.value), got.name
+
+
+@pytest.mark.parametrize("a", [1e-9, 1e9])
+def test_rescaling_keeps_an_inconsistent_table_rejected(a):
+    # one row's pdot shifted by 1e-3 / span: sum_x pdot x span is 1e-3 at every scale
+    joint = seed0_models()[0]
+    dprobs = joint.conditional.dprobs.copy()
+    dprobs[0] += 1e-3 / (joint.grid.upper - joint.grid.lower)
+    with pytest.raises(ValueError, match="outcome derivatives sum to"):
+        rescaled(joint, a, dprobs)

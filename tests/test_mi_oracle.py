@@ -13,15 +13,12 @@ import pytest
 from infobounds.mi_oracle import (
     CHUNK,
     LOG_TINY,
-    TYPE_BUDGET,
     BudgetError,
     MleStudyPoint,
     _group_sum,
-    _information,
     _information_in_place,
     _type_probs,
     _type_table,
-    _types,
     bayes_quadratic_cost,
     merge_outcomes,
     mle_convergence_study,
@@ -509,10 +506,19 @@ def reference_information(p, prior, w):
     return mi, -mi - float((q * log_prior) @ p.sum(axis=0))
 
 
+def information(p, prior, w):
+    """(I, H(phi|x)) of a bare table, prior density and weights, by the in-place kernel
+    on a copy."""
+    q = w * prior
+    log_prior = np.zeros_like(prior)
+    np.log(prior, out=log_prior, where=prior > 0.0)
+    return _information_in_place(p.copy(order="K"), q, q * log_prior, p.sum(axis=0))
+
+
 def reference_repeat_tables(joint, n):
     """(probs, dprobs) of n samples, the derivative rows added through boolean masks."""
     cond = joint.conditional
-    types = _types(n, cond.n_outcomes, TYPE_BUDGET)
+    types = _type_table(n, cond.n_outcomes)[0]
     probs = reference_type_probs(types, cond.probs)
     prev = types[types[:, 0] >= 1]
     prev[:, 0] -= 1
@@ -533,7 +539,7 @@ def penalized_log(probs):
 def reference_study_row(joint, n):
     """One MLE study row: two matmuls, the split group sum and the masked log."""
     probs = joint.conditional.probs
-    types = _types(n, len(probs), TYPE_BUDGET)
+    types = _type_table(n, len(probs))[0]
     mle = np.argmax(types @ penalized_log(probs), axis=1)
     by_mle = reference_group_sum(reference_type_probs(types, probs), mle)
     h = reference_information(by_mle, joint.prior.density, simpson_weights(joint.grid))[1]
@@ -578,11 +584,10 @@ class TestKernelsBitwise:
     @pytest.mark.parametrize("name, n", KERNEL_CASES)
     def test_type_probs(self, name, n):
         probs = kernel_model(name).conditional.probs
-        types = _types(n, len(probs), TYPE_BUDGET)
-        want = reference_type_probs(types, probs)
-        assert_same_bits(_type_probs(types, probs), want)
-        # the study hands in its penalized scores as the exponent
-        assert_same_bits(_type_probs(types, probs, types @ penalized_log(probs)), want)
+        types, log_coef = _type_table(n, len(probs))
+        # the exponent is the penalized scores, which the study also ranks
+        assert_same_bits(_type_probs(types @ penalized_log(probs), log_coef),
+                         reference_type_probs(types, probs))
 
     @pytest.mark.parametrize("name, n", KERNEL_CASES)
     def test_repeat_model_tables_and_oracle(self, name, n):
@@ -592,7 +597,7 @@ class TestKernelsBitwise:
         assert_same_bits(rep.conditional.probs, want_p)
         assert_same_bits(rep.conditional.dprobs, want_dp)
         w = simpson_weights(joint.grid)
-        assert _information(want_p, joint.prior.density, w) == reference_information(
+        assert information(want_p, joint.prior.density, w) == reference_information(
             want_p, joint.prior.density, w)
         assert mutual_information(rep).mi == reference_information(
             want_p, joint.prior.density, w)[0]
@@ -660,7 +665,7 @@ class TestInPlaceKernels:
             want *= p
             prior, w = rng.random(size), rng.random(size)
             p.setflags(write=False)
-            assert _information(p, prior, w) == reference_information(p, prior, w)
+            assert information(p, prior, w) == reference_information(p, prior, w)
             table = p.copy()
             q = w * prior
             _information_in_place(table, q, q, table.sum(axis=0))
@@ -671,7 +676,7 @@ class TestInPlaceKernels:
         joint = kernel_model("erasure")
         assert mle_convergence_study(joint, [64]) == [reference_study_row(joint, 64)]
         table = repeat_model(joint, 64).conditional.probs
-        keys = np.argmax(np.array(_types(64, 3, TYPE_BUDGET)) @ penalized_log(
+        keys = np.argmax(np.array(_type_table(64, 3)[0]) @ penalized_log(
             joint.conditional.probs), axis=1)
         assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
 
@@ -687,9 +692,9 @@ class TestTypeTableCache:
     def test_previous_types_are_the_leading_rows_less_one(self, k, n):
         # the (n-1)-types repeat_model reads are the rows with t_0 >= 1, minus e_0
         budget = math.comb(n + k - 1, k - 1)  # exactly the n-sample table is allowed
-        want = np.array(_types(n, k, budget)[:math.comb(n + k - 2, k - 1)])
+        want = np.array(_type_table(n, k, budget)[0][:math.comb(n + k - 2, k - 1)])
         want[:, 0] -= 1
-        assert_same_bits(_types(n - 1, k, budget), want)
+        assert_same_bits(_type_table(n - 1, k, budget)[0], want)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, *SAMPLE_SIZES])
@@ -707,13 +712,14 @@ class TestTypeTableCache:
                 table[0] += 1
 
     def test_tables_are_kept_per_sample_size_and_outcome_count(self):
-        assert _types(8, 3) is _type_table(8, 3)[0]
-        assert _types(1, 3) is not _types(1, 3)  # a one-sample table is built, not kept
+        assert _type_table(8, 3)[0] is _type_table(8, 3)[0]
+        # a one-sample table is built, not kept
+        assert _type_table(1, 3)[0] is not _type_table(1, 3)[0]
 
     def test_budget_is_checked_on_a_kept_table(self):
-        _types(30, 4, 5456)
+        _type_table(30, 4, 5456)
         with pytest.raises(BudgetError, match=r"C\(33, 3\) = 5456 types"):
-            _types(30, 4)
+            _type_table(30, 4)
 
     def test_log_probs_once_per_model(self, monkeypatch):
         import infobounds.stat_model as stat_model

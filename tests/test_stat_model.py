@@ -32,16 +32,16 @@ def pi_grid():
 
 def marginal_outcome(joint):
     """Marginal outcome distribution p_bar(x) = int p(x|phi) p(phi) dphi."""
-    return joint.joint_probs() @ simpson_weights(joint.grid)
+    return (joint.conditional.probs * joint.prior.density) @ simpson_weights(joint.grid)
 
 
-def masked_score_terms(p, pdot):
+def masked_score_terms(p, pdot, tol):
     """Reference: the score-term rule as a masked divide into zeros, then an inf mask."""
     terms = np.zeros_like(p)
     pos = p > 0.0
     with np.errstate(over="ignore"):
         np.divide(pdot * pdot, p, out=terms, where=pos)
-    terms[~pos & (np.abs(pdot) > ZERO_DERIV_TOL)] = np.inf
+    terms[~pos & (np.abs(pdot) > tol)] = np.inf
     return terms
 
 
@@ -258,6 +258,20 @@ class TestConditionalModel:
         with pytest.raises(ValueError, match="derivatives"):
             ConditionalModel(pi_grid, probs, dprobs, "analytic")
 
+    @pytest.mark.parametrize("span, rejected", [(2.0, False), (4.0, True)])
+    def test_derivative_sum_rule_takes_the_span(self, span, rejected):
+        # sum_x pdot = 3e-7 at one point: times a span of 2 it is below 1e-6, of 4 above
+        grid = ParameterGrid(0.0, span, 21)
+        probs = np.full((2, grid.points), 0.5)
+        dprobs = np.zeros_like(probs)
+        dprobs[0, 3] = 3e-7
+        if not rejected:
+            ConditionalModel(grid, probs, dprobs, "analytic")
+            return
+        with pytest.raises(ValueError, match=r"sum to 3.00e-07; times the span 4 that is "
+                                             r"1.20e-06 > 1e-06"):
+            ConditionalModel(grid, probs, dprobs, "analytic")
+
     @pytest.mark.parametrize("label", ["probs", "dprobs"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_naming_array_and_index(self, pi_grid, label, value):
@@ -359,14 +373,17 @@ class TestFisherInformation:
 class TestOneScoreRule:
     """F, the prior information P and (in test_quantum) the CFI share one term rule."""
 
-    # |pdot| where p = 0, and the term it gives: at most ZERO_DERIV_TOL = 1e-6 counts as 0
+    # |pdot| where p = 0, and the term it gives: |pdot| x span at most ZERO_DERIV_TOL = 1e-6
+    # counts as 0 (the span is 1 in test_terms, 2 in the models below)
     VERDICTS = [(0.0, 0.0), (1e-7, 0.0), (1e-3, math.inf)]
 
     def test_terms(self):
         pdots = [pdot for pdot, _ in self.VERDICTS]
-        terms = _score_terms(np.array([0.0, 0.0, 0.0, 0.5]), np.array(pdots + [1.0]))
+        terms = _score_terms(np.array([0.0, 0.0, 0.0, 0.5]), np.array(pdots + [1.0]),
+                             ZERO_DERIV_TOL)
         assert terms.tolist() == [term for _, term in self.VERDICTS] + [2.0]
-        assert _score_terms(np.array([-0.0]), np.array([1e-3])).tolist() == [math.inf]
+        assert _score_terms(np.array([-0.0]), np.array([1e-3]), ZERO_DERIV_TOL).tolist() == [
+            math.inf]
 
     @pytest.mark.parametrize("pdot, term", VERDICTS)
     def test_fisher_and_prior_information_agree(self, pdot, term):
@@ -398,11 +415,29 @@ class TestOneScoreRule:
             p[zeros] = 0.0
             # at the zeros of p: slopes on both sides of ZERO_DERIV_TOL, and exact zeros
             pdot[zeros] *= rng.choice([0.0, 1e-7, 1e-3], size=np.count_nonzero(zeros))
-            assert _score_terms(p, pdot).tobytes() == masked_score_terms(p, pdot).tobytes()
+            assert _score_terms(p, pdot, ZERO_DERIV_TOL).tobytes() == \
+                masked_score_terms(p, pdot, ZERO_DERIV_TOL).tobytes()
         cases = [(np.array([0.0, 0.0, 0.0, 0.5, -0.0]), np.array([0.0, 1e-7, 1e-3, 1.0, 1e-3])),
                  (np.array([1e-300, 1.0, 0.0]), np.array([1e5, -1e5, -1e5]))]  # the overflow
         for p, pdot in cases:
-            assert _score_terms(p, pdot).tobytes() == masked_score_terms(p, pdot).tobytes()
+            assert _score_terms(p, pdot, ZERO_DERIV_TOL).tobytes() == \
+                masked_score_terms(p, pdot, ZERO_DERIV_TOL).tobytes()
+
+    @pytest.mark.parametrize("span, divergent", [(2.0, False), (4.0, True)])
+    def test_zero_rule_takes_the_span(self, span, divergent):
+        # |pdot| = 3e-7 at a zero of p: times a span of 2 it is below ZERO_DERIV_TOL, of 4 above
+        grid = ParameterGrid(0.0, span, 21)
+        probs = np.vstack([np.zeros(grid.points), np.ones(grid.points)])
+        dprobs = np.zeros_like(probs)
+        dprobs[:, 3] = [3e-7, -3e-7]
+        profile = fisher_information(ConditionalModel(grid, probs, dprobs))
+        assert profile.divergent.tolist() == [divergent and i == 3 for i in range(grid.points)]
+        window = PriorDensity.cosine_window(grid, span / 2.0, span / 2.0)
+        deriv = window.derivative.copy()
+        deriv[3] = 3e-7
+        assert window.density[3] == 0.0
+        assert math.isinf(PriorDensity.tabulated(grid, window.density, deriv).information) == \
+            divergent
 
     def test_overflowing_term_is_divergent(self):
         grid = ParameterGrid(0.0, 1.0, 11)
@@ -587,7 +622,8 @@ class TestIdentityEquality:
 class TestJointAndMarginal:
     def test_joint_normalization(self, pi_grid):
         joint = JointModel(PriorDensity.rectangle(pi_grid), cos2_model(pi_grid))
-        total = sum(integrate(row, pi_grid) for row in joint.joint_probs())
+        total = sum(integrate(row, pi_grid)
+                    for row in joint.conditional.probs * joint.prior.density)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_grid_mismatch_rejected(self, pi_grid):
