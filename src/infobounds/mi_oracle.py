@@ -15,30 +15,45 @@ estimate is a function of the type too, so the MLE study groups the same
 rows by their estimate instead of sampling them.
 
 Kernel contract: the type-table kernels may drop work but never change a
-bit of any table, :class:`OracleResult` or :class:`MleStudyPoint` (the
-tests keep the first versions as references).  The MLE study holds one
-(types, points) table per sample size and makes these passes over it:
+bit of any table or :class:`OracleResult` (the tests keep the first
+versions as references).  An :class:`MleStudyPoint` keeps its bits when no
+estimate is reached by exactly one type; the rows of such one-type
+estimates take p ln p from the exponent instead of a log, a different
+rounding, so a study row with them is held to a relative 1e-13 of the
+first version and of an ``np.longdouble`` replay (at most 3.6e-14
+measured across OpenBLAS kernels, where the first version is itself up to
+3.0e-14 off the replay).  The MLE study holds one (types, points) table
+per sample size and makes these passes over it:
 
 * scores: one matmul ``types @ ln p``, ln p the penalised log the
   conditional model keeps (-1e15 where p = 0);
-* estimates: the row-wise ``argmax`` of the scores;
-* scores of the permuted types: unless the estimates already ascend, the
-  type rows and their ln C(t) are put in the stable estimate order and the
-  matmul runs again into the same table.  A row's product does not depend
-  on the row's position, so each row gets the bits it had, and p(t|phi)
-  is then built in estimate order;
-* ``_type_probs``: one add of ln C(t), one fill of the entries at or below
-  ``LOG_TINY`` with -inf (which covers every t_x > 0 meeting p_x = 0: its
-  exponent is near -1e15), one plain ``exp`` in place;
+* estimates: the row-wise ``argmax`` of the scores, and how many types
+  reach each (``np.bincount``);
+* scores of the permuted types: the rows of estimates reached by several
+  types go first, in estimate order, and the one-type rows after them in
+  table order.  Unless the rows already stand so (on cos^2 tables every
+  estimate has one type), the type rows and their ln C(t) are put in that
+  stable order and the matmul runs again into the same table.  A row's
+  product does not depend on the row's position, so each row gets the
+  bits it had;
+* one-type rows (``_one_type_terms``): one add of ln C(t) gives
+  e = ln p(t|phi); then, in blocks of whole rows through one scratch of
+  ``STUDY_BLOCK`` entries, the entries at or below ``LOG_TINY`` set to the
+  most negative float, p = exp(e) into the scratch, one product
+  p @ [q, q ln p(phi)] for pbar and the prior term, and e overwritten with
+  p e; then one matrix-vector product of the p e rows with q.  No log, no
+  zero fix;
+* the other rows, ``_type_probs``: one add of ln C(t), one fill of the
+  entries at or below ``LOG_TINY`` with -inf (which covers every t_x > 0
+  meeting p_x = 0: its exponent is near -1e15), one plain ``exp`` in place;
 * run sums (``_sum_runs``): each run of equal estimates compacted into the
-  leading rows, a longer one as the sum of its rows in table order; a
-  one-row run stays as it is (p(t|phi) >= +0, so the reference's + 0.0
-  changes nothing);
-* ``_information_in_place``: on the grouped rows, the matrix-vector
+  leading rows, as the sum of its rows in table order;
+* ``_information_in_place``: on the summed runs, the matrix-vector
   product p @ q and the column sums first, then p overwritten with p ln p
   in flat chunks through one small scratch (elementwise, so the chunks
   give the same bits as one pass), then the same matrix-vector product
-  on the whole table (a product over row chunks would not keep the bits).
+  on the whole table (a product over row chunks would not keep the bits);
+  the pbar of the one-type rows joins its pbar ln pbar term.
 
 Two caches keep what the oracles would otherwise rebuild:
 
@@ -94,6 +109,7 @@ __all__ = [
 TYPE_BUDGET = 4096  # default cap on the rows of a type table
 TYPE_CACHE = 32     # type tables kept, one per (n, K), see _type_rows
 CHUNK = 8192        # entries per pass of the in-place p ln p, a 64 KiB scratch
+STUDY_BLOCK = 16384  # entries per block of the study's one-type rows, a 128 KiB scratch
 LOG_TINY = math.log(np.finfo(float).tiny)  # below this exp(.) is subnormal
 
 
@@ -152,7 +168,9 @@ def _information_in_place(p: np.ndarray, q: np.ndarray, q_log_prior: np.ndarray,
 
     ``q`` is w p(phi), ``q_log_prior`` is q ln p(phi), ``colsums`` is
     sum_x p(x|phi) and ``pbar``, taken here if not given, is p @ q, as
-    :func:`mutual_information` defines them.
+    :func:`mutual_information` defines them.  The MLE study passes the
+    pbar of more outcomes than p holds, and adds the other terms of those
+    outcomes to H itself (:func:`_one_type_terms`).
     """
     if pbar is None:
         pbar = p @ q
@@ -163,7 +181,7 @@ def _information_in_place(p: np.ndarray, q: np.ndarray, q_log_prior: np.ndarray,
             chunk = flat[start:start + CHUNK]
             log = scratch[:chunk.size]
             np.log(chunk, out=log)
-            log[chunk == 0.0] = 0.0  # 0 ln 0 = 0
+            np.copyto(log, 0.0, where=chunk == 0.0)  # 0 ln 0 = 0
             chunk *= log
     pbar = pbar[pbar > 0.0]
     mi = float((p @ q).sum()) - float(pbar @ np.log(pbar))
@@ -248,9 +266,40 @@ def _type_probs(exponent: np.ndarray, log_coef: np.ndarray) -> np.ndarray:
     """
     out = exponent
     out += log_coef[:, None]
-    out[out <= LOG_TINY] = -np.inf
+    np.copyto(out, -np.inf, where=out <= LOG_TINY)
     np.exp(out, out=out)
     return out
+
+
+def _one_type_terms(exponent: np.ndarray, log_coef: np.ndarray, q: np.ndarray,
+                    q_log_prior: np.ndarray) -> tuple[np.ndarray, float]:
+    """(pbar, their share of H(phi|x)) of type rows that are each an outcome of their own.
+
+    ``exponent`` is their scores ``types @ ln p`` and ``log_coef`` their
+    ln C(t), as :func:`_type_probs` takes them; the exponent e is ln p(t|phi),
+    so p ln p = p e, with no log.  The share is -sum_phi (q p e + q ln p(phi)
+    p) over the rows, the terms of :func:`mutual_information`'s H(phi|x)
+    but pbar ln pbar.  The rows are overwritten with p e, and walked in
+    blocks of whole rows (``STUDY_BLOCK`` entries, at least one row) through
+    one scratch that holds p.  As in :func:`_type_probs`, an entry at or
+    below ``LOG_TINY`` gives p = 0; it is set to the most negative float, so
+    that exp gives 0 and p e is 0, not NaN.
+    """
+    e = exponent
+    e += log_coef[:, None]
+    weights = np.column_stack([q, q_log_prior])
+    pbar_prior = np.empty((len(e), 2))  # p @ q and p @ q ln p(phi) per row
+    rows = max(1, min(len(e), STUDY_BLOCK // e.shape[1]))
+    scratch = np.empty((rows, e.shape[1]))
+    lowest = -np.finfo(float).max
+    for start in range(0, len(e), rows):
+        block = e[start:start + rows]
+        p = scratch[:len(block)]
+        np.copyto(block, lowest, where=block <= LOG_TINY)
+        np.exp(block, out=p)
+        np.matmul(p, weights, out=pbar_prior[start:start + len(block)])
+        block *= p
+    return pbar_prior[:, 0], -float((e @ q).sum()) - float(pbar_prior[:, 1].sum())
 
 
 def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointModel:
@@ -314,33 +363,30 @@ def _group_sum(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     order = np.argsort(keys, kind="stable")
     out = table[order]
     # shrink the gathered copy to its leading rows, which keeps them; no view of it exists
-    out.resize((_sum_runs(out, keys[order], plus_zero=True),) + out.shape[1:], refcheck=False)
+    out.resize((_sum_runs(out, keys[order]),) + out.shape[1:], refcheck=False)
     return out
 
 
-def _sum_runs(table: np.ndarray, sorted_keys: np.ndarray, plus_zero: bool) -> int:
+def _sum_runs(table: np.ndarray, sorted_keys: np.ndarray) -> int:
     """Sum each run of equal ``sorted_keys`` in a C-contiguous ``table`` into its leading rows.
 
     Returns the number of runs; row g then holds the g-th run, a longer run
-    as the sum of its rows in table order, a one-row run as its row, plus
-    0.0 if ``plus_zero``.
+    as the sum of its rows in table order, a one-row run as its row plus
+    0.0.  The MLE study's runs all have several rows.
     """
     bounds = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
     bounds = [0, *bounds, len(sorted_keys)]
     runs = len(bounds) - 1
     # the one-row runs before the first longer one are already in their rows
     lead = next((g for g in range(runs) if bounds[g + 1] - bounds[g] > 1), runs)
-    if plus_zero:
-        np.add(table[:lead], 0.0, out=table[:lead])
+    np.add(table[:lead], 0.0, out=table[:lead])
     # every later run g moves to row g <= its first row: the rows it overwrites are read
     for g in range(lead, runs):
         first, end = bounds[g], bounds[g + 1]
         if end - first > 1:
             table[g] = table[first:end].sum(axis=0)
-        elif plus_zero:
-            np.add(table[first], 0.0, out=table[g])
         else:
-            table[g] = table[first]
+            np.add(table[first], 0.0, out=table[g])
     return runs
 
 
@@ -379,9 +425,12 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
     so for each n the study takes the C(n+K-1, K-1) types of
     :func:`repeat_model` (within its default budget, else
     :class:`BudgetError`), sums the rows p(t|phi) that share an estimate,
-    and returns the posterior entropy of that table by quadrature.  Nothing
-    is sampled: ``trials`` and ``seed`` are accepted and ignored, so callers
-    that pass them keep working.
+    and returns the posterior entropy of that table by quadrature.  A type
+    that is the only one of its estimate is a row of its own, whose p ln p
+    is p times the exponent ln p(t|phi) the study already holds, so it
+    needs no log (see the module docstring).  Nothing is sampled:
+    ``trials`` and ``seed`` are accepted and ignored, so callers that pass
+    them keep working.
     """
     n_list = list(n_list)
     for n in n_list:
@@ -391,25 +440,33 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
             raise ValueError(f"sample sizes must be >= 1, got {n}")
     cond = joint.conditional
     log_p = cond._log_probs
+    points = cond.grid.points
     q, q_log_prior = joint.prior._quadrature[:2]
     avg_f1 = average_fisher(joint)
 
     results = []
     for n in n_list:
         types, log_coef = _type_table(n, cond.n_outcomes)
-        # the one table of this n: the scores, then p(t|phi) in estimate
-        # order, then its runs summed, then their p ln p.  The scores are
-        # also the exponent of p(t|phi): the penalty only stands where some
-        # t_x > 0 meets p_x = 0, which _type_probs zeroes
+        # the one table of this n: the scores, which are also the exponent
+        # of p(t|phi) (the penalty only stands where some t_x > 0 meets
+        # p_x = 0, which both paths below zero).  Each estimate's types form
+        # one run: the rows of longer runs go first, in estimate order, and
+        # the one-type rows after them, as they come
         table = types @ log_p
         mle = np.argmax(table, axis=1)
-        if (mle[1:] < mle[:-1]).any():
-            order = np.argsort(mle, kind="stable")
-            types, log_coef, mle = types[order], log_coef[order], mle[order]
+        key = np.where(np.bincount(mle, minlength=points)[mle] == 1, points, mle)
+        if (key[1:] < key[:-1]).any():
+            order = np.argsort(key, kind="stable")
+            types, log_coef, key = types[order], log_coef[order], key[order]
             np.matmul(types, log_p, out=table)  # each row keeps its bits
-        _type_probs(table, log_coef)
-        by_mle = table[:_sum_runs(table, mle, plus_zero=False)]
-        h = _information_in_place(by_mle, q, q_log_prior, by_mle.sum(axis=0))[1]
+        m = int(np.searchsorted(key, points))  # the rows of longer runs
+        pbar_one, h_one = _one_type_terms(table[m:], log_coef[m:], q, q_log_prior)
+        if m:  # p(t|phi), each run summed into a row
+            _type_probs(table[:m], log_coef[:m])
+            m = _sum_runs(table[:m], key[:m])
+        by_mle = table[:m]
+        h = _information_in_place(by_mle, q, q_log_prior, by_mle.sum(axis=0),
+                                  np.concatenate([by_mle @ q, pbar_one]))[1] + h_one
         asymptote = -0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e))
         results.append(MleStudyPoint(n=int(n), h_conditional=h, asymptote=asymptote,
                                      gap=abs(h - asymptote)))

@@ -285,8 +285,14 @@ class ConditionalModel:
         dworst = np.max(np.abs(dsums))
         span = self.grid.upper - self.grid.lower
         if dworst * span > DERIV_SUM_TOL:
-            raise ValueError(f"outcome derivatives sum to {dworst:.2e}; times the span {span:.3g} "
-                             f"that is {dworst * span:.2e} > {DERIV_SUM_TOL}")
+            message = (f"outcome derivatives sum to {dworst:.2e}; times the span {span:.3g} "
+                       f"that is {dworst * span:.2e} > {DERIV_SUM_TOL}")
+            if self.derivative_source == "finite-difference":
+                # a difference quotient divides the wobble of the column sums by h
+                message += (f"; they were differenced from the table, whose column sums are "
+                            f"off 1 by up to {worst:.2e}, and differencing divides that by "
+                            f"the spacing {self.grid.spacing:.3g}")
+            raise ValueError(message)
         outcomes = self.outcomes or tuple(range(p.shape[0]))
         if len(outcomes) != p.shape[0]:
             raise ValueError("outcome labels must match the number of rows")

@@ -5,7 +5,13 @@ import pytest
 
 from infobounds.cli import DEFAULT_GRID_POINTS, DEFAULT_SEED, build_builtin
 from infobounds.mi_oracle import repeat_model
-from infobounds.numerics import NumericError, ParameterGrid, integrate, simpson_weights
+from infobounds.numerics import (
+    NumericError,
+    ParameterGrid,
+    central_difference,
+    integrate,
+    simpson_weights,
+)
 from infobounds.quantum_metrology import DensityMatrix, PhaseChannelFamily, plus_minus_povm
 from infobounds.random_models import random_joint_model
 from infobounds.stat_model import (
@@ -236,7 +242,6 @@ class TestCosinePlateau:
         assert np.all(f[phi < -0.4 + 1e-12] == 0.0)
         assert np.all((f >= 0.0) & (f <= 1.0))
         # derivative matches finite differences away from the C^1 seams
-        from infobounds.numerics import central_difference
         fd = central_difference(f, grid)
         assert np.median(np.abs(fd - df)) < 1e-4
 
@@ -270,6 +275,22 @@ class TestConditionalModel:
             return
         with pytest.raises(ValueError, match=r"sum to 3.00e-07; times the span 4 that is "
                                              r"1.20e-06 > 1e-06"):
+            ConditionalModel(grid, probs, dprobs, "analytic")
+
+    def test_differenced_derivative_sum_names_the_column_sums(self):
+        # column sums 1 +/- 4e-10, alternating, are within OUTCOME_TOL; the end
+        # stencils turn them into a derivative sum of 3.2e-6 on 2001 points
+        grid = ParameterGrid(0.0, 1.0, 2001)
+        wobble = 4e-10 * (-1.0) ** np.arange(grid.points)
+        probs = np.vstack([np.full(grid.points, 0.3), 0.7 + wobble])
+        with pytest.raises(ValueError, match=(
+                r"outcome derivatives sum to 3.20e-06; times the span 1 that is 3.20e-06 > "
+                r"1e-06; they were differenced from the table, whose column sums are off 1 by "
+                r"up to 4.00e-10, and differencing divides that by the spacing 0.0005$")):
+            ConditionalModel.from_probs(grid, probs)
+        # the same derivatives given as analytic keep the plain message
+        dprobs = np.vstack([central_difference(row, grid) for row in probs])
+        with pytest.raises(ValueError, match=r"that is 3.20e-06 > 1e-06$"):
             ConditionalModel(grid, probs, dprobs, "analytic")
 
     @pytest.mark.parametrize("label", ["probs", "dprobs"])
