@@ -349,7 +349,8 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
     dprobs *= n
     labels = tuple(map(tuple, types.tolist()))
     probs, dprobs = _read_only(probs, dprobs)
-    counted = ConditionalModel(cond.grid, probs, dprobs, cond.derivative_source, labels)
+    counted = ConditionalModel(cond.grid, probs, dprobs, cond.derivative_source, labels,
+                               _samples=n * cond._samples)
     return JointModel(joint.prior, counted)
 
 
@@ -412,25 +413,36 @@ class MleStudyPoint:
 
     n: int
     h_conditional: float   # exact H(phi | phi_ML)
-    asymptote: float       # -(1/2) ln[ n * int F p dphi / (2 pi e) ]
-    gap: float
+    asymptote: float       # -(1/2) ln[ n * int F p dphi / (2 pi e) ], inf where int F p = 0
+    gap: float             # |h_conditional - asymptote|
 
 
 def mle_convergence_study(joint: JointModel, n_list, trials=None,
                           seed=None) -> list[MleStudyPoint]:
     """Exact H(phi | phi_ML) of n iid samples, against its asymptotic value.
 
-    The grid-restricted maximum-likelihood estimate (ties broken toward the
-    smallest grid index) depends on the samples only through their type t,
-    so for each n the study takes the C(n+K-1, K-1) types of
-    :func:`repeat_model` (within its default budget, else
-    :class:`BudgetError`), sums the rows p(t|phi) that share an estimate,
-    and returns the posterior entropy of that table by quadrature.  A type
-    that is the only one of its estimate is a row of its own, whose p ln p
-    is p times the exponent ln p(t|phi) the study already holds, so it
-    needs no log (see the module docstring).  Nothing is sampled:
-    ``trials`` and ``seed`` are accepted and ignored, so callers that pass
-    them keep working.
+    The grid-restricted maximum-likelihood estimate depends on the samples
+    only through their type t, so for each n the study takes the
+    C(n+K-1, K-1) types of :func:`repeat_model` (within its default budget,
+    else :class:`BudgetError`), sums the rows p(t|phi) that share an
+    estimate, and returns the posterior entropy of that table by
+    quadrature.  A type that is the only one of its estimate is a row of its
+    own, whose p ln p is p times the exponent ln p(t|phi) the study already
+    holds, so it needs no log (see the module docstring).  Nothing is
+    sampled: ``trials`` and ``seed`` are accepted and ignored, so callers
+    that pass them keep working.
+
+    The estimate of a type is ``np.argmax`` of its row of the rounded scores
+    ``types @ ln p``: the first grid index of the largest rounded score.
+    Where two grid points tie in exact arithmetic, their scores may round
+    apart, and how depends on the BLAS kernel's summation order, so the
+    estimate, and with it H(phi|phi_ML), can change with the kernel.  For
+    ``channel_outcome_model("erasure", 0.7, grid)`` with a rectangle prior
+    on [0, 2 pi] at 1001 points and n = 16, H is 0.7471967 under the
+    SkylakeX OpenBLAS kernels and 0.7475517 under ``OPENBLAS_CORETYPE=Prescott``.
+
+    A model with int F p = 0 under the prior has ``asymptote`` and ``gap``
+    inf, their limit as int F p -> 0+; ``h_conditional`` is still exact.
     """
     n_list = list(n_list)
     for n in n_list:
@@ -467,7 +479,9 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
         by_mle = table[:m]
         h = _information_in_place(by_mle, q, q_log_prior, by_mle.sum(axis=0),
                                   np.concatenate([by_mle @ q, pbar_one]))[1] + h_one
-        asymptote = -0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e))
+        # with no Fisher information under the prior, the limit as int F p -> 0+
+        asymptote = (-0.5 * math.log(n * avg_f1 / (2.0 * math.pi * math.e)) if avg_f1 > 0.0
+                     else math.inf)
         results.append(MleStudyPoint(n=int(n), h_conditional=h, asymptote=asymptote,
                                      gap=abs(h - asymptote)))
     return results

@@ -16,7 +16,6 @@ Heisenberg-to-SQL transition shows up.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -50,14 +49,12 @@ PSD_TOL = 1e-10        # eigenvalue negativity allowance for states
 CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
 
 
-def _square(label: str, matrix) -> np.ndarray:
-    """Frozen complex ``matrix``; ValueError unless it is square."""
-    m, _ = _frozen(label, matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{label} must be square, got {m.shape}")
-    if m.shape[0] == 0:
-        raise ValueError(f"{label} must be at least 1x1, got {m.shape}")
-    return m
+def _check_square(label: str, shape: tuple) -> None:
+    """ValueError unless ``shape`` is that of a square matrix, at least 1x1."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{label} must be square, got {shape}")
+    if shape[0] == 0:
+        raise ValueError(f"{label} must be at least 1x1, got {shape}")
 
 
 def _check_hermitian_psd(stack: np.ndarray, labels, tol: float, negative: str) -> None:
@@ -81,7 +78,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _square("density matrix", self.matrix)
+        m, _ = _frozen("density matrix", self.matrix, dtype=complex)
+        _check_square("density matrix", m.shape)
         _check_hermitian_psd(m[None], ("density matrix",), PSD_TOL, "has a negative eigenvalue")
         if abs(np.trace(m).real - 1.0) > MATRIX_TOL or abs(np.trace(m).imag) > MATRIX_TOL:
             raise ValueError("density matrix trace must be 1")
@@ -101,52 +99,37 @@ class DensityMatrix:
         return cls(np.outer(psi, psi.conj()))
 
 
-def _kept_stack(elements) -> np.ndarray | None:
-    """The (K, d, d) array whose rows ``elements`` are, in order, if it is one that
-    :func:`_frozen` keeps (a read-only complex array owning its data), C-contiguous,
-    square, nonempty and finite; else None."""
-    stack = getattr(elements[0], "base", None) if type(elements) is tuple and elements else None
-    if not (type(stack) is np.ndarray and stack.dtype == complex and stack.ndim == 3
-            and stack.flags.owndata and not stack.flags.writeable and stack.flags.c_contiguous
-            and len(stack) == len(elements) and stack.shape[1] == stack.shape[2] > 0):
-        return None
-    start, step = stack.__array_interface__["data"][0], stack.strides[0]
-    for i, m in enumerate(elements):
-        if not (type(m) is np.ndarray and m.base is stack and m.shape == stack.shape[1:]
-                and m.strides == stack.strides[1:]
-                and m.__array_interface__["data"][0] == start + i * step):
-            return None
-    # a non-finite entry takes the per-element path, which names it
-    return stack if cmath.isfinite(stack.sum()) else None
-
-
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Positive operator-valued measure: M_x >= 0, sum_x M_x = identity.
 
-    The elements are held as one read-only (K, d, d) stack; ``elements`` are
-    its views.  Elements that are already the rows, in order, of such a stack
-    owning its data (as :func:`random_povm` hands them over) keep that stack
-    uncopied; anything else is copied.  Compared and hashed by identity.
+    The elements are copied once into one read-only (K, d, d) complex stack;
+    ``elements`` are its views.  Compared and hashed by identity.
     """
 
     elements: tuple
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        stack = _kept_stack(self.elements)
-        if stack is None:
-            ops = [_square(f"POVM element {i}", m) for i, m in enumerate(self.elements)]
-            if not ops:
-                raise ValueError("POVM needs at least one element")
-            for i, m in enumerate(ops):
-                if m.shape != ops[0].shape:
-                    raise ValueError(f"POVM element {i} has shape {m.shape}, "
-                                     f"element 0 has shape {ops[0].shape}")
-            stack = np.stack(ops)
+        elements = tuple(self.elements)
+        shapes = [np.shape(m) for m in elements]
+        for i, shape in enumerate(shapes):
+            _check_square(f"POVM element {i}", shape)
+        if not shapes:
+            raise ValueError("POVM needs at least one element")
+        for i, shape in enumerate(shapes):
+            if shape != shapes[0]:
+                raise ValueError(f"POVM element {i} has shape {shape}, "
+                                 f"element 0 has shape {shapes[0]}")
+        stack = np.array(elements, dtype=complex)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a sum past the range
+            total = stack.sum(axis=0)
+        if not np.isfinite(total).all():
+            for i, m in enumerate(stack):  # the first non-finite entry raises, naming its element
+                _frozen(f"POVM element {i}", m, dtype=complex)
         labels = [f"POVM element {i}" for i in range(len(stack))]
         _check_hermitian_psd(stack, labels, MATRIX_TOL, "is not positive semidefinite")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))) > MATRIX_TOL:
+        if np.max(np.abs(total - np.eye(stack.shape[1]))) > MATRIX_TOL:
             raise ValueError("POVM elements do not resolve the identity")
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
@@ -356,7 +339,7 @@ def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int) -> Povm:
     total = raw.sum(axis=0)
     evals, evecs = np.linalg.eigh(total)
     inv_sqrt = evecs @ np.diag(evals ** -0.5) @ evecs.conj().T
-    return Povm(tuple(_read_only(inv_sqrt @ raw @ inv_sqrt)[0]))
+    return Povm(tuple(inv_sqrt @ raw @ inv_sqrt))
 
 
 def asymptotic_fi_cap(n: int, eta: float) -> float:
@@ -460,17 +443,9 @@ def _check_povm_dim(family: PhaseChannelFamily, povm: Povm) -> None:
 
 @lru_cache(maxsize=8)
 def _phase_tables(grid: ParameterGrid, winding: tuple) -> tuple:
-    """Read-only (cos(W phi), sin(W phi)) rows, one per flat winding entry W, over the grid.
-
-    Each distinct |W| is evaluated once and gathered to its entries; sin rows
-    of negative W are negated (cos is even and sin odd, bitwise, in NumPy).
-    """
-    w = np.array(winding)
-    levels, rows = np.unique(np.abs(w), return_inverse=True)
-    angle = np.outer(levels, grid.values)
-    cos, sin = np.cos(angle)[rows], np.sin(angle)[rows]
-    sin[w < 0.0] *= -1.0
-    return _read_only(cos, sin)
+    """Read-only (cos(W phi), sin(W phi)) rows, one per flat winding entry W, over the grid."""
+    angle = np.outer(winding, grid.values)
+    return _read_only(np.cos(angle), np.sin(angle))
 
 
 def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
@@ -480,8 +455,8 @@ def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
     The noise is folded into the measurement once; the table and its
     derivative (the same coefficients times i W) are real matrix products of
     the coefficients with cos(W phi) and sin(W phi) over the grid, taken once
-    per distinct |W| and cached per (grid, winding), since every family of a
-    kind and gate count shares them.
+    per (grid, winding) and cached, since every family of a kind and gate
+    count shares them.
     Grids with fewer than 8 points per period of the fastest winding alias it and are rejected.
     """
     _check_povm_dim(family, povm)

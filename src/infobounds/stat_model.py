@@ -261,6 +261,14 @@ class ConditionalModel:
     from an analytic closure or from
     :func:`~infobounds.numerics.central_difference`.
     Models compare and hash by identity: their fields include arrays.
+
+    The column sums must be within ``OUTCOME_TOL`` of 1 and those of
+    ``dprobs``, times the grid span, within ``DERIV_SUM_TOL`` of 0.  The
+    private ``_samples`` is set only by
+    :func:`~infobounds.mi_oracle.repeat_model`: its n-sample tables have the
+    sums (sum_x p)^n and n (sum_x p)^(n-1) sum_x pdot of a base validated
+    at one sample, so they are checked at n (1 + OUTCOME_TOL)^(n-1) times
+    those tolerances, the most a base within them reaches.
     """
 
     grid: ParameterGrid
@@ -268,6 +276,7 @@ class ConditionalModel:
     dprobs: np.ndarray
     derivative_source: str = "analytic"
     outcomes: tuple = ()
+    _samples: int = field(default=1, kw_only=True, repr=False)
 
     def __post_init__(self):
         p, colsums = _frozen("probs", self.probs, axis=0,
@@ -279,14 +288,16 @@ class ConditionalModel:
             raise ValueError("dprobs must match probs in shape")
         if self.derivative_source not in ("analytic", "finite-difference"):
             raise ValueError(f"unknown derivative source {self.derivative_source!r}")
+        growth = self._samples * (1.0 + OUTCOME_TOL) ** (self._samples - 1)  # 1 for one sample
         worst = np.max(np.abs(colsums - 1.0))
-        if worst > OUTCOME_TOL:
-            raise ValueError(f"outcome probabilities sum to 1 +/- {worst:.2e} > {OUTCOME_TOL}")
+        if worst > OUTCOME_TOL * growth:
+            raise ValueError(f"outcome probabilities sum to 1 +/- {worst:.2e} > "
+                             f"{OUTCOME_TOL * growth:.3g}")
         dworst = np.max(np.abs(dsums))
         span = self.grid.upper - self.grid.lower
-        if dworst * span > DERIV_SUM_TOL:
+        if dworst * span > DERIV_SUM_TOL * growth:
             message = (f"outcome derivatives sum to {dworst:.2e}; times the span {span:.3g} "
-                       f"that is {dworst * span:.2e} > {DERIV_SUM_TOL}")
+                       f"that is {dworst * span:.2e} > {DERIV_SUM_TOL * growth:.3g}")
             if self.derivative_source == "finite-difference":
                 # a difference quotient divides the wobble of the column sums by h
                 message += (f"; they were differenced from the table, whose column sums are "

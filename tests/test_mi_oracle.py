@@ -331,6 +331,46 @@ class TestRepeatModel:
         assert limit < gap < limit + 0.005
 
 
+def sine_base(lower, upper, scale=1.0, drift=0.0):
+    """p(1|phi) = 0.5 + 0.3 sin(phi) on 201 points, both rows times ``scale``; ``drift``
+    is added to the derivative of outcome 1, so sum_x pdot = drift."""
+    grid = ParameterGrid(lower, upper, 201)
+    p1 = 0.5 + 0.3 * np.sin(grid.values)
+    d1 = 0.3 * np.cos(grid.values)
+    cond = ConditionalModel(grid, scale * np.vstack([1.0 - p1, p1]),
+                            np.vstack([-scale * d1, scale * d1 + drift]))
+    return JointModel(PriorDensity.rectangle(grid), cond)
+
+
+class TestRepeatModelTolerances:
+    # n samples of a base within the one-sample tolerances have column sums
+    # (sum_x p)^n and derivative sums n (sum_x p)^(n-1) sum_x pdot: n times as far off
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_column_sums_of_a_base_within_tolerance(self, n):
+        joint = sine_base(0.0, 2.0, scale=1.0 + 4e-10)
+        cond = repeat_model(joint, n).conditional
+        np.testing.assert_allclose(cond._colsums - 1.0, n * 4e-10, rtol=1e-5)
+        if n > 2:  # as a table of one sample, as users build them, it stays rejected
+            with pytest.raises(ValueError, match=rf"outcome probabilities sum to 1 \+/- "
+                                                 rf"{n * 4e-10:.2e} > 1e-09$"):
+                ConditionalModel(cond.grid, cond.probs, cond.dprobs)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_derivative_sums_of_a_base_within_tolerance(self, n):
+        joint = sine_base(0.0, 1.0, drift=6e-7)
+        cond = repeat_model(joint, n).conditional
+        np.testing.assert_allclose(cond.dprobs.sum(axis=0), n * 6e-7, rtol=1e-6)
+        with pytest.raises(ValueError, match=rf"outcome derivatives sum to {n * 6e-7:.2e}; "
+                                             rf"times the span 1 that is {n * 6e-7:.2e} "
+                                             rf"> 1e-06$"):
+            ConditionalModel(cond.grid, cond.probs, cond.dprobs)
+
+    def test_repeats_of_repeats_take_every_sample(self):
+        joint = sine_base(0.0, 2.0, scale=1.0 + 4e-10)
+        twice = repeat_model(repeat_model(joint, 2), 3).conditional
+        np.testing.assert_allclose(twice._colsums - 1.0, 6 * 4e-10, rtol=1e-5)
+
+
 class TestMergeOutcomes:
     def test_data_processing_never_gains(self):
         joint = gaussian_cos2(501)
@@ -462,6 +502,20 @@ class TestMleConvergenceStudy:
         joint = gaussian_cos2(points=201)
         with pytest.raises(ValueError, match="sample sizes"):
             mle_convergence_study(joint, [0], trials=10, seed=1)
+
+    def test_no_fisher_information_gives_an_infinite_asymptote(self):
+        # p(x|phi) = (0.3, 0.7) tells nothing about phi: every type has one
+        # estimate, H(phi|phi_ML) = H(phi) = ln pi, and -(1/2) ln(n int F p ...) -> inf
+        grid = ParameterGrid(0.0, PI, 201)
+        probs = np.vstack([np.full(grid.points, 0.3), np.full(grid.points, 0.7)])
+        cond = ConditionalModel(grid, probs, np.zeros_like(probs))
+        joint = JointModel(PriorDensity.rectangle(grid), cond)
+        assert average_fisher(joint) == 0.0
+        rows = mle_convergence_study(joint, [1, 4, 16])
+        assert [row.n for row in rows] == [1, 4, 16]
+        for row in rows:
+            assert row.h_conditional == pytest.approx(math.log(PI), rel=1e-12)
+            assert row.asymptote == math.inf and row.gap == math.inf
 
 
 # The type-table kernels as first written, kept as references: the rewritten

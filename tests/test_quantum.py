@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,8 +613,8 @@ class TestWindingAliasing:
 
 
 # The phase-channel algebra as first written, kept as references: the rewrite
-# takes the trig once per distinct |W|, applies the noise as one superoperator
-# and reads every outcome of a POVM from one matvec.
+# applies the noise as one superoperator and reads every outcome of a POVM
+# from one matvec.
 
 def reference_outcome_table(family, povm, grid):
     """The outcome table with cos/sin taken for every one of the d^2 entries."""
@@ -816,9 +820,10 @@ class TestFisherOracles:
 
 
 class TestTrigSymmetry:
-    """The per-|W| outcome table reads cos(W phi) and sin(W phi) for W < 0 off
-    |W| phi.  Its bits equal the per-entry build only while NumPy's cos is
-    even and its sin odd, bitwise, on the angles the package forms."""
+    """An earlier build read cos(W phi) and sin(W phi) for W < 0 off |W| phi
+    (``reference_gathered_phase_tables``).  Its bits equal the per-entry
+    build only while NumPy's cos is even and its sin odd, bitwise, on the
+    angles the package forms."""
 
     @pytest.mark.parametrize("points", [201, 2001, 20001])
     def test_cos_even_and_sin_odd_bitwise(self, points):
@@ -829,6 +834,32 @@ class TestTrigSymmetry:
                 f"np.cos is not even bitwise at winding {winding} on {points} points"
             assert np.sin(-x).tobytes() == (-np.sin(x)).tobytes(), \
                 f"np.sin is not odd bitwise at winding {winding} on {points} points"
+
+
+def reference_gathered_phase_tables(grid, winding):
+    """``_phase_tables`` as it was built before: cos and sin once per distinct |W|,
+    gathered to the winding entries, the sin rows of W < 0 negated."""
+    w = np.array(winding)
+    levels, rows = np.unique(np.abs(w), return_inverse=True)
+    angle = np.outer(levels, grid.values)
+    cos, sin = np.cos(angle)[rows], np.sin(angle)[rows]
+    sin[w < 0.0] *= -1.0
+    return cos, sin
+
+
+class TestPhaseRows:
+    @pytest.mark.parametrize("gates", [1, 3, 16, 250])
+    @pytest.mark.parametrize("kind", ["dephasing", "erasure"])
+    @pytest.mark.parametrize("lower, points", [(0.0, 201), (-PI, 401), (0.0, 2001),
+                                               (0.25, 20001)])
+    def test_phase_rows_equal_the_gather(self, gates, kind, lower, points):
+        # the rows keep the bytes of the per-|W| gather on every SIMD path NumPy takes
+        grid = ParameterGrid(lower, lower + 2.0 * PI, points)
+        winding = tuple(PhaseChannelFamily(kind, 0.9, np.eye(3 if kind == "erasure" else 2),
+                                           gates=gates).winding.reshape(-1).tolist())
+        for have, want in zip(_phase_tables(grid, winding),
+                              reference_gathered_phase_tables(grid, winding)):
+            assert have.tobytes() == want.tobytes()  # also tells -0.0 from +0.0
 
 
 def reference_random_povm(rng, dim, n_outcomes):
@@ -939,9 +970,11 @@ class TestQuantumInputsNamed:
     def test_random_povm_stack_is_kept(self):
         povm = random_povm(np.random.default_rng(4), 3, 4)
         assert all(m.base is povm._stack for m in povm.elements)
-        # the elements are rows of a read-only stack owning its data: it is kept again
-        assert Povm(povm.elements)._stack is povm._stack
-        assert Povm(tuple(povm._stack))._stack is povm._stack
+        # a Povm built from another's elements copies them once into a stack of its own
+        for again in (Povm(povm.elements), Povm(tuple(povm._stack))):
+            assert again._stack is not povm._stack
+            assert again._stack.flags.owndata and not again._stack.flags.writeable
+            assert again._stack.tobytes() == povm._stack.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n_outcomes", [2, 4, 5])
@@ -1053,3 +1086,34 @@ class TestHeisenbergFold:
         probs, dprobs = reference_outcome_table(family, plus_minus_povm(dim), grid)
         assert cond.probs.tobytes() == probs.tobytes()
         assert cond.dprobs.tobytes() == dprobs.tobytes()
+
+
+# NumPy's AVX-512 features; switched off, its cos and sin take their AVX2 paths
+AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.skipif(not any(cpu_features().get(f) for f in AVX512_FEATURES),
+                    reason=f"none of {', '.join(AVX512_FEATURES)} is on in NumPy on this "
+                           f"CPU, so switching them off leaves every SIMD path as it is")
+def test_phase_bits_under_avx2_dispatch():
+    # the phase rows keep the gather's bits only while cos is even and sin odd
+    # bitwise, which each SIMD path NumPy dispatches to must give on its own
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_FEATURES),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys, pytest, test_quantum as t\n"
+              "on = [f for f in t.AVX512_FEATURES if t.cpu_features().get(f)]\n"
+              "sys.exit(f'still on: {on}' if on else pytest.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "-q", "-p", "no:cacheprovider",
+                           __file__, "-k", "test_outcome_table_bits or test_phase_rows_equal"],
+                          cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -26,3 +26,49 @@ def test_every_private_function_has_a_caller_in_src():
                     and everywhere[node.name] == referenced_names(node)[node.name]):
                 unused.append(f"{module}:{node.name}")
     assert unused == []
+
+
+def cache_size(decorator, constants):
+    """(is a functools cache, its maxsize) of a decorator node; maxsize None is unbounded.
+
+    A name passed as maxsize is read from the module's top-level constants."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)
+    if name == "cache":
+        return True, None
+    if name != "lru_cache":
+        return False, None
+    sizes = [] if call is None else call.args[:1] + [
+        k.value for k in call.keywords if k.arg == "maxsize"]
+    if not sizes:
+        return True, 128  # functools' default
+    size = sizes[0]
+    if isinstance(size, ast.Name):
+        size = constants.get(size.id)
+    return True, size.value if isinstance(size, ast.Constant) else None
+
+
+def test_every_cache_is_bounded_or_takes_no_arguments():
+    # an unbounded cache keyed by arguments grows with every distinct call
+    unbounded, checked = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                     for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                is_cache, size = cache_size(decorator, constants)
+                if not is_cache:
+                    continue
+                a = node.args
+                takes_arguments = bool(a.posonlyargs or a.args or a.kwonlyargs
+                                       or a.vararg or a.kwarg)
+                if takes_arguments and not isinstance(size, int):
+                    unbounded.append(f"{path.stem}.{node.name}")
+                checked.add(f"{path.stem}.{node.name}")
+    assert unbounded == []
+    assert {"cli._parser", "mi_oracle._type_rows", "quantum_metrology._phase_tables",
+            "random_models._trig_basis"} <= checked
