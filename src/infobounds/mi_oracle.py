@@ -162,18 +162,15 @@ def mutual_information(joint: JointModel) -> OracleResult:
 
 
 def _information_in_place(p: np.ndarray, q: np.ndarray, q_log_prior: np.ndarray,
-                          colsums: np.ndarray, pbar: np.ndarray | None = None
-                          ) -> tuple[float, float]:
+                          colsums: np.ndarray, pbar: np.ndarray) -> tuple[float, float]:
     """(I, H(phi|x)) of a contiguous (K, points) table p(x|phi), overwritten with p ln p.
 
     ``q`` is w p(phi), ``q_log_prior`` is q ln p(phi), ``colsums`` is
-    sum_x p(x|phi) and ``pbar``, taken here if not given, is p @ q, as
-    :func:`mutual_information` defines them.  The MLE study passes the
-    pbar of more outcomes than p holds, and adds the other terms of those
-    outcomes to H itself (:func:`_one_type_terms`).
+    sum_x p(x|phi) and ``pbar`` is p @ q, as :func:`mutual_information`
+    defines them.  The MLE study passes the pbar of more outcomes than p
+    holds, and adds the other terms of those outcomes to H itself
+    (:func:`_one_type_terms`).
     """
-    if pbar is None:
-        pbar = p @ q
     flat = p.ravel(order="K")  # a view: p is contiguous
     scratch = np.empty(min(CHUNK, flat.size))
     with np.errstate(divide="ignore"):
@@ -438,8 +435,8 @@ def mle_convergence_study(joint: JointModel, n_list, trials=None,
     apart, and how depends on the BLAS kernel's summation order, so the
     estimate, and with it H(phi|phi_ML), can change with the kernel.  For
     ``channel_outcome_model("erasure", 0.7, grid)`` with a rectangle prior
-    on [0, 2 pi] at 1001 points and n = 16, H is 0.7471967 under the
-    SkylakeX OpenBLAS kernels and 0.7475517 under ``OPENBLAS_CORETYPE=Prescott``.
+    on [0, 2 pi] at 1001 points and n = 16, H is 0.7474315 under the
+    SkylakeX OpenBLAS kernels and 0.7475523 under ``OPENBLAS_CORETYPE=Prescott``.
 
     A model with int F p = 0 under the prior has ``asymptote`` and ``gap``
     inf, their limit as int F p -> 0+; ``h_conditional`` is still exact.

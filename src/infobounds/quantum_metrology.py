@@ -3,15 +3,16 @@
 The phase is imprinted by the gate U_phi = diag(1, e^{i phi}, 1, ...) and
 degraded by one of three Kraus families (dephasing, amplitude damping,
 erasure) parameterized by a noise strength eta in (0, 1], eta = 1 noiseless.
-:class:`PhaseChannelFamily` is the one channel value: the noise acts after
-the gate and does not depend on phi, so every outcome probability is an
-exact trigonometric polynomial in phi; the cos(W phi) and sin(W phi) rows
-of a grid are built once per (grid, winding) and kept read-only.  Every
-noise kind commutes with the gate, so a family's QFI does not depend on phi
-and is a closed form of the state at phi = 0.  Known Fisher-information
-caps for N noisy gates translate into global mutual-information caps
-ln(1 + pi sqrt(F_cap)) on the phase interval [0, 2 pi), which is where the
-Heisenberg-to-SQL transition shows up.
+:class:`PhaseChannelFamily` is the one channel value.  Every noise kind
+commutes with the gate, so rho(phi) = U sigma U^dag, with sigma the state
+at phi = 0: a family keeps sigma, and its states, outcome probabilities and
+QFI are read off it.  Each outcome probability is the one-frequency
+polynomial a_x + Re(c_x e^{i g phi}), whose rows 1, cos(g phi) and
+sin(g phi) over a grid are built once per (grid, g) and kept read-only; the
+QFI does not depend on phi.  Known Fisher-information caps for N noisy
+gates translate into global mutual-information caps ln(1 + pi sqrt(F_cap))
+on the phase interval [0, 2 pi), which is where the Heisenberg-to-SQL
+transition shows up.
 """
 
 from __future__ import annotations
@@ -189,11 +190,12 @@ class PhaseChannelFamily:
 
     ``gates`` winds the phase g times before the single noise application,
     which is exactly the N00N-subspace equivalence of g sequential noiseless
-    gates.  The gate acts on rho0 entrywise: (U rho0 U^dag)_ab =
-    rho0_ab e^{i W_ab phi} with the winding W_ab = g (n_a - n_b), where n is
+    gates.  Every noise ``kraus`` commutes with the gate up to a phase, so
+    the state is the gate acting on sigma = sum_k K_k rho0 K_k^dag, the state
+    at phi = 0, kept read-only.  The gate acts entrywise: rho(phi)_ab =
+    sigma_ab e^{i W_ab phi} with the winding W_ab = g (n_a - n_b), where n is
     the |1><1| occupation of each level, so the derivative multiplies the
-    same entries by i W before the (phi-independent) noise ``kraus``, applied
-    as one cached superoperator.
+    same entries by i W.
     ``rho0`` is any finite matrix, kept read-only; ``state`` and ``derivative``
     are linear in it, and :attr:`input_state` checks it is a density matrix.
     Families compare and hash by identity.
@@ -225,34 +227,21 @@ class PhaseChannelFamily:
         return DensityMatrix(self.rho0)
 
     @cached_property
-    def _superoperator(self) -> np.ndarray:
-        """S = sum_k K_k (x) conj(K_k), so that vec(sum_k K_k r K_k^dag) = S vec(r) (row-major vec)."""
-        k = np.array(self.kraus)
-        d = k.shape[1]
-        return np.einsum("kac,kbd->abcd", k, k.conj()).reshape(d * d, d * d)
-
-    def _noisy(self, r: np.ndarray) -> np.ndarray:
-        return (self._superoperator @ r.reshape(-1)).reshape(r.shape)
-
-    def _wound(self, phi: float) -> np.ndarray:
-        return self.rho0 * np.exp(1j * self.winding * _checked_phi(phi))
+    def _sigma(self) -> np.ndarray:
+        """sigma = sum_k K_k rho0 K_k^dag, the state at phi = 0, read-only."""
+        return _read_only(sum(k @ self.rho0 @ k.conj().T for k in self.kraus))[0]
 
     def state(self, phi: float) -> np.ndarray:
-        return self._noisy(self._wound(phi))
+        return self._sigma * np.exp(1j * self.winding * _checked_phi(phi))
 
     def derivative(self, phi: float) -> np.ndarray:
-        return self._noisy(1j * self.winding * self._wound(phi))
-
-    def _state_and_derivative(self, phi: float) -> tuple:
-        """(``state(phi)``, ``derivative(phi)``) from one wound state, the same bits."""
-        wound = self._wound(phi)
-        return self._noisy(wound), self._noisy(1j * self.winding * wound)
+        return 1j * self.winding * self.state(phi)
 
     @cached_property
     def _qfi(self) -> float:
-        """4 g^2 |rho_01|^2 / (rho_00 + rho_11) of rho = ``state(0.0)``, 0 where that
-        weight is 0; see :func:`qfi`."""
-        rho = self.state(0.0)
+        """4 g^2 |sigma_01|^2 / (sigma_00 + sigma_11), 0 where that weight is 0;
+        see :func:`qfi`."""
+        rho = self._sigma
         weight = (rho[0, 0] + rho[1, 1]).real
         if weight <= 0.0:
             return 0.0
@@ -299,15 +288,11 @@ def classical_fi_of_povm(family: PhaseChannelFamily, povm: Povm, phi: float) -> 
     phi is not finite.
     """
     family.input_state  # raises unless rho0 is a density matrix
-    _check_povm_dim(family, povm)
-    # for Hermitian M, tr(rho M) = Re sum_ab rho_ab conj(M_ab): one real matvec of
-    # the interleaved (re, im) entries gives every outcome at once
-    elements = povm._stack.reshape(povm.n_outcomes, -1).view(np.float64)
-    rho, drho = family._state_and_derivative(phi)
-    probs = elements @ rho.reshape(-1).view(np.float64)
-    dprobs = elements @ drho.reshape(-1).view(np.float64)
+    a, c = _outcome_coefficients(family, povm)
+    g = family.gates
+    cz = c * np.exp(1j * g * _checked_phi(phi))
     # in outcome order: a 1-D np.sum adds pairwise, Python 3.12's sum compensates
-    return float(np.add.accumulate(_score_terms(probs, dprobs, ZERO_DERIV_TOL))[-1])
+    return float(np.add.accumulate(_score_terms(a + cz.real, -g * cz.imag, ZERO_DERIV_TOL))[-1])
 
 
 def plus_minus_povm(dim: int = 2) -> Povm:
@@ -441,43 +426,51 @@ def _check_povm_dim(family: PhaseChannelFamily, povm: Povm) -> None:
         raise ValueError(f"POVM dim {povm.dim} does not match state dim {family.rho0.shape[0]}")
 
 
+def _outcome_coefficients(family: PhaseChannelFamily, povm: Povm) -> tuple:
+    """(a, c) of p(x|phi) = a_x + Re(c_x e^{i g phi}) for a Hermitian state.
+
+    p(x|phi) = sum_ab sigma_ab (M_x)_ba e^{i W_ab phi}: a_x sums the terms
+    with W_ab = 0, and the terms with W_ab = -g are the conjugates of those
+    with W_ab = g, which c_x sums twice.
+    """
+    _check_povm_dim(family, povm)
+    terms = family._sigma * povm._stack.transpose(0, 2, 1)
+    a = terms[:, family.winding == 0.0].sum(axis=1).real
+    c = 2.0 * terms[:, family.winding == family.gates].sum(axis=1)
+    return a, c
+
+
 @lru_cache(maxsize=8)
-def _phase_tables(grid: ParameterGrid, winding: tuple) -> tuple:
-    """Read-only (cos(W phi), sin(W phi)) rows, one per flat winding entry W, over the grid."""
-    angle = np.outer(winding, grid.values)
-    return _read_only(np.cos(angle), np.sin(angle))
+def _phase_basis(grid: ParameterGrid, gates: int) -> np.ndarray:
+    """Read-only (3, points) rows 1, cos(g phi) and sin(g phi) over the grid."""
+    angle = gates * grid.values
+    return _read_only(np.stack([np.ones_like(angle), np.cos(angle), np.sin(angle)]))[0]
 
 
 def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
                           grid: ParameterGrid) -> ConditionalModel:
-    """p(x|phi) = sum_ab rho0_ab (E_x)_ba e^{i W_ab phi}, E_x = sum_k K_k^dag M_x K_k.
+    """p(x|phi) = a_x + Re(c_x e^{i g phi}) over the grid, (a, c) from
+    :func:`_outcome_coefficients`.
 
-    The noise is folded into the measurement once; the table and its
-    derivative (the same coefficients times i W) are real matrix products of
-    the coefficients with cos(W phi) and sin(W phi) over the grid, taken once
-    per (grid, winding) and cached, since every family of a kind and gate
-    count shares them.
-    Grids with fewer than 8 points per period of the fastest winding alias it and are rejected.
+    The table and its derivative are real products of three coefficient
+    columns with the rows 1, cos(g phi) and sin(g phi), built once per
+    (grid, g) and cached, since every family of a gate count shares them.
+    Grids with fewer than 8 points per period of the fastest winding g alias
+    it and are rejected.  Raises ValueError unless ``rho0`` is a density matrix.
     """
-    _check_povm_dim(family, povm)
-    fastest = float(np.max(np.abs(family.winding)))
-    if fastest * grid.spacing > math.pi / 4.0:
+    family.input_state  # the split into a and c needs a Hermitian state
+    a, c = _outcome_coefficients(family, povm)
+    g = family.gates
+    if g * grid.spacing > math.pi / 4.0:
         span = grid.upper - grid.lower
-        points = 2 * math.floor(2.0 * fastest * span / math.pi) + 1
-        while fastest * (span / (points - 1)) > math.pi / 4.0:
+        points = 2 * math.floor(2.0 * g * span / math.pi) + 1
+        while g * (span / (points - 1)) > math.pi / 4.0:
             points += 2
-        raise ValueError(f"phase winding {fastest:g} is aliased by grid spacing {grid.spacing:.6g} "
+        raise ValueError(f"phase winding {g:g} is aliased by grid spacing {grid.spacing:.6g} "
                          f"(fewer than 8 points per period); use at least {points} grid points")
-    heisenberg = np.zeros_like(povm._stack)  # a zero start, as in Python's sum, keeps -0.0 out
-    for k in family.kraus:  # one stacked product per Kraus operator
-        heisenberg += k.conj().T @ povm._stack @ k
-    coeff = (family.rho0[None, :, :] * heisenberg.transpose(0, 2, 1)).reshape(len(heisenberg), -1)
-    winding = family.winding.reshape(-1)
-    # Re(c e^{iW phi}) = Re c cos(W phi) - Im c sin(W phi): real (d^2, points) arrays
-    # instead of complex (points, d, d) ones keep every temporary of a build small
-    cos, sin = _phase_tables(grid, tuple(winding.tolist()))
-    probs = coeff.real @ cos - coeff.imag @ sin
-    dprobs = -((coeff.real * winding) @ sin + (coeff.imag * winding) @ cos)
+    basis = _phase_basis(grid, g)
+    probs = np.stack([a, c.real, -c.imag], axis=1) @ basis
+    dprobs = np.stack([np.zeros_like(a), -g * c.imag, -g * c.real], axis=1) @ basis
     return ConditionalModel(grid, *_read_only(probs, dprobs), "analytic")
 
 
@@ -509,4 +502,5 @@ def channel_outcome_model(kind: str, eta: float, grid: ParameterGrid,
     if povm is None:
         povm = plus_minus_povm(dim)
     family = PhaseChannelFamily(kind, eta, rho0.matrix)
+    vars(family)["input_state"] = rho0  # the cached check, made once above
     return _family_outcome_model(family, povm, grid)

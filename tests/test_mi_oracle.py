@@ -566,7 +566,7 @@ def information(p, prior, w):
     q = w * prior
     log_prior = np.zeros_like(prior)
     np.log(prior, out=log_prior, where=prior > 0.0)
-    return _information_in_place(p.copy(order="K"), q, q * log_prior, p.sum(axis=0))
+    return _information_in_place(p.copy(order="K"), q, q * log_prior, p.sum(axis=0), p @ q)
 
 
 def reference_repeat_tables(joint, n):
@@ -798,7 +798,7 @@ class TestInPlaceKernels:
             assert information(p, prior, w) == reference_information(p, prior, w)
             table = p.copy()
             q = w * prior
-            _information_in_place(table, q, q, table.sum(axis=0))
+            _information_in_place(table, q, q, table.sum(axis=0), table @ q)
             assert_same_bits(table, want)
 
     def test_erasure_at_64_samples(self):

@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +23,8 @@ from infobounds.quantum_metrology import (
     random_povm,
     transition_sweep,
     _family_outcome_model,
-    _phase_tables,
+    _outcome_coefficients,
+    _phase_basis,
 )
 from infobounds.stat_model import ZERO_DERIV_TOL, JointModel, PriorDensity
 
@@ -490,7 +487,7 @@ def random_state(rng, dim):
 
 class TestOutcomeTableEquivalence:
     GRID = ParameterGrid(0.0, 2.0 * PI, 201)
-    TOL = 1e-13
+    TOL = 2e-15  # measured at most 8.9e-16 here, as with the Kraus fold before it
 
     def assert_matches(self, cond, reference):
         probs, dprobs = reference
@@ -612,22 +609,8 @@ class TestWindingAliasing:
             _family_outcome_model(family, plus_minus_povm(2), self.GRID)
 
 
-# The phase-channel algebra as first written, kept as references: the rewrite
-# applies the noise as one superoperator and reads every outcome of a POVM
-# from one matvec.
-
-def reference_outcome_table(family, povm, grid):
-    """The outcome table with cos/sin taken for every one of the d^2 entries."""
-    heisenberg = np.array([sum(k.conj().T @ m @ k for k in family.kraus)
-                           for m in povm.elements])
-    coeff = (family.rho0[None, :, :] * heisenberg.transpose(0, 2, 1)).reshape(len(heisenberg), -1)
-    winding = family.winding.reshape(-1)
-    angle = np.outer(winding, grid.values)
-    cos, sin = np.cos(angle), np.sin(angle)
-    probs = coeff.real @ cos - coeff.imag @ sin
-    dprobs = -((coeff.real * winding) @ sin + (coeff.imag * winding) @ cos)
-    return probs, dprobs
-
+# The phase-channel algebra as first written, kept as references: the package
+# reads states, outcome tables and Fisher informations off the state at phi = 0.
 
 def reference_noisy(family, r):
     return sum(k @ r @ k.conj().T for k in family.kraus)
@@ -663,6 +646,44 @@ def reference_cfi(family, povm, phi):
     return fi
 
 
+def reference_outcome_table(family, povm, grid):
+    """The one-frequency table written out: sigma with the noise applied Kraus
+    by Kraus, a_x and c_x added one entry at a time in row-major order, read
+    against the rows 1, cos(g phi) and sin(g phi)."""
+    g = family.gates
+    sigma = reference_noisy(family, family.rho0)
+    coeff, dcoeff = [], []
+    for m in povm.elements:
+        terms = sigma * m.T
+        a = c = None
+        for i, j in np.ndindex(terms.shape):
+            if family.winding[i, j] == 0.0:
+                a = terms[i, j] if a is None else a + terms[i, j]
+            elif family.winding[i, j] == g:
+                c = terms[i, j] if c is None else c + terms[i, j]
+        c = 2.0 * c
+        coeff.append([a.real, c.real, -c.imag])
+        dcoeff.append([0.0, -g * c.imag, -g * c.real])
+    angle = g * grid.values
+    basis = np.array([np.ones_like(angle), np.cos(angle), np.sin(angle)])
+    return np.array(coeff) @ basis, np.array(dcoeff) @ basis
+
+
+def extended_precision_table(family, povm, grid):
+    """p(x|phi) and its derivative per grid point in np.clongdouble, the noise
+    applied Kraus by Kraus to the wound input state."""
+    kraus = [np.asarray(k, dtype=np.clongdouble) for k in reference_kraus(family.kind, family.eta)]
+    n = np.zeros(family.rho0.shape[0], dtype=np.longdouble)
+    n[1] = family.gates
+    winding = n[:, None] - n[None, :]
+    phi = grid.values.astype(np.longdouble)[:, None, None]
+    wound = family.rho0.astype(np.clongdouble) * np.exp(1j * winding * phi)
+    rho = sum(k @ wound @ k.conj().T for k in kraus)
+    drho = sum(k @ (1j * winding * wound) @ k.conj().T for k in kraus)
+    m = np.asarray(povm.elements, dtype=np.clongdouble)
+    return (np.einsum("pab,xba->xp", rho, m).real, np.einsum("pab,xba->xp", drho, m).real)
+
+
 def random_family_and_povm(rng, kind, gates=1):
     dim = 3 if kind == "erasure" else 2
     family = PhaseChannelFamily(kind, float(rng.uniform(0.1, 1.0)), random_state(rng, dim),
@@ -687,10 +708,26 @@ class TestAgainstReferences:
         assert cond.dprobs.tobytes() == dprobs.tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("gates", [1, 3, 5, 16])
+    @pytest.mark.parametrize("lower, points", [(0.0, 201), (-PI, 401), (0.0, 2001),
+                                               (-PI, 20001)])
+    def test_outcome_table_matches_extended_precision(self, kind, gates, lower, points):
+        # measured at most 5.7e-16 for p and for pdot / g over gates 1, 2, 3, 5, 8
+        # and 16; the Kraus fold and per-entry phase rows it replaced read 5.5e-16
+        rng = np.random.default_rng(1000 * gates + points)
+        grid = ParameterGrid(lower, lower + 2.0 * PI, points)
+        for _ in range(3):
+            family, povm = random_family_and_povm(rng, kind, gates)
+            cond = _family_outcome_model(family, povm, grid)
+            probs, dprobs = extended_precision_table(family, povm, grid)
+            assert np.max(np.abs(cond.probs - probs)) <= 1e-15
+            assert np.max(np.abs(cond.dprobs - dprobs)) <= 1e-15 * gates
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("gates", [1, 3, 16])
     def test_fisher_informations_match_references(self, kind, gates):
-        # the superoperator and the stacked POVM re-associate sums of a few
-        # terms: measured at most 3e-14 relative, on CFI values near 1e-7
+        # sigma and the coefficients (a, c) re-associate sums of a few terms:
+        # measured at most 3.2e-15 relative, on CFI values down to 1.8e-6
         rng = np.random.default_rng(gates)
         for _ in range(10):
             family, povm = random_family_and_povm(rng, kind, gates)
@@ -742,11 +779,10 @@ class TestAgainstReferences:
 def scalar_loop_cfi(family, povm, phi):
     """The CFI as a scalar loop over outcomes, its first form: one term at a
     time, in outcome order, from the same probabilities as the package."""
-    elements = povm._stack.reshape(povm.n_outcomes, -1).view(np.float64)
-    probs = elements @ family.state(phi).reshape(-1).view(np.float64)
-    dprobs = elements @ family.derivative(phi).reshape(-1).view(np.float64)
+    a, c = _outcome_coefficients(family, povm)
+    cz = c * np.exp(1j * family.gates * phi)
     fi = 0.0
-    for p, dp in zip(probs.tolist(), dprobs.tolist()):
+    for p, dp in zip((a + cz.real).tolist(), (-family.gates * cz.imag).tolist()):
         if p <= 0.0:
             if abs(dp) > ZERO_DERIV_TOL:
                 return math.inf
@@ -819,49 +855,6 @@ class TestFisherOracles:
                 want, rel=1e-12, abs=0.0)
 
 
-class TestTrigSymmetry:
-    """An earlier build read cos(W phi) and sin(W phi) for W < 0 off |W| phi
-    (``reference_gathered_phase_tables``).  Its bits equal the per-entry
-    build only while NumPy's cos is even and its sin odd, bitwise, on the
-    angles the package forms."""
-
-    @pytest.mark.parametrize("points", [201, 2001, 20001])
-    def test_cos_even_and_sin_odd_bitwise(self, points):
-        values = ParameterGrid(0.0, 2.0 * PI, points).values
-        for winding in range(1, 251):
-            x = winding * values
-            assert np.cos(-x).tobytes() == np.cos(x).tobytes(), \
-                f"np.cos is not even bitwise at winding {winding} on {points} points"
-            assert np.sin(-x).tobytes() == (-np.sin(x)).tobytes(), \
-                f"np.sin is not odd bitwise at winding {winding} on {points} points"
-
-
-def reference_gathered_phase_tables(grid, winding):
-    """``_phase_tables`` as it was built before: cos and sin once per distinct |W|,
-    gathered to the winding entries, the sin rows of W < 0 negated."""
-    w = np.array(winding)
-    levels, rows = np.unique(np.abs(w), return_inverse=True)
-    angle = np.outer(levels, grid.values)
-    cos, sin = np.cos(angle)[rows], np.sin(angle)[rows]
-    sin[w < 0.0] *= -1.0
-    return cos, sin
-
-
-class TestPhaseRows:
-    @pytest.mark.parametrize("gates", [1, 3, 16, 250])
-    @pytest.mark.parametrize("kind", ["dephasing", "erasure"])
-    @pytest.mark.parametrize("lower, points", [(0.0, 201), (-PI, 401), (0.0, 2001),
-                                               (0.25, 20001)])
-    def test_phase_rows_equal_the_gather(self, gates, kind, lower, points):
-        # the rows keep the bytes of the per-|W| gather on every SIMD path NumPy takes
-        grid = ParameterGrid(lower, lower + 2.0 * PI, points)
-        winding = tuple(PhaseChannelFamily(kind, 0.9, np.eye(3 if kind == "erasure" else 2),
-                                           gates=gates).winding.reshape(-1).tolist())
-        for have, want in zip(_phase_tables(grid, winding),
-                              reference_gathered_phase_tables(grid, winding)):
-            assert have.tobytes() == want.tobytes()  # also tells -0.0 from +0.0
-
-
 def reference_random_povm(rng, dim, n_outcomes):
     """``random_povm`` as a loop over outcomes, its first form: two normal
     draws per outcome, a Python sum, one sandwich per element."""
@@ -923,14 +916,23 @@ class TestPhaseCovariance:
         assert calls == []
         assert again.probs.tobytes() == first.probs.tobytes()
         assert again.dprobs.tobytes() == first.dprobs.tobytes()
-        winding = PhaseChannelFamily("erasure", 0.8, np.eye(3) / 3.0).winding
-        tables = _phase_tables(first.grid, tuple(winding.reshape(-1).tolist()))
-        assert not any(table.flags.writeable for table in tables)
+        basis = _phase_basis(first.grid, 1)
+        assert basis.shape == (3, 1201) and not basis.flags.writeable
 
 
 def _read_only_rows(stack):
     stack.setflags(write=False)
     return stack
+
+
+# the forms a caller may hand a Povm its elements in, each from one (K, d, d) stack
+ELEMENT_FORMS = {
+    "views-of-a-stack": lambda s: tuple(_read_only_rows(s.copy())),
+    "writable": lambda s: tuple(s.copy()),
+    "longer-base": lambda s: tuple(_read_only_rows(np.concatenate([s, s[:1]]))[:-1]),
+    "reordered": lambda s: tuple(_read_only_rows(s.copy())[::-1]),
+    "not-views": lambda s: tuple(_read_only_rows(m.copy()) for m in s),
+}
 
 
 class TestQuantumInputsNamed:
@@ -976,46 +978,43 @@ class TestQuantumInputsNamed:
             assert again._stack.flags.owndata and not again._stack.flags.writeable
             assert again._stack.tobytes() == povm._stack.tobytes()
 
+    @pytest.mark.parametrize("form", ELEMENT_FORMS)
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("n_outcomes", [2, 4, 5])
-    def test_kept_stack_keeps_stacks_and_tables(self, dim, n_outcomes):
+    def test_elements_are_copied_into_a_new_stack(self, form, dim):
         kind = "erasure" if dim == 3 else "dephasing"
         grid = ParameterGrid(0.0, 2.0 * PI, 101)
-        for seed in range(10):
-            povm = random_povm(np.random.default_rng(seed), dim, n_outcomes)
-            copied = Povm(tuple(m.copy() for m in povm.elements))   # the per-element path
-            assert copied._stack is not povm._stack
-            assert povm._stack.tobytes() == copied._stack.tobytes()
+        for seed, n_outcomes in enumerate([2, 4, 5] * 3):
+            stack = random_povm(np.random.default_rng(seed), dim, n_outcomes)._stack
+            elements = ELEMENT_FORMS[form](stack)
+            given = np.stack(elements).tobytes()
+            povm = Povm(elements)
+            owners = [m if m.base is None else m.base for m in elements]
+            assert not any(povm._stack is owner for owner in owners)
+            assert povm._stack.flags.owndata and not povm._stack.flags.writeable
+            assert povm._stack.tobytes() == given
+            for owner in owners:  # the caller's arrays stay theirs
+                owner.setflags(write=True)
+                owner[...] = 5.0
+            assert povm._stack.tobytes() == given
+            copied = Povm(tuple(m.copy() for m in povm.elements))
+            assert copied._stack is not povm._stack and copied._stack.tobytes() == given
             if dim == 1:
                 continue
             rho0 = np.eye(dim) / dim
-            kept = channel_outcome_model(kind, 0.8, grid, rho0, povm)
+            table = channel_outcome_model(kind, 0.8, grid, rho0, povm)
             want = channel_outcome_model(kind, 0.8, grid, rho0, copied)
-            assert kept.probs.tobytes() == want.probs.tobytes()
-            assert kept.dprobs.tobytes() == want.dprobs.tobytes()
+            assert table.probs.tobytes() == want.probs.tobytes()
+            assert table.dprobs.tobytes() == want.dprobs.tobytes()
 
-    @pytest.mark.parametrize("make", [
-        lambda s: tuple(s.copy()),                                           # writable
-        lambda s: tuple(_read_only_rows(np.concatenate([s, s[:1]]))[:-1]),   # base is longer
-        lambda s: tuple(_read_only_rows(s.copy())[::-1]),                    # out of order
-        lambda s: tuple(_read_only_rows(m.copy()) for m in s),               # not views
-    ], ids=["writable", "longer-base", "reordered", "not-views"])
-    def test_other_elements_are_copied(self, make):
-        elements = make(random_povm(np.random.default_rng(2), 2, 4)._stack)
-        povm = Povm(elements)
-        assert not any(povm._stack is m.base for m in elements)
-        assert povm._stack.flags.owndata and not povm._stack.flags.writeable
-        assert povm._stack.tobytes() == np.stack(elements).tobytes()
-        if elements[0].flags.writeable:
-            elements[0][0, 0] = 5.0   # the caller's array stays theirs
-            assert povm.elements[0][0, 0] != 5.0
-
-    def test_non_finite_in_a_kept_stack_named_per_element(self):
+    @pytest.mark.parametrize("form", ELEMENT_FORMS)
+    def test_non_finite_entry_named_by_element(self, form):
         stack = random_povm(np.random.default_rng(2), 2, 3)._stack.copy()
         stack[2, 1, 0] = np.nan
-        with pytest.raises(ValueError, match=r"POVM element 2 has a non-finite value at "
+        elements = ELEMENT_FORMS[form](stack)
+        i = next(i for i, m in enumerate(elements) if np.isnan(m).any())
+        with pytest.raises(ValueError, match=fr"POVM element {i} has a non-finite value at "
                                              r"index \(1, 0\)"):
-            Povm(tuple(_read_only_rows(stack)))
+            Povm(elements)
 
     @pytest.mark.parametrize("bad, message", [
         (np.array([[0.5, 0.5], [0.0, 0.5]]), "POVM element 1 is not Hermitian"),
@@ -1059,61 +1058,3 @@ class TestGateCount:
     def test_messages_below_one_and_for_eta(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
-
-
-class TestHeisenbergFold:
-    # the stacked fold sums K^dag M K over Kraus operators from zeros, as the
-    # per-element Python sum of the reference does; the bytes must agree
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_random_families_bitwise(self, kind):
-        rng = np.random.default_rng(31)
-        grid = ParameterGrid(0.0, 2.0 * PI, 201)
-        for _ in range(30):
-            family, povm = random_family_and_povm(rng, kind, int(rng.integers(1, 8)))
-            cond = _family_outcome_model(family, povm, grid)
-            probs, dprobs = reference_outcome_table(family, povm, grid)
-            assert cond.probs.tobytes() == probs.tobytes()
-            assert cond.dprobs.tobytes() == dprobs.tobytes()
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_builtin_povm_bitwise(self, kind):
-        grid = ParameterGrid(0.0, 2.0 * PI, 401)
-        cond = channel_outcome_model(kind, 0.7, grid)
-        dim = 3 if kind == "erasure" else 2
-        psi = np.zeros(dim)
-        psi[:2] = 1.0
-        family = PhaseChannelFamily(kind, 0.7, DensityMatrix.pure(psi).matrix)
-        probs, dprobs = reference_outcome_table(family, plus_minus_povm(dim), grid)
-        assert cond.probs.tobytes() == probs.tobytes()
-        assert cond.dprobs.tobytes() == dprobs.tobytes()
-
-
-# NumPy's AVX-512 features; switched off, its cos and sin take their AVX2 paths
-AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-
-
-def cpu_features() -> dict:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        from numpy.core._multiarray_umath import __cpu_features__
-    return __cpu_features__
-
-
-@pytest.mark.skipif(not any(cpu_features().get(f) for f in AVX512_FEATURES),
-                    reason=f"none of {', '.join(AVX512_FEATURES)} is on in NumPy on this "
-                           f"CPU, so switching them off leaves every SIMD path as it is")
-def test_phase_bits_under_avx2_dispatch():
-    # the phase rows keep the gather's bits only while cos is even and sin odd
-    # bitwise, which each SIMD path NumPy dispatches to must give on its own
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_FEATURES),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = ("import sys, pytest, test_quantum as t\n"
-              "on = [f for f in t.AVX512_FEATURES if t.cpu_features().get(f)]\n"
-              "sys.exit(f'still on: {on}' if on else pytest.main(sys.argv[1:]))\n")
-    proc = subprocess.run([sys.executable, "-c", script, "-q", "-p", "no:cacheprovider",
-                           __file__, "-k", "test_outcome_table_bits or test_phase_rows_equal"],
-                          cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
-                          timeout=600)
-    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -14,18 +14,32 @@ def referenced_names(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def private_definitions(tree):
+    """(qualified name, node) of each module-level _function, and of each private
+    method or cached property of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and member.name.startswith("_") and not member.name.endswith("__")):
+                    yield f"{node.name}.{member.name}", member
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+            yield node.name, node
+
+
 def test_every_private_function_has_a_caller_in_src():
-    # a module-level _function that only tests reach is a second code path to keep
+    # a private function, method or cached property that only tests reach is a
+    # second code path to keep
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
-    unused = []
+    unused, methods = [], []
     for module, tree in trees.items():
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_")
-                    and everywhere[node.name] == referenced_names(node)[node.name]):
-                unused.append(f"{module}:{node.name}")
+        for name, node in private_definitions(tree):
+            if everywhere[node.name] == referenced_names(node)[node.name]:
+                unused.append(f"{module}:{name}")
+            methods += ["." in name]
     assert unused == []
+    assert sum(methods) >= 9  # the class members are read too
 
 
 def cache_size(decorator, constants):
@@ -70,5 +84,5 @@ def test_every_cache_is_bounded_or_takes_no_arguments():
                     unbounded.append(f"{path.stem}.{node.name}")
                 checked.add(f"{path.stem}.{node.name}")
     assert unbounded == []
-    assert {"cli._parser", "mi_oracle._type_rows", "quantum_metrology._phase_tables",
+    assert {"cli._parser", "mi_oracle._type_rows", "quantum_metrology._phase_basis",
             "random_models._trig_basis"} <= checked
