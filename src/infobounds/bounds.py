@@ -27,7 +27,7 @@ from .stat_model import (
     FisherProfile,
     JointModel,
     PriorDensity,
-    _frozen,
+    _grid_aligned,
     _weighted_l1,
     average_fisher,
     fisher_under_prior,
@@ -147,14 +147,6 @@ def mi_bound_general_prior(joint: JointModel) -> BoundReport:
                        UPPER_MI)
 
 
-def _grid_aligned(label: str, array, grid) -> np.ndarray:
-    """``array`` as a finite float array of shape (points,), else ValueError naming ``label``."""
-    a, _ = _frozen(label, array)
-    if a.shape != (grid.points,):
-        raise ValueError(f"{label} must be grid-aligned, shape ({grid.points},), got {a.shape}")
-    return a
-
-
 def mi_bound_variational(joint: JointModel, f, f_derivative=None) -> BoundReport:
     """MI upper bound with a nonnegative weight f(phi), 0 outside the grid.
 
@@ -219,9 +211,7 @@ def _support_slice(prior: PriorDensity, divergent: np.ndarray) -> tuple[int, int
     An odd span takes in one more point where F is finite, on the right if it
     can: extra sqrt(F) mass only loosens the bound, which keeps it valid.
     """
-    idx = np.flatnonzero(prior.density > 0.0)
-    if idx.size == 0:
-        raise ValueError("prior has no support on the grid")
+    idx = np.flatnonzero(prior.density > 0.0)  # not empty: the prior has mass 1
     i0, i1 = int(idx[0]), int(idx[-1])
     spans = [(i0, i1)] if (i1 - i0) % 2 == 0 else [(i0, i1 + 1), (i0 - 1, i1)]
     for a, b in spans:

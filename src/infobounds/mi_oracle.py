@@ -72,8 +72,9 @@ study does, a one-row run as its row plus 0.0 (as ``np.sum`` gives it:
 -0.0 becomes +0.0).  ``repeat_model``'s derivative table
 is one product per outcome into a reused scratch table, added through a
 slice where its rows form one run (always for the first outcome), else
-through an index array.  The oracles read q = w p(phi), q ln p(phi), q phi
-and q phi^2 from the prior and the column sums from the conditional model,
+through an index array.  The oracles read q = w p(phi), q ln p(phi), q u
+and q u^2 (u = phi less the grid's midpoint) from the prior and the column
+sums from the conditional model,
 each kept there on first use; no oracle forms the joint table p(x|phi)
 p(phi).  :func:`mutual_information` forms pbar = p @ q once, for the
 entropy terms and the Bayes cost, and applies ``_information_in_place`` to
@@ -189,17 +190,19 @@ def bayes_quadratic_cost(joint: JointModel) -> float:
     """Minimal Bayes MSE, attained by the posterior mean: E_x[ Var(phi|x) ].
 
     With q, pbar = p @ q and s as in :func:`mutual_information`, it is
-    (q phi^2) . s - sum_x (p @ q phi)_x^2 / pbar_x over the x with pbar_x > 0.
+    (q u^2) . s - sum_x (p @ q u)_x^2 / pbar_x over the x with pbar_x > 0, u
+    = phi less the grid's midpoint: moments in phi itself would cancel as
+    |phi| grows, and moving the grid would move the cost.
     """
     return _bayes_cost(joint, joint.conditional.probs @ joint.prior._quadrature[0])
 
 
 def _bayes_cost(joint: JointModel, pbar: np.ndarray) -> float:
     """:func:`bayes_quadratic_cost` given pbar = p @ q."""
-    _, _, q_phi, q_phi2 = joint.prior._quadrature
-    first = joint.conditional.probs @ q_phi
+    _, _, q_u, q_u2 = joint.prior._quadrature
+    first = joint.conditional.probs @ q_u
     pos = pbar > 0.0
-    return float(q_phi2 @ joint.conditional._colsums) - float(np.sum(first[pos] ** 2 / pbar[pos]))
+    return float(q_u2 @ joint.conditional._colsums) - float(np.sum(first[pos] ** 2 / pbar[pos]))
 
 
 def _type_table(n: int, k: int, budget: int = TYPE_BUDGET) -> tuple[np.ndarray, np.ndarray]:

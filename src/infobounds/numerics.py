@@ -84,10 +84,10 @@ class ParameterGrid:
         return ParameterGrid(self.lower, self.upper, factor * (self.points - 1) + 1)
 
     def index_of(self, value: float, tol: float = 1e-9) -> int:
-        """Index of the grid point closest to ``value``; the point must lie on the grid."""
-        pos = (value - self.lower) / self.spacing
-        idx = int(round(pos))
-        if idx < 0 or idx >= self.points or abs(pos - idx) > tol:
+        """Index of the grid point closest to ``value``, which must lie within ``tol``
+        spacings of that point of :attr:`values`, however far the grid is from 0."""
+        idx = int(round((value - self.lower) / self.spacing))
+        if idx < 0 or idx >= self.points or abs(value - self.values[idx]) > tol * self.spacing:
             raise ValueError(f"{value} does not lie on the grid within {tol} spacings")
         return idx
 
@@ -139,8 +139,6 @@ def central_difference(samples, grid: ParameterGrid) -> np.ndarray:
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1 or y.size != grid.points:
         raise ValueError(f"expected {grid.points} samples aligned to the grid, got shape {y.shape}")
-    if y.size < 3:
-        raise ValueError("need at least 3 points for second-order differences")
     h = grid.spacing
     d = np.empty_like(y)
     d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)

@@ -196,8 +196,9 @@ class PhaseChannelFamily:
     sigma_ab e^{i W_ab phi} with the winding W_ab = g (n_a - n_b), where n is
     the |1><1| occupation of each level, so the derivative multiplies the
     same entries by i W.
-    ``rho0`` is any finite matrix, kept read-only; ``state`` and ``derivative``
-    are linear in it, and :attr:`input_state` checks it is a density matrix.
+    ``rho0`` is a :class:`DensityMatrix` or a matrix checked as one when the
+    family is built (ValueError); the family keeps that state as
+    ``input_state`` and its read-only matrix as ``rho0``.
     Families compare and hash by identity.
     """
 
@@ -205,26 +206,25 @@ class PhaseChannelFamily:
     eta: float
     rho0: np.ndarray
     gates: int = 1
+    input_state: DensityMatrix = field(init=False, repr=False)
     kraus: tuple = field(init=False, repr=False)
     winding: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _checked_gates(self.gates, self.eta, "gates")
         noise = _noise_kraus(self.kind, self.eta)  # validates kind
-        rho, _ = _frozen("rho0", self.rho0, dtype=complex)
+        given = self.rho0
         dim = noise[0].shape[0]
-        if rho.shape != (dim, dim):
-            raise ValueError(f"input state shape {rho.shape} does not match channel dim {dim}")
+        shape = np.shape(given.matrix if isinstance(given, DensityMatrix) else given)
+        if shape != (dim, dim):
+            raise ValueError(f"input state shape {shape} does not match channel dim {dim}")
+        state = given if isinstance(given, DensityMatrix) else DensityMatrix(given)
         n = np.zeros(dim)
         n[1] = 1.0
-        object.__setattr__(self, "rho0", rho)
+        object.__setattr__(self, "input_state", state)
+        object.__setattr__(self, "rho0", state.matrix)
         object.__setattr__(self, "kraus", noise)
         object.__setattr__(self, "winding", self.gates * (n[:, None] - n[None, :]))
-
-    @cached_property
-    def input_state(self) -> DensityMatrix:
-        """``rho0`` as a :class:`DensityMatrix`, validated on first access (ValueError)."""
-        return DensityMatrix(self.rho0)
 
     @cached_property
     def _sigma(self) -> np.ndarray:
@@ -250,8 +250,7 @@ class PhaseChannelFamily:
 
 def noon_family(n: int) -> PhaseChannelFamily:
     """Pure |+> family accumulating phase n*phi: the N00N two-level subspace."""
-    plus = DensityMatrix.pure([1.0, 1.0]).matrix
-    return PhaseChannelFamily("dephasing", 1.0, plus, gates=n)
+    return PhaseChannelFamily("dephasing", 1.0, DensityMatrix.pure([1.0, 1.0]), gates=n)
 
 
 def qfi(family: PhaseChannelFamily, phi: float) -> float:
@@ -269,10 +268,8 @@ def qfi(family: PhaseChannelFamily, phi: float) -> float:
     of rho = rho(0), computed once per family and kept on it.  It agrees
     with 2 sum_{j,k} |<j| d rho |k>|^2 / (l_j + l_k) over the eigenvalues of
     rho(phi) to round-off (measured at most 1.7e-15 relative).  Raises
-    ValueError when the family's input state is not a density matrix or phi
-    is not finite.
+    ValueError when phi is not finite.
     """
-    family.input_state  # raises unless rho0 is a density matrix
     _checked_phi(phi)
     return family._qfi
 
@@ -283,11 +280,9 @@ def classical_fi_of_povm(family: PhaseChannelFamily, povm: Povm, phi: float) -> 
     Never exceeds the QFI of the family.  Returns inf when some outcome has
     zero probability but a probability derivative above ``ZERO_DERIV_TOL``
     (1e-6), the rule of F(phi) with phi an angle: one phi is at hand, so
-    there is no span to scale by.  Raises ValueError when the family's input
-    state is not a density matrix, the POVM acts on another dimension, or
-    phi is not finite.
+    there is no span to scale by.  Raises ValueError when the POVM acts on
+    another dimension or phi is not finite.
     """
-    family.input_state  # raises unless rho0 is a density matrix
     a, c = _outcome_coefficients(family, povm)
     g = family.gates
     cz = c * np.exp(1j * g * _checked_phi(phi))
@@ -456,9 +451,8 @@ def _family_outcome_model(family: PhaseChannelFamily, povm: Povm,
     columns with the rows 1, cos(g phi) and sin(g phi), built once per
     (grid, g) and cached, since every family of a gate count shares them.
     Grids with fewer than 8 points per period of the fastest winding g alias
-    it and are rejected.  Raises ValueError unless ``rho0`` is a density matrix.
+    it and are rejected.
     """
-    family.input_state  # the split into a and c needs a Hermitian state
     a, c = _outcome_coefficients(family, povm)
     g = family.gates
     if g * grid.spacing > math.pi / 4.0:
@@ -491,16 +485,13 @@ def noon_outcome_model(n: int, povm: Povm | None = None,
 
 def channel_outcome_model(kind: str, eta: float, grid: ParameterGrid,
                           rho0=None, povm: Povm | None = None) -> ConditionalModel:
-    """Outcome model of a measured noisy phase channel on the given grid."""
+    """Outcome model of a measured noisy phase channel on the given grid; ``rho0``
+    (default |+>) is a :class:`DensityMatrix` or a matrix the family checks as one."""
     dim = 3 if kind == "erasure" else 2
     if rho0 is None:
         psi = np.zeros(dim, dtype=complex)
         psi[0] = psi[1] = 1.0
         rho0 = DensityMatrix.pure(psi)
-    elif not isinstance(rho0, DensityMatrix):
-        rho0 = DensityMatrix(rho0)
     if povm is None:
         povm = plus_minus_povm(dim)
-    family = PhaseChannelFamily(kind, eta, rho0.matrix)
-    vars(family)["input_state"] = rho0  # the cached check, made once above
-    return _family_outcome_model(family, povm, grid)
+    return _family_outcome_model(PhaseChannelFamily(kind, eta, rho0), povm, grid)

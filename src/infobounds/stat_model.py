@@ -39,12 +39,12 @@ PRIOR_PARAMS = {"rectangle": ("width",), "gaussian": ("sigma",), "tabulated": ()
 
 
 def _frozen(label: str, array, dtype=np.float64, axis=None, nonnegative: str | None = None,
-            inf_at=False) -> tuple:
+            inf_allowed: bool = False) -> tuple:
     """(``array`` as a read-only ``dtype`` array owning its data, its sum over ``axis``).
 
     Such an array is kept, shared with the caller; anything else is copied.
     When the sum is non-finite, the first non-finite entry (other than +inf
-    where ``inf_at`` is set) raises ValueError naming ``label`` and its index.
+    with ``inf_allowed``) raises ValueError naming ``label`` and its index.
     With ``nonnegative`` (a message), entries below -1e-12 raise ValueError
     and smaller negatives are set to 0 in a copy, the sum taken again.
     """
@@ -56,7 +56,7 @@ def _frozen(label: str, array, dtype=np.float64, axis=None, nonnegative: str | N
         total = a.sum(axis=axis)
     # a whole-array sum is a scalar, which cmath tests some 50x faster than np.isfinite
     if not (cmath.isfinite(total) if axis is None else np.isfinite(total).all()):
-        where = np.argwhere(~np.isfinite(a) & ~(inf_at & (a == np.inf)))
+        where = np.argwhere(~np.isfinite(a) & ~(inf_allowed & (a == np.inf)))
         if where.size:
             raise ValueError(f"{label} has a non-finite value at index {tuple(where[0].tolist())}")
     if nonnegative is not None:
@@ -68,6 +68,15 @@ def _frozen(label: str, array, dtype=np.float64, axis=None, nonnegative: str | N
             total = a.sum(axis=axis)
     a.setflags(write=False)
     return a, total
+
+
+def _grid_aligned(label: str, array, grid: ParameterGrid, **checks) -> np.ndarray:
+    """``array`` as :func:`_frozen` keeps it (``checks`` are its keywords), of shape
+    (points,), else ValueError naming ``label``."""
+    a, _ = _frozen(label, array, **checks)
+    if a.shape != (grid.points,):
+        raise ValueError(f"{label} must be grid-aligned, shape ({grid.points},), got {a.shape}")
+    return a
 
 
 def _read_only(*arrays) -> tuple:
@@ -102,10 +111,9 @@ class PriorDensity:
         for key in PRIOR_PARAMS[self.kind]:
             if key not in self.params:
                 raise ValueError(f"{self.kind} prior needs params[{key!r}]")
-        dens, _ = _frozen("density", self.density, nonnegative="prior density must be nonnegative")
-        deriv, _ = _frozen("derivative", self.derivative)
-        if dens.shape != (self.grid.points,) or deriv.shape != (self.grid.points,):
-            raise ValueError("density and derivative must be grid-aligned 1-D arrays")
+        dens = _grid_aligned("density", self.density, self.grid,
+                             nonnegative="prior density must be nonnegative")
+        deriv = _grid_aligned("derivative", self.derivative, self.grid)
         mass = integrate(dens, self.grid)
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(
@@ -130,11 +138,14 @@ class PriorDensity:
 
     @cached_property
     def _quadrature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(q, q ln p, q phi, q phi^2) with q = w p, w the Simpson weights: the prior
-        terms of the MI and Bayes-cost oracles, computed on first access and read-only."""
-        q = simpson_weights(self.grid) * self.density
-        q_phi = q * self.grid.values
-        return _read_only(q, q * self._log_density, q_phi, q_phi * self.grid.values)
+        """(q, q ln p, q u, q u^2) with q = w p, w the Simpson weights, u = (i - (points - 1)
+        / 2) spacing the offsets from the grid's midpoint: the prior terms of the MI and
+        Bayes-cost oracles, computed on first access and read-only."""
+        grid = self.grid
+        q = simpson_weights(grid) * self.density
+        u = (np.arange(grid.points) - (grid.points - 1) / 2) * grid.spacing
+        q_u = q * u
+        return _read_only(q, q * self._log_density, q_u, q_u * u)
 
     @cached_property
     def information(self) -> float:
@@ -383,9 +394,10 @@ class JointModel:
     @cached_property
     def _fisher_under_prior(self) -> np.ndarray:
         profile = self.conditional.fisher
-        if np.any(profile.divergent & (self.prior.density > 0.0)):
+        divergent = profile.divergent
+        if np.any(divergent & (self.prior.density > 0.0)):
             raise NumericError("Fisher information diverges where the prior has mass")
-        return _read_only(np.where(profile.divergent, 0.0, profile.values))[0]
+        return _read_only(np.where(divergent, 0.0, profile.values))[0]
 
     @cached_property
     def _average_fisher(self) -> float:
@@ -398,27 +410,27 @@ class JointModel:
 
 @dataclass(frozen=True, eq=False)
 class FisherProfile:
-    """Pointwise Fisher information F(phi) >= 0 with a divergence mask.
+    """Pointwise Fisher information F(phi) >= 0, +inf where it diverges.
 
     Compared and hashed by identity, like the models it is computed from.
     """
 
     grid: ParameterGrid
     values: np.ndarray
-    divergent: np.ndarray
 
     def __post_init__(self):
-        div, _ = _frozen("divergent", self.divergent, dtype=bool)
-        vals, _ = _frozen("values", self.values, inf_at=div,
-                          nonnegative="Fisher information must be nonnegative")
-        if vals.shape != (self.grid.points,) or div.shape != (self.grid.points,):
-            raise ValueError("values and divergent mask must be grid-aligned")
+        vals = _grid_aligned("values", self.values, self.grid, inf_allowed=True,
+                             nonnegative="Fisher information must be nonnegative")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "divergent", div)
+
+    @property
+    def divergent(self) -> np.ndarray:
+        """Where F diverges: the +inf entries of ``values``."""
+        return np.isinf(self.values)
 
     @classmethod
     def constant(cls, grid: ParameterGrid, value: float) -> "FisherProfile":
-        return cls(grid, np.full(grid.points, float(value)), np.zeros(grid.points, dtype=bool))
+        return cls(grid, np.full(grid.points, float(value)))
 
     def constant_value(self) -> float | None:
         """Median of F if its interior points agree to 1e-6 relative, else None."""
@@ -459,7 +471,7 @@ def fisher_information(model: ConditionalModel) -> FisherProfile:
     """
     span = model.grid.upper - model.grid.lower
     values = _score_terms(model.probs, model.dprobs, ZERO_DERIV_TOL / span).sum(axis=0)
-    return FisherProfile(model.grid, *_read_only(values, np.isinf(values)))
+    return FisherProfile(model.grid, _read_only(values)[0])
 
 
 def fisher_under_prior(joint: JointModel) -> np.ndarray:

@@ -146,15 +146,11 @@ def test_05_quantum_channel_suite():
     for kind in ("dephasing", "amplitude-damping", "erasure"):
         dim = 3 if kind == "erasure" else 2
         for eta in etas:
-            # tr state(phi) over the matrix units |a><b| is the identity
-            # exactly when the Kraus operators resolve the identity
-            total = np.empty((dim, dim), dtype=complex)
-            for a in range(dim):
-                for b in range(dim):
-                    unit = np.zeros((dim, dim), dtype=complex)
-                    unit[a, b] = 1.0
-                    total[a, b] = np.trace(PhaseChannelFamily(kind, eta, unit).state(0.4))
+            # the Kraus operators resolve the identity, so every state keeps trace 1
+            family = PhaseChannelFamily(kind, eta, np.eye(dim) / dim)
+            total = sum(k.conj().T @ k for k in family.kraus)
             assert np.max(np.abs(total - np.eye(dim))) <= 1e-12
+            assert abs(np.trace(family.state(0.4)) - 1.0) <= 1e-12
 
     plus = np.full((2, 2), 0.5, dtype=complex)
     for eta in etas:

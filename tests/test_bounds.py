@@ -28,8 +28,8 @@ from infobounds.bounds import (
     van_trees,
 )
 from infobounds.cli import build_builtin
-from infobounds.mi_oracle import bayes_quadratic_cost, mutual_information
-from infobounds.numerics import ParameterGrid, integrate
+from infobounds.mi_oracle import bayes_quadratic_cost, mutual_information, repeat_model
+from infobounds.numerics import ParameterGrid, integrate, simpson_weights
 from infobounds.quantum_metrology import mi_cap
 from infobounds.random_models import random_joint_model
 from infobounds.stat_model import (
@@ -755,3 +755,78 @@ def test_rescaling_keeps_an_inconsistent_table_rejected(a):
     dprobs[0] += 1e-3 / (joint.grid.upper - joint.grid.lower)
     with pytest.raises(ValueError, match="outcome derivatives sum to"):
         rescaled(joint, a, dprobs)
+
+
+SHIFTS = [-1e5, 1e3, 1e5]
+
+
+def shifted(joint, c):
+    """``joint`` in the parameter phi + c: the grid moved by c, every table and prior array
+    kept as it is."""
+    grid = joint.grid
+    moved = ParameterGrid(grid.lower + c, grid.upper + c, grid.points)
+    prior = joint.prior
+    params = dict(prior.params)
+    if "mean" in params:
+        params["mean"] += c
+    cond = joint.conditional
+    return JointModel(PriorDensity(moved, prior.density, prior.kind, prior.derivative,
+                                   prior.smooth, params),
+                      ConditionalModel(moved, cond.probs, cond.dprobs, cond.derivative_source,
+                                       cond.outcomes))
+
+
+@pytest.mark.parametrize("name, c", [pytest.param(name, c, id=f"{name}-{c:g}")
+                                     for name in BUILTINS + RANDOM_MODELS for c in SHIFTS])
+def test_translating_phi_keeps_flags_bounds_and_bayes_mse(name, c):
+    # phi -> phi + c leaves every bound and the Bayes MSE unchanged.  The reference is the
+    # moved grid moved back, (lower + c) - c and (upper + c) - c, an exact subtraction: its
+    # spacing is the moved grid's, so the two grids differ in their origin alone.
+    moved = shifted(rescaling_joint(name), c)
+    reference = shifted(moved, -c)
+    assert moved.grid.spacing == reference.grid.spacing
+    have, want = all_bounds(moved), all_bounds(reference)
+    assert [(r.name, r.flags) for r in have] == [(r.name, r.flags) for r in want]
+    assert [r.flags for r in want] == [r.flags for r in all_bounds(rescaling_joint(name))]
+    for got, ref in zip(have, want):
+        if ref.value is None:
+            assert got.value is None, got.name
+        elif got.name == "mse-bound-finite-support":
+            # its sub-interval's end points are grid values, which carry eps |c|: measured
+            # at most 2.8e-11 relative at |c| = 1e5, 4.6e-13 at 1e3
+            assert abs(got.value - ref.value) <= 1e-10 * ref.value
+        else:
+            assert got.value == ref.value, got.name
+    # the cost reads moments in u = phi less the grid's midpoint, the same on both grids
+    assert mutual_information(moved).bayes_mse == mutual_information(reference).bayes_mse
+
+
+def centred_longdouble_bayes_cost(joint):
+    """E_x Var(phi|x) in ``np.longdouble``, each x centred on its posterior mean, on the
+    grid lower + i spacing: a two-pass reference that a shift of phi leaves alone."""
+    ld = np.longdouble
+    grid = joint.grid
+    jp = joint.conditional.probs.astype(ld) * joint.prior.density.astype(ld)
+    w = simpson_weights(grid).astype(ld)
+    phi = ld(grid.lower) + np.arange(grid.points, dtype=ld) * ld(grid.spacing)
+    pbar = jp @ w
+    pos = pbar > 0.0
+    u = phi[None, :] - ((jp[pos] @ (w * phi)) / pbar[pos])[:, None]
+    return float(((jp[pos] * u * u) @ w).sum())
+
+
+def repeated_gaussian_cos2(n):
+    grid = ParameterGrid(0.0, PI, 2001)
+    return repeat_model(JointModel(PriorDensity.gaussian(grid, PI / 2, 0.2), cos2_model(grid)), n)
+
+
+@pytest.mark.parametrize("n", [1, 100, 1000])
+@pytest.mark.parametrize("c", [0.0, *SHIFTS])
+def test_bayes_cost_of_a_repeated_model_at_an_offset(n, c):
+    moved = shifted(repeated_gaussian_cos2(n), c)
+    cost = bayes_quadratic_cost(moved)
+    assert cost == bayes_quadratic_cost(shifted(moved, -c))
+    # measured at most 8.3e-15 relative (n = 1000, c = 0); moments in phi itself were
+    # off by 4.2e-4 (n = 1) to 1.0e-3 (n = 1000) relative at c = 1e5
+    want = centred_longdouble_bayes_cost(moved)
+    assert abs(cost - want) <= 5e-14 * want

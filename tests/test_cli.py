@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import infobounds
+import infobounds.bounds as bnd
 import infobounds.stat_model as stat_model
 from infobounds.cli import DEFAULT_SEED, _verify_one, build_builtin, load_model_file, main
 from infobounds.numerics import ParameterGrid, integrate
@@ -299,6 +300,30 @@ class TestBoundsCommand:
         assert mse["flags"] == ""
         assert 0.0 < float(mse["value"]) <= float(rows["oracle-bayes-mse"]["value"])
 
+    def test_shifted_model_file_prints_the_same_table(self, tmp_path):
+        # noon n = 16 under a Gaussian prior about c + pi/2: moving phi by c moves no row
+        # past the rounding of the inputs (cos(16 phi) at |phi| ~ 1e5), measured at most
+        # 1.8e-11 relative; the Bayes MSE read off moments in phi was 2.6e-3 off at the
+        # largest c
+        rows = {}
+        for c in (0.0, 2.0 * PI * 1600, 2.0 * PI * 16000):
+            mean = c + PI / 2.0
+            path = tmp_path / f"noon-{c:g}.json"
+            path.write_text(json.dumps({
+                "grid": {"lower": mean - 0.6, "upper": mean + 0.6, "points": 2001},
+                "prior": {"kind": "gaussian", "mean": mean, "sigma": 0.08},
+                "conditional": {"builtin": "noon", "n": 16}}))
+            out = tmp_path / f"bounds-{c:g}.csv"
+            assert run(["bounds", "--model", str(path), "--out", str(out)]) == 0
+            rows[c] = {r["name"]: r for r in read_csv(str(out))}
+        want = rows.pop(0.0)
+        for have in rows.values():
+            assert {n: r["flags"] for n, r in have.items()} == {
+                n: r["flags"] for n, r in want.items()}
+            for name, row in have.items():
+                ref = float(want[name]["value"])
+                assert abs(float(row["value"]) - ref) <= 1e-10 * ref, name
+
     def test_rescaled_model_file_keeps_its_flags(self, tmp_path):
         # the same binary model on [0, pi] and on [0, pi 1e7]: P diverges for both
         # rectangles and F is not constant, whatever the units of phi
@@ -529,6 +554,22 @@ class TestModelFiles:
         assert "re-gridded" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("overrides, argv, message", [
+        ({"conditional": {"builtin": "bitflip"}}, [], "unknown builtin conditional 'bitflip'"),
+        ({"prior": {"kind": "beta"}}, [], "unknown prior kind 'beta'"),
+        ({"grid": {"lower": 0.0, "upper": 1.0, "points": 11},
+          "prior": {"kind": "tabulated", "density": [1.0] * 11}}, ["--grid-points", "21"],
+         "tabulated priors cannot be re-gridded"),
+        ({"conditional": {"table": [[1.0]]}}, [],
+         "conditional needs either 'builtin' or 'matrix'"),
+    ], ids=["builtin-conditional", "prior-kind", "regrid-prior", "no-conditional"])
+    def test_model_file_rejected_by_cause(self, tmp_path, capsys, overrides, argv, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.schema(**overrides)))
+        assert run(["bounds", "--model", str(path), *argv]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 class TestGridPointsOption:
     @pytest.mark.parametrize("argv", [["bounds", "--model", "cos2"],
                                       ["mi", "--model", "cos2"],
@@ -596,6 +637,22 @@ class TestVerifyCommand:
         assert run(["verify", "--count", "200", "--grid-points", "501"]) == 0
         out = capsys.readouterr().out
         assert "checked 200 models: PASS" in out
+
+    def test_violation_fails_the_run(self, monkeypatch, capsys):
+        # one MSE floor far above any Bayes MSE, and one row without a value
+        original = infobounds.cli.bnd.all_bounds
+        forced = [bnd.BoundReport("forced-floor", 1e9, bnd.LOWER_MSE),
+                  bnd.BoundReport("valueless", None, bnd.UPPER_MI, flags=("no-value",))]
+        monkeypatch.setattr(infobounds.cli.bnd, "all_bounds",
+                            lambda joint: original(joint) + forced)
+        assert run(["verify", "--count", "2", "--seed", "7", "--grid-points", "101"]) == 1
+        out, err = capsys.readouterr()
+        for index in (0, 1):
+            assert f"VIOLATION model={index} bound=forced-floor margin=-1.000e+09" in err
+            assert f"  reproduce with seed=7 (model index {index})" in err
+        assert "worst margin forced-floor: -1.000000e+09" in out
+        assert "valueless" not in out + err
+        assert out.endswith("checked 2 models: FAIL\n")
 
     def test_count_zero_is_an_error(self, capsys):
         assert run(["verify", "--count", "0"]) == 1

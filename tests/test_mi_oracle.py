@@ -922,6 +922,11 @@ class TestSampleSizeType:
         with pytest.raises(TypeError, match="n must be an integer"):
             repeat_model(cos2_uniform(201), n)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_repeat_model_rejects_fewer_than_one_sample(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            repeat_model(cos2_uniform(201), n)
+
     @pytest.mark.parametrize("n", [2.0, True, np.float64(4.0)])
     def test_study_rejects_non_integers(self, n):
         with pytest.raises(TypeError, match="sample sizes must be integers"):

@@ -50,6 +50,23 @@ class TestParameterGrid:
         with pytest.raises(ValueError):
             grid.index_of(0.35)
 
+    @pytest.mark.parametrize("c", [-1e5, 1e3, 1e5, 1e9])
+    def test_index_of_finds_every_point_far_from_zero(self, c):
+        grid = ParameterGrid(c, c + math.pi, 2001)
+        assert [grid.index_of(v) for v in grid.values] == list(range(grid.points))
+        with pytest.raises(ValueError, match="does not lie on the grid"):
+            grid.index_of(grid.values[3] + 0.5 * grid.spacing)
+
+    @pytest.mark.parametrize("lower, upper", [(math.nan, 1.0), (0.0, math.inf),
+                                              (-math.inf, 0.0)])
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            ParameterGrid(lower, upper, 11)
+
+    def test_refine_rejects_factor_below_one(self):
+        with pytest.raises(ValueError, match="refinement factor must be >= 1, got 0"):
+            ParameterGrid(0.0, 1.0, 11).refine(0)
+
 
 class TestGridArrays:
     def test_computed_once(self):

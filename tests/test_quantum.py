@@ -80,7 +80,7 @@ class TestArrayOwnership:
     @pytest.mark.parametrize("build, label", [
         (DensityMatrix, "density matrix"),
         (lambda m: Povm((0.5 * np.eye(2), m)), "POVM element 1"),
-        (lambda m: PhaseChannelFamily("dephasing", 0.9, m), "rho0"),
+        (lambda m: PhaseChannelFamily("dephasing", 0.9, m), "density matrix"),
     ], ids=["density-matrix", "povm", "rho0"])
     def test_rejects_non_finite_naming_array_and_index(self, build, label, value):
         m = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
@@ -125,28 +125,18 @@ class TestPhaseGate:
             phase_gate(0.1, 1)
 
 
-def transfer_trace(kind, eta, phi):
-    """tr state(phi) for every matrix unit |a><b| as input state.
-
-    It equals the identity exactly when the Kraus operators resolve the
-    identity, i.e. when the channel preserves the trace of every input.
-    """
-    dim = 3 if kind == "erasure" else 2
-    out = np.empty((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            unit = np.zeros((dim, dim), dtype=complex)
-            unit[a, b] = 1.0
-            out[a, b] = np.trace(PhaseChannelFamily(kind, eta, unit).state(phi))
-    return out
-
-
 class TestChannels:
     @pytest.mark.parametrize("kind", ["dephasing", "amplitude-damping", "erasure"])
     @pytest.mark.parametrize("eta", ETAS)
     def test_kraus_completeness(self, kind, eta):
-        total = transfer_trace(kind, eta, phi=0.7)
-        assert np.max(np.abs(total - np.eye(total.shape[0]))) < 1e-12
+        dim = 3 if kind == "erasure" else 2
+        family = PhaseChannelFamily(kind, eta, np.eye(dim) / dim)
+        total = sum(k.conj().T @ k for k in family.kraus)
+        assert np.max(np.abs(total - np.eye(dim))) < 1e-12
+        rng = np.random.default_rng(int(eta * 100))
+        for _ in range(5):
+            state = PhaseChannelFamily(kind, eta, random_state(rng, dim)).state(0.7)
+            assert abs(np.trace(state) - 1.0) < 1e-12
 
     def test_eta_domain(self):
         with pytest.raises(ValueError, match="eta"):
@@ -218,9 +208,8 @@ class TestQfi:
             assert value == pytest.approx(bloch_qfi(r, dr), abs=1e-9)
 
     def test_rejects_non_hermitian_family(self):
-        bad = PhaseChannelFamily("dephasing", 0.9, np.array([[1.0, 0.1], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="Hermitian"):
-            qfi(bad, 0.1)
+            PhaseChannelFamily("dephasing", 0.9, np.array([[1.0, 0.1], [0.0, 0.0]]))
 
 
 class TestClassicalFi:
@@ -554,6 +543,8 @@ class TestInputValidation:
         ([[0.5, 0.9], [0.0, 0.5]], "not Hermitian"),
         ([[0.6, 0.0], [0.0, 0.6]], "trace"),
         ([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"),
+        ([[0.5, np.inf], [0.0, 0.5]], r"density matrix has a non-finite value at index \(0, 1\)"),
+        ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], r"input state shape \(2, 3\) does not match"),
     ])
     def test_channel_model_rejects_invalid_state(self, rho0, message):
         grid = ParameterGrid(0.0, 2.0 * PI, 101)
@@ -565,13 +556,18 @@ class TestInputValidation:
         ([[0.5, 0.9], [0.0, 0.5]], "not Hermitian"),
         ([[1.5, 0.0], [0.0, -0.5]], "negative eigenvalue"),
     ])
-    @pytest.mark.parametrize("fisher", [
-        qfi, lambda family, phi: classical_fi_of_povm(family, plus_minus_povm(2), phi),
-    ], ids=["qfi", "cfi"])
-    def test_fisher_rejects_invalid_state(self, rho0, message, fisher):
-        family = PhaseChannelFamily("dephasing", 0.9, np.array(rho0))
+    def test_family_rejects_invalid_state(self, rho0, message):
         with pytest.raises(ValueError, match=message):
-            fisher(family, 0.3)
+            PhaseChannelFamily("dephasing", 0.9, np.array(rho0))
+
+    def test_a_density_matrix_is_not_checked_again(self, monkeypatch):
+        state = DensityMatrix(PLUS)
+        calls = []
+        monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: calls.append(self))
+        family = PhaseChannelFamily("dephasing", 0.9, state)
+        assert family.input_state is state and family.rho0 is state.matrix
+        noon_outcome_model(4, plus_minus_povm(2), ParameterGrid(0.0, 2.0 * PI, 101))
+        assert len(calls) == 1  # the |+> of noon_family, built once
 
     def test_channel_model_accepts_density_matrix(self):
         grid = ParameterGrid(0.0, 2.0 * PI, 101)
@@ -960,6 +956,18 @@ class TestQuantumInputsNamed:
         (lambda: random_povm(np.random.default_rng(0), 0, 2), "dim must be >= 1, got 0"),
     ], ids=["povm", "density-matrix", "random-povm"])
     def test_empty_matrices_rejected_by_name(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DensityMatrix(np.array([0.5, 0.5])), r"density matrix must be square, got \(2,\)"),
+        (lambda: Povm(()), "POVM needs at least one element"),
+        (lambda: random_povm(np.random.default_rng(0), 2, 1), "need at least 2 outcomes, got 1"),
+        (lambda: mi_cap(4, 0.9, fi_cap=-1.0), "fi_cap must be nonnegative, got -1.0"),
+        (lambda: transition_sweep(0.9, [8, 8]),
+         "need at least two distinct N values for a sweep"),
+    ], ids=["non-2d-matrix", "empty-povm", "one-outcome", "negative-fi-cap", "one-n"])
+    def test_caller_input_rejected_by_cause(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
 

@@ -86,3 +86,27 @@ def test_every_cache_is_bounded_or_takes_no_arguments():
     assert unbounded == []
     assert {"cli._parser", "mi_oracle._type_rows", "quantum_metrology._phase_basis",
             "random_models._trig_basis"} <= checked
+
+
+def is_instance_dict(node):
+    """True for ``vars(x)`` and ``x.__dict__``."""
+    return ((isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "vars" and node.args)
+            or (isinstance(node, ast.Attribute) and node.attr == "__dict__"))
+
+
+def instance_dict_writes(tree):
+    """Line of each store into, or deletion from, ``vars(x)[...]`` or ``x.__dict__[...]``,
+    whatever the statement: assignment, unpacking, augmented assignment, loop target."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and is_instance_dict(node.value)):
+            yield node.lineno
+
+
+def test_no_writes_into_an_instance_dict():
+    # a value takes its fields in its constructor: a write into its __dict__ sets one
+    # behind the constructor's checks, and past a frozen dataclass's guard
+    writes = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+              for line in instance_dict_writes(ast.parse(path.read_text()))]
+    assert writes == []

@@ -501,31 +501,35 @@ class TestCachedFisher:
         # cos2 has F = 1 inside (0, pi) and F = 0 at the endpoints by the 0/0 rule
         assert fisher_information(cos2_model(pi_grid)).constant_value() == pytest.approx(1.0)
         assert FisherProfile.constant(pi_grid, 2.5).constant_value() == 2.5
-        ramp = FisherProfile(pi_grid, np.linspace(1.0, 2.0, pi_grid.points),
-                             np.zeros(pi_grid.points, dtype=bool))
+        ramp = FisherProfile(pi_grid, np.linspace(1.0, 2.0, pi_grid.points))
         assert ramp.constant_value() is None
 
     def test_constant_value_tolerance(self, pi_grid):
         values = np.full(pi_grid.points, 1000.0)
         values[5] += 0.5e-3   # ptp 5e-7 relative to max F
-        assert FisherProfile(pi_grid, values, np.zeros(pi_grid.points, dtype=bool)) \
-            .constant_value() == 1000.0
+        assert FisherProfile(pi_grid, values).constant_value() == 1000.0
         values[5] += 1e-3
-        assert FisherProfile(pi_grid, values, np.zeros(pi_grid.points, dtype=bool)) \
-            .constant_value() is None
+        assert FisherProfile(pi_grid, values).constant_value() is None
 
-    @pytest.mark.parametrize("value, on_mask", [
-        (np.nan, False), (np.nan, True), (np.inf, False), (-np.inf, False), (-np.inf, True),
-    ])
-    def test_rejects_non_finite_off_the_divergent_mask(self, pi_grid, value, on_mask):
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_rejects_nan_and_minus_inf(self, pi_grid, value):
         values = np.ones(pi_grid.points)
-        divergent = np.zeros(pi_grid.points, dtype=bool)
         values[9] = np.inf
-        divergent[9] = True   # +inf where F diverges is the one non-finite value allowed
-        index = 9 if on_mask else 4
-        values[index] = value
-        with pytest.raises(ValueError, match=rf"values has a non-finite value at index \({index},\)"):
-            FisherProfile(pi_grid, values, divergent)
+        values[4] = value
+        with pytest.raises(ValueError, match=r"values has a non-finite value at index \(4,\)"):
+            FisherProfile(pi_grid, values)
+
+    def test_plus_inf_anywhere_marks_divergence(self, pi_grid):
+        values = np.ones(pi_grid.points)
+        values[[0, 4, -1]] = np.inf
+        profile = FisherProfile(pi_grid, values)
+        assert np.flatnonzero(profile.divergent).tolist() == [0, 4, pi_grid.points - 1]
+        assert np.flatnonzero(FisherProfile.constant(pi_grid, 1.0).divergent).size == 0
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 101)])
+    def test_rejects_values_off_the_grid(self, pi_grid, shape):
+        with pytest.raises(ValueError, match=rf"values must be grid-aligned, shape \({pi_grid.points},\)"):
+            FisherProfile(pi_grid, np.ones(shape))
 
     def test_fisher_under_prior_masks_divergence_outside_support(self):
         grid = ParameterGrid(0.0, 1.0, 11)
@@ -596,11 +600,9 @@ class TestJeffreysLength:
     def test_divergent_support_raises(self):
         grid = ParameterGrid(0.0, 1.0, 11)
         values = np.ones(11)
-        divergent = np.zeros(11, dtype=bool)
-        divergent[5] = True
         values[5] = np.inf
         with pytest.raises(NumericError, match="diverges"):
-            jeffreys_length(FisherProfile(grid, values, divergent))
+            jeffreys_length(FisherProfile(grid, values))
 
     def test_reparametrization_invariance(self):
         # substitute phi = w(u) = u^3 + u on the interior window [0.1 pi, 0.9 pi]
@@ -625,11 +627,47 @@ class TestJeffreysLength:
         assert length_u == pytest.approx(length_phi, abs=1e-4)
 
 
+class TestCallerInputChecks:
+    """Each check on caller input raises ValueError with a message naming the cause."""
+
+    @pytest.fixture
+    def grid(self):
+        return ParameterGrid(0.0, 1.0, 11)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda g: PriorDensity.cosine_window(g, 0.5, 0.0), "width must be positive, got 0.0"),
+        (lambda g: cosine_plateau(g, 0.2, 0.8, -0.1), "ramp must be positive, got -0.1"),
+        (lambda g: cosine_plateau(g, 0.8, 0.8, 0.1), "flat_upper must exceed flat_lower"),
+        (lambda g: ConditionalModel(g, np.full(11, 1.0), np.zeros(11)),
+         r"probs must be \(K, 11\), got \(11,\)"),
+        (lambda g: ConditionalModel(g, np.full((2, 11), 0.5), np.zeros((2, 9))),
+         "dprobs must match probs in shape"),
+        (lambda g: ConditionalModel(g, np.full((2, 11), 0.5), np.zeros((2, 11)), "guessed"),
+         "unknown derivative source 'guessed'"),
+        (lambda g: ConditionalModel(g, np.full((2, 11), 0.5), np.zeros((2, 11)),
+                                    outcomes=("a", "b", "c")),
+         "outcome labels must match the number of rows"),
+        (lambda g: jeffreys_length(FisherProfile.constant(g, 1.0), (0.6, 0.6)),
+         "support must be a nondegenerate interval"),
+        (lambda g: jeffreys_length(FisherProfile.constant(g, 1.0), (0.2, 0.5)),
+         "support must span an even number of grid subintervals"),
+        (lambda g: PriorDensity(g, np.ones(9), "tabulated", np.zeros(11)),
+         r"density must be grid-aligned, shape \(11,\), got \(9,\)"),
+        (lambda g: PriorDensity(g, np.ones(11), "tabulated", np.zeros((1, 11))),
+         r"derivative must be grid-aligned, shape \(11,\), got \(1, 11\)"),
+    ], ids=["window-width", "plateau-ramp", "plateau-flat", "probs-shape", "dprobs-shape",
+            "derivative-source", "outcome-labels", "degenerate-support", "odd-support",
+            "density-shape", "derivative-shape"])
+    def test_message(self, grid, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(grid)
+
+
 class TestIdentityEquality:
     def test_model_values_compare_and_hash_by_identity(self, pi_grid):
         def build():
             prior, model = PriorDensity.rectangle(pi_grid), cos2_model(pi_grid)
-            fisher = FisherProfile(pi_grid, model.fisher.values, model.fisher.divergent)
+            fisher = FisherProfile(pi_grid, model.fisher.values)
             return (prior, model, JointModel(prior, model), fisher,
                     DensityMatrix.pure([1.0, 1.0]), plus_minus_povm(),
                     PhaseChannelFamily("dephasing", 0.9, np.full((2, 2), 0.5)))
@@ -681,12 +719,13 @@ def old_entropy(prior):
 
 
 def old_quadrature(prior):
-    """(q, q ln p, q phi, q phi^2) as first written, with a log of their own."""
-    q = simpson_weights(prior.grid) * prior.density
+    """(q, q ln p, q u, q u^2), u the grid-centred offsets, with a log of their own."""
+    grid = prior.grid
+    q = simpson_weights(grid) * prior.density
     log_p = np.zeros_like(prior.density)
     np.log(prior.density, out=log_p, where=prior.density > 0.0)
-    q_phi = q * prior.grid.values
-    return q, q * log_p, q_phi, q_phi * prior.grid.values
+    u = np.array([(i - (grid.points - 1) / 2) * grid.spacing for i in range(grid.points)])
+    return q, q * log_p, q * u, q * u * u
 
 
 def guard_priors():
