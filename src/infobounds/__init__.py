@@ -12,8 +12,6 @@ from .bounds import (
     efroimovich_mi_bound,
     entropy_mse_floor,
     gaussian_prior_mse_bounds,
-    joint_derivative_l1,
-    joint_derivative_l1_bound,
     mi_bound_finite_support,
     mi_bound_general_prior,
     mi_bound_variational,
@@ -28,7 +26,6 @@ from .mi_oracle import (
     MleStudyPoint,
     OracleResult,
     bayes_quadratic_cost,
-    merge_outcomes,
     mle_convergence_study,
     mutual_information,
     repeat_model,

@@ -30,7 +30,6 @@ from .stat_model import (
     _grid_aligned,
     _weighted_l1,
     average_fisher,
-    fisher_under_prior,
     jeffreys_length,
 )
 
@@ -46,8 +45,6 @@ __all__ = [
     "efroimovich_mi_bound",
     "entropy_mse_floor",
     "gaussian_prior_mse_bounds",
-    "joint_derivative_l1",
-    "joint_derivative_l1_bound",
     "mi_bound_finite_support",
     "mi_bound_general_prior",
     "mi_bound_variational",
@@ -98,19 +95,6 @@ def oracle_margin(report: BoundReport, oracle_value: float) -> float:
     if report.direction == UPPER_MI:
         return report.value - oracle_value
     return oracle_value - report.value
-
-
-def joint_derivative_l1(joint: JointModel) -> np.ndarray:
-    """Left side of the pointwise Cauchy-Schwarz step: sum_x |d p(x,phi)/d phi|."""
-    return np.abs(joint.joint_derivative()).sum(axis=0)
-
-
-def joint_derivative_l1_bound(joint: JointModel) -> np.ndarray:
-    """Right side of the pointwise Cauchy-Schwarz step: sqrt(F p^2 + pdot^2)."""
-    F = fisher_under_prior(joint)
-    p = joint.prior.density
-    pdot = joint.prior.derivative
-    return np.sqrt(F * p * p + pdot * pdot)
 
 
 def mi_bound_finite_support(profile: FisherProfile, support: tuple | None = None) -> BoundReport:

@@ -32,7 +32,7 @@ from .numerics import NumericError, ParameterGrid
 from .quantum_metrology import (CHANNEL_KINDS, channel_outcome_model, noon_outcome_model,
                                 transition_sweep)
 from .random_models import random_joint_model
-from .stat_model import ConditionalModel, JointModel, PriorDensity, cos2_model
+from .stat_model import ConditionalModel, JointModel, PriorDensity, _check_gaussian, cos2_model
 
 DEFAULT_SEED = 42
 DEFAULT_GRID_POINTS = 2001
@@ -91,6 +91,7 @@ def build_builtin(spec: str, grid_points: int | None = None) -> JointModel:
     elif name == "cos2-gaussian":
         mean = float(params.pop("mean", math.pi / 2.0))
         sigma = float(params.pop("sigma", 0.4))
+        _check_gaussian(mean, sigma)  # before they set the grid bounds
         grid = ParameterGrid(mean - 8.0 * sigma, mean + 8.0 * sigma, points)
         prior = PriorDensity.gaussian(grid, mean, sigma)
     elif name == "noon" or name in _BUILTIN_CONDITIONALS:
@@ -352,10 +353,15 @@ def cmd_metrology(args) -> int:
     etas = [float(e) for e in args.eta.split(",") if e]
     if not etas:
         raise ValueError("--eta needs at least one value")
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
+    if args.n_count < 2:
+        raise ValueError(f"--n-count must be >= 2, got {args.n_count}")
+    spaced = np.logspace(0.0, math.log10(args.n_max), args.n_count)
+    if spaced[-1] >= 2.0 ** 63:  # past int64; an n_max a few ulps below rounds up to it
+        raise ValueError(f"--n-max must be below 2**63, got {args.n_max}")
     # the sorted distinct values, as np.unique gives them (which would import numpy.ma)
-    n_values = np.array(sorted(set(np.logspace(0.0, math.log10(args.n_max),
-                                               args.n_count).astype(np.int64).tolist())),
-                        dtype=np.int64)
+    n_values = np.array(sorted(set(spaced.astype(np.int64).tolist())), dtype=np.int64)
     rows = []
     for eta in etas:
         rows.extend(transition_sweep(eta, n_values, regime=args.regime))

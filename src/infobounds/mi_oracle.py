@@ -7,12 +7,11 @@ the maximum-likelihood estimator given n samples.
 
 An n-sample model (:func:`repeat_model`) is indexed by types, the outcome
 count vectors t with sum_x t_x = n (method of types, Cover & Thomas,
-*Elements of Information Theory*, ch. 11).  Counts are a sufficient
-statistic for iid samples, so its C(n+K-1, K-1) rows give the same oracle
-values as the K^n outcome sequences: a binary model reaches n in the
-thousands within the default budget of 4096 types.  The maximum-likelihood
-estimate is a function of the type too, so the MLE study groups the same
-rows by their estimate instead of sampling them.
+*Elements of Information Theory*, ch. 11), a sufficient statistic for iid
+samples: a binary model reaches n in the thousands within the default
+budget of 4096 types.  The maximum-likelihood estimate is a function of the
+type too, so the MLE study groups the same rows by their estimate instead
+of sampling them.
 
 Kernel contract: the type-table kernels may drop work but never change a
 bit of any table or :class:`OracleResult` (the tests keep the first
@@ -46,8 +45,8 @@ per sample size and makes these passes over it:
 * the other rows, ``_type_probs``: one add of ln C(t), one fill of the
   entries at or below ``LOG_TINY`` with -inf (which covers every t_x > 0
   meeting p_x = 0: its exponent is near -1e15), one plain ``exp`` in place;
-* run sums (``_sum_runs``): each run of equal estimates compacted into the
-  leading rows, as the sum of its rows in table order;
+* run sums (``_sum_runs``): each run of equal estimates, two rows or more,
+  summed in table order into the leading rows;
 * ``_information_in_place``: on the summed runs, the matrix-vector
   product p @ q and the column sums first, then p overwritten with p ln p
   in flat chunks through one small scratch (elementwise, so the chunks
@@ -66,23 +65,19 @@ Two caches keep what the oracles would otherwise rebuild:
   one (K, points) float64 table per model, which ``repeat_model`` and the
   study both read.
 
-``_group_sum`` (for :func:`merge_outcomes`) gathers the rows in the
-stable ``argsort`` order of their keys, one copy, then sums runs as the
-study does, a one-row run as its row plus 0.0 (as ``np.sum`` gives it:
--0.0 becomes +0.0).  ``repeat_model``'s derivative table
-is one product per outcome into a reused scratch table, added through a
-slice where its rows form one run (always for the first outcome), else
-through an index array.  The oracles read q = w p(phi), q ln p(phi), q u
-and q u^2 (u = phi less the grid's midpoint) from the prior and the column
-sums from the conditional model,
+``repeat_model``'s derivative table is one product per outcome into a
+reused scratch table, added through a slice where its rows form one run
+(always for the first outcome), else through an index array.  The oracles
+read q = w p(phi), q ln p(phi), q u and q u^2 (u = phi less the grid's
+midpoint) from the prior and the column sums from the conditional model,
 each kept there on first use; no oracle forms the joint table p(x|phi)
 p(phi).  :func:`mutual_information` forms pbar = p @ q once, for the
 entropy terms and the Bayes cost, and applies ``_information_in_place`` to
 a copy of the conditional table.
 
-The tables ``repeat_model`` and ``merge_outcomes`` build are made
-read-only and handed to :class:`~infobounds.stat_model.ConditionalModel`,
-which keeps such tables without a copy.
+The tables ``repeat_model`` builds are made read-only and handed to
+:class:`~infobounds.stat_model.ConditionalModel`, which keeps such tables
+without a copy.
 """
 
 from __future__ import annotations
@@ -100,7 +95,6 @@ __all__ = [
     "MleStudyPoint",
     "OracleResult",
     "bayes_quadratic_cost",
-    "merge_outcomes",
     "mle_convergence_study",
     "mutual_information",
     "repeat_model",
@@ -354,57 +348,15 @@ def repeat_model(joint: JointModel, n: int, budget: int = TYPE_BUDGET) -> JointM
     return JointModel(joint.prior, counted)
 
 
-def _group_sum(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Sum the rows of ``table`` that share a key: one row per distinct key, in key order.
-
-    A fresh array.  The sort is stable, so each group adds its rows one by
-    one in table order; a one-row group is its row plus 0.0, as ``np.sum``
-    gives it (-0.0 becomes +0.0).
-    """
-    order = np.argsort(keys, kind="stable")
-    out = table[order]
-    # shrink the gathered copy to its leading rows, which keeps them; no view of it exists
-    out.resize((_sum_runs(out, keys[order]),) + out.shape[1:], refcheck=False)
-    return out
-
-
 def _sum_runs(table: np.ndarray, sorted_keys: np.ndarray) -> int:
-    """Sum each run of equal ``sorted_keys`` in a C-contiguous ``table`` into its leading rows.
-
-    Returns the number of runs; row g then holds the g-th run, a longer run
-    as the sum of its rows in table order, a one-row run as its row plus
-    0.0.  The MLE study's runs all have several rows.
-    """
-    bounds = (np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1).tolist()
-    bounds = [0, *bounds, len(sorted_keys)]
-    runs = len(bounds) - 1
-    # the one-row runs before the first longer one are already in their rows
-    lead = next((g for g in range(runs) if bounds[g + 1] - bounds[g] > 1), runs)
-    np.add(table[:lead], 0.0, out=table[:lead])
-    # every later run g moves to row g <= its first row: the rows it overwrites are read
-    for g in range(lead, runs):
-        first, end = bounds[g], bounds[g + 1]
-        if end - first > 1:
-            table[g] = table[first:end].sum(axis=0)
-        else:
-            np.add(table[first], 0.0, out=table[g])
-    return runs
-
-
-def merge_outcomes(model: ConditionalModel, labels) -> ConditionalModel:
-    """Coarse-grain outcomes by a deterministic labeling (data processing).
-
-    ``labels[i]`` is the group of outcome i, any hashable value; rows with
-    equal labels are summed, and the groups keep the order in which their
-    labels first appear.  Mutual information can only decrease under this map.
-    """
-    labels = list(labels)
-    if len(labels) != model.n_outcomes:
-        raise ValueError("need one label per outcome")
-    groups: dict = {}
-    rows = np.array([groups.setdefault(g, len(groups)) for g in labels], dtype=np.intp)
-    probs, dprobs = _read_only(_group_sum(model.probs, rows), _group_sum(model.dprobs, rows))
-    return ConditionalModel(model.grid, probs, dprobs, model.derivative_source, tuple(groups))
+    """Sum run g of equal ``sorted_keys`` in a C-contiguous ``table`` into row g, in table
+    order, and return the number of runs.  Each run has two rows or more: the MLE study
+    passes only the estimates that several types reach."""
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_keys)) + 1).tolist(), len(sorted_keys)]
+    # row g is at or before the run's first row: the rows it overwrites are read
+    for g in range(len(bounds) - 1):
+        table[g] = table[bounds[g]:bounds[g + 1]].sum(axis=0)
+    return len(bounds) - 1
 
 
 @dataclass(frozen=True)

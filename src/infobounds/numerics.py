@@ -77,12 +77,6 @@ class ParameterGrid:
         w.setflags(write=False)
         return w
 
-    def refine(self, factor: int = 2) -> "ParameterGrid":
-        """Same interval with ``factor`` times as many subintervals."""
-        if factor < 1:
-            raise ValueError(f"refinement factor must be >= 1, got {factor}")
-        return ParameterGrid(self.lower, self.upper, factor * (self.points - 1) + 1)
-
     def index_of(self, value: float, tol: float = 1e-9) -> int:
         """Index of the grid point closest to ``value``, which must lie within ``tol``
         spacings of that point of :attr:`values`, however far the grid is from 0."""

@@ -86,10 +86,6 @@ class DensityMatrix:
             raise ValueError("density matrix trace must be 1")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def pure(cls, statevector) -> "DensityMatrix":
         psi = np.asarray(statevector, dtype=complex)

@@ -27,7 +27,6 @@ __all__ = [
     "cos2_model",
     "cosine_plateau",
     "fisher_information",
-    "fisher_under_prior",
     "jeffreys_length",
 ]
 
@@ -174,8 +173,7 @@ class PriorDensity:
     @classmethod
     def gaussian(cls, grid: ParameterGrid, mean: float, sigma: float) -> "PriorDensity":
         """Gaussian prior; the grid must be wide enough to hold its mass."""
-        if sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        _check_gaussian(mean, sigma)
         phi = grid.values
         dens = np.exp(-0.5 * ((phi - mean) / sigma) ** 2) / math.sqrt(2.0 * math.pi * sigma ** 2)
         deriv = -(phi - mean) / sigma ** 2 * dens
@@ -223,6 +221,14 @@ class PriorDensity:
         dens, deriv = _read_only(dens, deriv)
         return cls(grid, dens, "tabulated", deriv,
                    params={"window": "cosine", "center": center, "width": width})
+
+
+def _check_gaussian(mean: float, sigma: float) -> None:
+    """ValueError unless ``mean`` is finite and ``sigma`` positive and finite, naming it."""
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 def _log_or(p: np.ndarray, zero: float) -> np.ndarray:
@@ -383,16 +389,12 @@ class JointModel:
     def grid(self) -> ParameterGrid:
         return self.prior.grid
 
-    def joint_derivative(self) -> np.ndarray:
-        """(K, points) array of the smooth part of d p(x, phi) / d phi."""
-        return (self.conditional.dprobs * self.prior.density[None, :]
-                + self.conditional.probs * self.prior.derivative[None, :])
-
     # Inputs the bounds share, each computed on first access and kept: the
     # prior and conditional model are frozen and their tables read-only.
 
     @cached_property
     def _fisher_under_prior(self) -> np.ndarray:
+        """F(phi) masked against the prior: divergent F under zero prior mass is dropped."""
         profile = self.conditional.fisher
         divergent = profile.divergent
         if np.any(divergent & (self.prior.density > 0.0)):
@@ -427,10 +429,6 @@ class FisherProfile:
     def divergent(self) -> np.ndarray:
         """Where F diverges: the +inf entries of ``values``."""
         return np.isinf(self.values)
-
-    @classmethod
-    def constant(cls, grid: ParameterGrid, value: float) -> "FisherProfile":
-        return cls(grid, np.full(grid.points, float(value)))
 
     def constant_value(self) -> float | None:
         """Median of F if its interior points agree to 1e-6 relative, else None."""
@@ -472,14 +470,6 @@ def fisher_information(model: ConditionalModel) -> FisherProfile:
     span = model.grid.upper - model.grid.lower
     values = _score_terms(model.probs, model.dprobs, ZERO_DERIV_TOL / span).sum(axis=0)
     return FisherProfile(model.grid, _read_only(values)[0])
-
-
-def fisher_under_prior(joint: JointModel) -> np.ndarray:
-    """F(phi) masked against the prior: divergent F under zero prior mass is dropped.
-
-    Computed once per joint; the array is read-only.
-    """
-    return joint._fisher_under_prior
 
 
 def average_fisher(joint: JointModel) -> float:

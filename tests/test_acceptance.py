@@ -14,8 +14,6 @@ from infobounds.bounds import (
     DIVERGENT_PRIOR_INFORMATION,
     efroimovich_mi_bound,
     gaussian_prior_mse_bounds,
-    joint_derivative_l1,
-    joint_derivative_l1_bound,
     mi_bound_finite_support,
     mi_bound_general_prior,
     mse_bound_finite_support,
@@ -86,13 +84,13 @@ def test_02_cos2_benchmark():
     profile = fisher_information(joint.conditional)
     assert np.max(np.abs(profile.values[1:-1] - 1.0)) <= 1e-9
 
-    bound = mi_bound_finite_support(FisherProfile.constant(grid, 1.0))
+    bound = mi_bound_finite_support(FisherProfile(grid, np.full(grid.points, 1.0)))
     assert bound.value == pytest.approx(math.log(1.0 + PI / 2.0), abs=1e-9)
 
     oracle = mutual_information(joint).mi
     assert oracle == pytest.approx(COS2_ORACLE_MI, abs=1e-7)
-    doubled = mutual_information(JointModel(PriorDensity.rectangle(grid.refine()),
-                                            cos2_model(grid.refine()))).mi
+    fine = ParameterGrid(grid.lower, grid.upper, 2 * (grid.points - 1) + 1)
+    doubled = mutual_information(JointModel(PriorDensity.rectangle(fine), cos2_model(fine))).mi
     assert abs(oracle - doubled) < 1e-4
     assert oracle < bound.value
     report(2, "COS2 BENCHMARK", f"oracle {oracle:.6f} < bound {bound.value:.6f}")
@@ -222,8 +220,10 @@ def test_09_proof_step_checks():
     grid = ParameterGrid(0.0, 1.0, 1001)
     for _ in range(50):
         joint = random_joint_model(rng, grid)
-        left = joint_derivative_l1(joint)
-        right = joint_derivative_l1_bound(joint)
+        # the two sides of the pointwise Cauchy-Schwarz step
+        p, pdot, cond = joint.prior.density, joint.prior.derivative, joint.conditional
+        left = np.abs(cond.dprobs * p + cond.probs * pdot).sum(axis=0)
+        right = np.sqrt(joint._fisher_under_prior * p * p + pdot * pdot)
         assert np.all(left <= right + 1e-9)
 
         profile = fisher_information(joint.conditional)

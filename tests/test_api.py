@@ -39,9 +39,6 @@ EXPORTS = [
     "gaussian_prior_mse_bounds",
     "integrate",
     "jeffreys_length",
-    "joint_derivative_l1",
-    "joint_derivative_l1_bound",
-    "merge_outcomes",
     "mi_bound_finite_support",
     "mi_bound_general_prior",
     "mi_bound_variational",
@@ -64,6 +61,11 @@ EXPORTS = [
     "tricomi_u",
     "van_trees",
 ]
+
+# Public names that nothing in src/, demos/ or bench/ reads, each with the reason it
+# stays; tests/test_source.py fails on a public name without a caller that is not
+# listed here, and on a listed name that is gone or has a caller now.
+KEPT_WITHOUT_CALLER: dict[str, str] = {}
 
 
 def test_exported_names_are_pinned():

@@ -16,8 +16,6 @@ from infobounds.bounds import (
     efroimovich_mi_bound,
     entropy_mse_floor,
     gaussian_prior_mse_bounds,
-    joint_derivative_l1,
-    joint_derivative_l1_bound,
     mi_bound_finite_support,
     mi_bound_general_prior,
     mi_bound_variational,
@@ -50,6 +48,15 @@ def trivial_model(grid):
     """Single-outcome alphabet: no measurement at all."""
     return ConditionalModel(grid, np.ones((1, grid.points)), np.zeros((1, grid.points)),
                             "analytic")
+
+
+def cauchy_schwarz_sides(joint):
+    """(sum_x |d p(x,phi)/d phi|, sqrt(F p^2 + pdot^2)): the two sides of the pointwise
+    Cauchy-Schwarz step of the general-prior bound, F masked against the prior."""
+    p, pdot = joint.prior.density, joint.prior.derivative
+    cond = joint.conditional
+    left = np.abs(cond.dprobs * p + cond.probs * pdot).sum(axis=0)
+    return left, np.sqrt(joint._fisher_under_prior * p * p + pdot * pdot)
 
 
 def gaussian_joint(sigma=0.5, mean=PI / 2, points=2001, span=8.0, model=cos2_model):
@@ -141,32 +148,31 @@ class TestCauchySchwarzStep:
     def test_flat_model_rectangle_interior_is_zero(self):
         grid = ParameterGrid(0.0, 1.0, 101)
         joint = JointModel(PriorDensity.rectangle(grid), trivial_model(grid))
-        assert np.all(joint_derivative_l1(joint) == 0.0)
-        assert np.all(joint_derivative_l1_bound(joint) == 0.0)
+        left, right = cauchy_schwarz_sides(joint)
+        assert np.all(left == 0.0)
+        assert np.all(right == 0.0)
 
     def test_pointwise_inequality_cos2_gaussian(self):
         joint = gaussian_joint(sigma=0.5)
-        left = joint_derivative_l1(joint)
-        right = joint_derivative_l1_bound(joint)
+        left, right = cauchy_schwarz_sides(joint)
         assert np.all(left <= right + 1e-9)
 
     def test_single_outcome_is_tight(self):
         joint = gaussian_joint(sigma=0.4, model=trivial_model)
-        left = joint_derivative_l1(joint)
-        right = joint_derivative_l1_bound(joint)
+        left, right = cauchy_schwarz_sides(joint)
         np.testing.assert_allclose(left, right, atol=1e-14)
 
 
 class TestMiBoundFiniteSupport:
     def test_zero_fisher_gives_zero(self):
         grid = ParameterGrid(0.0, 2.0, 101)
-        report = mi_bound_finite_support(FisherProfile.constant(grid, 0.0))
+        report = mi_bound_finite_support(FisherProfile(grid, np.full(grid.points, 0.0)))
         assert report.value == pytest.approx(0.0, abs=1e-15)
         assert report.units == NATS and report.direction == UPPER_MI
 
     def test_cos2_value_and_dominance(self):
         grid = ParameterGrid(0.0, PI, 2001)
-        report = mi_bound_finite_support(FisherProfile.constant(grid, 1.0))
+        report = mi_bound_finite_support(FisherProfile(grid, np.full(grid.points, 1.0)))
         assert report.value == pytest.approx(math.log(1.0 + PI / 2.0), abs=1e-12)
         oracle = mutual_information(JointModel(PriorDensity.rectangle(grid), cos2_model(grid)))
         assert oracle.mi < report.value
@@ -174,7 +180,7 @@ class TestMiBoundFiniteSupport:
     def test_heisenberg_form(self):
         grid = ParameterGrid(0.0, 2.0 * PI, 1001)
         for n in (1, 5, 20):
-            report = mi_bound_finite_support(FisherProfile.constant(grid, n ** 2))
+            report = mi_bound_finite_support(FisherProfile(grid, np.full(grid.points, n ** 2)))
             assert report.value == pytest.approx(math.log1p(PI * n), rel=1e-12)
 
 
@@ -622,7 +628,7 @@ class TestRandomModelProperties:
             p = joint.prior.density
             pdot = joint.prior.derivative
             profile = fisher_information(joint.conditional)
-            lhs = integrate(joint_derivative_l1_bound(joint), grid)
+            lhs = integrate(cauchy_schwarz_sides(joint)[1], grid)
             rhs = (integrate(np.sqrt(profile.values) * p, grid)
                    + integrate(np.abs(pdot), grid))
             assert lhs <= rhs + 1e-9

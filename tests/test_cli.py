@@ -179,6 +179,20 @@ class TestBuiltinModels:
         assert run(["bounds", "--model", "cos2:foo=1", "--grid-points", "101"]) == 1
         assert "unknown parameters for builtin 'cos2': ['foo']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params, message", [
+        ("sigma=-1", "sigma must be positive and finite, got -1.0"),
+        ("sigma=0", "sigma must be positive and finite, got 0.0"),
+        ("sigma=nan", "sigma must be positive and finite, got nan"),
+        ("sigma=inf", "sigma must be positive and finite, got inf"),
+        ("mean=inf", "mean must be finite, got inf"),
+        ("mean=nan", "mean must be finite, got nan"),
+    ])
+    def test_gaussian_parameters_checked_before_the_grid(self, params, message):
+        # the grid is mean +/- 8 sigma, so each is rejected by name before the grid is built
+        with pytest.raises(ValueError) as exc:
+            build_builtin(f"cos2-gaussian:{params}", grid_points=101)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("spec", ["noon:n=2.5", "noon:n=2.0"])
     def test_non_integer_n_rejected(self, spec, capsys):
         assert run(["mi", "--model", spec, "--grid-points", "101"]) == 1
@@ -707,6 +721,27 @@ class TestMetrologyCommand:
              "--out", str(out)])
         header = out.read_text().splitlines()[0]
         assert header == "eta,N,mi_cap_nats,hs_ref,sql_ref,slope"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n-max", "0"], "--n-max must be >= 1, got 0"),
+        (["--n-max", "-5"], "--n-max must be >= 1, got -5"),
+        (["--n-max", "10000000000000000000"], "--n-max must be below 2**63, got 10000000000000000000"),
+        # below 2**63, but the log spacing rounds the largest N up to it
+        (["--n-max", str(2 ** 63 - 1024)], f"--n-max must be below 2**63, got {2 ** 63 - 1024}"),
+        (["--n-count", "-3"], "--n-count must be >= 2, got -3"),
+        (["--n-count", "1"], "--n-count must be >= 2, got 1"),
+    ], ids=["n-max-zero", "n-max-negative", "n-max-past-int64", "n-max-rounds-to-2**63",
+            "n-count-negative", "n-count-one"])
+    def test_bad_sweep_flag_rejected_by_name(self, capsys, argv, message):
+        assert run(["metrology", "--eta", "0.9", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_largest_n_below_int64_runs(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run(["metrology", "--eta", "0.9", "--n-max", str(10 ** 18), "--n-count", "3",
+                    "--out", str(out)]) == 0
+        assert [row["N"] for row in read_csv(str(out))] == ["1", str(10 ** 9), str(10 ** 18)]
 
     def test_empty_eta_rejected(self, capsys):
         assert run(["metrology", "--eta", ""]) == 1

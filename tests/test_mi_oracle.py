@@ -15,12 +15,10 @@ from infobounds.mi_oracle import (
     LOG_TINY,
     BudgetError,
     MleStudyPoint,
-    _group_sum,
     _information_in_place,
     _type_probs,
     _type_table,
     bayes_quadratic_cost,
-    merge_outcomes,
     mle_convergence_study,
     mutual_information,
     repeat_model,
@@ -95,6 +93,22 @@ def sequence_product(joint, n):
     return JointModel(joint.prior, product)
 
 
+def reference_group_sum(table, keys):
+    """Split the stably sorted table into groups and sum each one."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    ends = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    return np.array([rows.sum(axis=0) for rows in np.split(table[order], ends)])
+
+
+def merged_model(cond, labels):
+    """``cond`` with the outcomes that share a label merged (data processing): the rows
+    of each label summed, one row per label in sorted label order."""
+    keys = np.asarray(labels)
+    return ConditionalModel(cond.grid, reference_group_sum(cond.probs, keys),
+                            reference_group_sum(cond.dprobs, keys), cond.derivative_source)
+
+
 def sequence_mle_entropy(joint, n):
     """Reference H(phi | phi_ML): the K^n sequences, merged by each sequence's own MLE."""
     probs = joint.conditional.probs
@@ -103,7 +117,7 @@ def sequence_mle_entropy(joint, n):
     row = {x: i for i, x in enumerate(joint.conditional.outcomes)}
     sequences = sequence_product(joint, n).conditional
     mle = [int(np.argmax(sum(logp[row[x]] for x in seq))) for seq in sequences.outcomes]
-    merged = merge_outcomes(sequences, mle)
+    merged = merged_model(sequences, mle)
     return mutual_information(JointModel(joint.prior, merged)).h_posterior
 
 
@@ -188,7 +202,7 @@ def equivalence_cases():
     # column sums off by 5e-10, inside the validation tolerance: H(phi|x) must use them
     scaled = ConditionalModel(grid, cos2.probs * (1.0 + 5e-10), cos2.dprobs, "analytic")
     rep = sequence_product(gaussian_cos2(501), 3)
-    merged = merge_outcomes(rep.conditional, [0, 1, 1, 2, 1, 2, 2, 0])
+    merged = merged_model(rep.conditional, [0, 1, 1, 2, 1, 2, 2, 0])
     return cases + [
         pytest.param(cos2_uniform(2001), id="cos2"),
         pytest.param(JointModel(PriorDensity.rectangle(grid), scaled), id="cos2-column-sums"),
@@ -371,7 +385,7 @@ class TestRepeatModelTolerances:
         np.testing.assert_allclose(twice._colsums - 1.0, 6 * 4e-10, rtol=1e-5)
 
 
-class TestMergeOutcomes:
+class TestDataProcessing:
     def test_data_processing_never_gains(self):
         joint = gaussian_cos2(501)
         for n in (1, 2):
@@ -379,54 +393,17 @@ class TestMergeOutcomes:
             logp = np.where(rep.conditional.probs > 0.0,
                             np.log(np.maximum(rep.conditional.probs, 1e-300)), -1e15)
             mle = [int(i) for i in np.argmax(logp, axis=1)]
-            merged = merge_outcomes(rep.conditional, mle)
+            merged = merged_model(rep.conditional, mle)
             mi_full = mutual_information(rep).mi
             mi_proc = mutual_information(JointModel(joint.prior, merged)).mi
             assert mi_proc <= mi_full + 1e-12
 
     def test_merging_all_outcomes_erases_information(self):
         joint = cos2_uniform(501)
-        merged = merge_outcomes(joint.conditional, ["same", "same"])
+        merged = merged_model(joint.conditional, ["same", "same"])
         assert merged.n_outcomes == 1
         assert mutual_information(JointModel(joint.prior, merged)).mi == pytest.approx(
             0.0, abs=1e-12)
-
-    def test_matches_per_group_sums(self):
-        # group the 65 types of 64 samples by their maximum-likelihood grid index
-        joint = gaussian_cos2(201)
-        base, rep = joint.conditional, repeat_model(joint, 64).conditional
-        logp = np.where(base.probs > 0.0, np.log(np.maximum(base.probs, 1e-300)), -1e15)
-        labels = [int(i) for i in np.argmax(np.array(rep.outcomes) @ logp, axis=1)]
-        merged = merge_outcomes(rep, labels)
-        groups = sorted(set(labels), key=labels.index)
-        assert merged.outcomes == tuple(groups)
-        for row, group in enumerate(groups):
-            members = [i for i, g in enumerate(labels) if g == group]
-            np.testing.assert_allclose(merged.probs[row], rep.probs[members].sum(axis=0),
-                                       rtol=0, atol=1e-15)
-            np.testing.assert_allclose(merged.dprobs[row], rep.dprobs[members].sum(axis=0),
-                                       rtol=0, atol=1e-15)
-
-    def test_groups_add_rows_one_by_one_in_table_order(self):
-        rep = repeat_model(gaussian_cos2(201), 64).conditional
-        labels = np.random.default_rng(0).integers(0, 7, rep.n_outcomes).tolist()
-        merged = merge_outcomes(rep, labels)
-        for row, group in enumerate(merged.outcomes):
-            total = np.zeros(rep.grid.points)
-            for i in (i for i, g in enumerate(labels) if g == group):
-                total = total + rep.probs[i]
-            np.testing.assert_array_equal(merged.probs[row], total)
-
-    def test_groups_keep_first_seen_order(self):
-        rep = repeat_model(cos2_uniform(501), 3).conditional
-        merged = merge_outcomes(rep, ["odd", ("even", 2), "odd", ("even", 2)])
-        assert merged.outcomes == ("odd", ("even", 2))
-        np.testing.assert_array_equal(merged.probs[0], rep.probs[0] + rep.probs[2])
-
-    def test_label_count_mismatch(self):
-        joint = cos2_uniform(501)
-        with pytest.raises(ValueError, match="one label per outcome"):
-            merge_outcomes(joint.conditional, [0])
 
 
 class TestMleConvergenceStudy:
@@ -493,7 +470,7 @@ class TestMleConvergenceStudy:
         logp = np.where(joint.conditional.probs > 0.0,
                         np.log(np.maximum(joint.conditional.probs, 1e-300)), -1e15)
         mle = [int(i) for i in np.argmax(logp, axis=1)]
-        merged = merge_outcomes(joint.conditional, mle)
+        merged = merged_model(joint.conditional, mle)
         h_x = mutual_information(joint).h_posterior
         h_mle = mutual_information(JointModel(joint.prior, merged)).h_posterior
         assert h_mle >= h_x - 1e-12
@@ -536,14 +513,6 @@ def reference_type_probs(types, probs):
     np.exp(out, out=out, where=live)
     out[~live] = 0.0
     return out
-
-
-def reference_group_sum(table, keys):
-    """Split the stably sorted table into groups and sum each one."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    ends = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    return np.array([rows.sum(axis=0) for rows in np.split(table[order], ends)])
 
 
 def reference_information(p, prior, w):
@@ -711,27 +680,6 @@ class TestKernelsBitwise:
         assert mutual_information(rep).mi == reference_information(
             want_p, joint.prior.density, w)[0]
 
-    @pytest.mark.parametrize("name, n", KERNEL_CASES)
-    def test_group_sum(self, name, n):
-        joint = kernel_model(name)
-        rep = repeat_model(joint, n).conditional
-        types = np.array(rep.outcomes)
-        labelings = {
-            "mle": np.argmax(types @ penalized_log(joint.conditional.probs), axis=1),
-            "random": np.random.default_rng(n).integers(0, 7, rep.n_outcomes),
-        }
-        for keys in labelings.values():
-            for table in (rep.probs, rep.dprobs):
-                assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
-
-    @pytest.mark.parametrize("name", KERNEL_MODELS)
-    def test_group_sum_of_one_sample_tables(self, name):
-        # cos2's derivative table holds -0.0 at phi = 0, which a one-row sum makes +0.0
-        cond = kernel_model(name).conditional
-        for keys in (np.arange(cond.n_outcomes)[::-1], np.zeros(cond.n_outcomes, dtype=int)):
-            for table in (cond.probs, cond.dprobs):
-                assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
-
     @pytest.mark.parametrize("name", KERNEL_MODELS)
     def test_study_rows(self, name):
         joint = kernel_model(name)
@@ -766,19 +714,7 @@ class TestKernelsBitwise:
 
 
 class TestInPlaceKernels:
-    """The kernels that group and take p ln p in place, against the references."""
-
-    def test_group_sum_with_signed_zeros_and_long_cycles(self):
-        rng = np.random.default_rng(19)
-        values = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 1e-300, -2.5])
-        for _ in range(300):
-            rows = int(rng.integers(1, 40))
-            table = rng.choice(values, size=(rows, int(rng.integers(1, 9))))
-            table.setflags(write=False)  # the kernel works on a copy
-            for keys in (rng.integers(0, int(rng.integers(1, rows + 1)), rows),
-                         np.roll(np.arange(rows), 1),   # one cycle through every row
-                         np.arange(rows)[::-1]):        # cycles of two rows
-                assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
+    """The kernels that take p ln p in place, against the references."""
 
     @pytest.mark.parametrize("tail", range(16))
     def test_p_log_p_in_chunks(self, tail):
@@ -805,10 +741,6 @@ class TestInPlaceKernels:
         # 2145 types over 3 outcomes, with zeros in two outcomes
         joint = kernel_model("erasure")
         assert_study_rows(joint, [64])
-        table = repeat_model(joint, 64).conditional.probs
-        keys = np.argmax(np.array(_type_table(64, 3)[0]) @ penalized_log(
-            joint.conditional.probs), axis=1)
-        assert_same_bits(_group_sum(table, keys), reference_group_sum(table, keys))
 
 
 SAMPLE_SIZES = sorted({n for ns in KERNEL_SAMPLES.values() for n in ns})

@@ -38,12 +38,6 @@ class TestParameterGrid:
         with pytest.raises(ValueError, match="exceed"):
             ParameterGrid(1.0, 0.0, 11)
 
-    def test_refine_doubles_subintervals(self):
-        grid = ParameterGrid(0.0, 2.0, 11)
-        fine = grid.refine()
-        assert fine.points == 21
-        assert fine.spacing == pytest.approx(grid.spacing / 2)
-
     def test_index_of_requires_grid_point(self):
         grid = ParameterGrid(0.0, 1.0, 11)
         assert grid.index_of(0.3) == 3
@@ -62,10 +56,6 @@ class TestParameterGrid:
     def test_rejects_non_finite_bounds(self, lower, upper):
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             ParameterGrid(lower, upper, 11)
-
-    def test_refine_rejects_factor_below_one(self):
-        with pytest.raises(ValueError, match="refinement factor must be >= 1, got 0"):
-            ParameterGrid(0.0, 1.0, 11).refine(0)
 
 
 class TestGridArrays:
@@ -100,14 +90,15 @@ class TestGridArrays:
     def test_derived_grids_have_their_own_arrays(self):
         grid = ParameterGrid(0.0, 1.0, 101)
         values, weights = grid.values, simpson_weights(grid)
+        doubled = ParameterGrid(grid.lower, grid.upper, 2 * (grid.points - 1) + 1)
         for derived in (dataclasses.replace(grid), dataclasses.replace(grid, upper=2.0),
-                        grid.refine()):
+                        doubled):
             assert derived.values is not values
             assert simpson_weights(derived) is not weights
             assert np.array_equal(derived.values,
                                   np.linspace(derived.lower, derived.upper, derived.points))
         assert dataclasses.replace(grid, upper=2.0).values[-1] == 2.0
-        assert simpson_weights(grid.refine()).size == 201
+        assert simpson_weights(doubled).size == 201
 
 
 class TestIntegrate:

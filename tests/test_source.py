@@ -4,7 +4,11 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "infobounds"
+from test_api import KEPT_WITHOUT_CALLER
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "infobounds"
+READERS = (SRC, ROOT / "demos", ROOT / "bench")
 
 
 def referenced_names(node):
@@ -40,6 +44,119 @@ def test_every_private_function_has_a_caller_in_src():
             methods += ["." in name]
     assert unused == []
     assert sum(methods) >= 9  # the class members are read too
+
+
+def parsed(directory):
+    """{module name: ast} of the Python files in ``directory``."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))}
+
+
+def public_definitions(module, tree):
+    """(qualified name, name, definition node) of each public name of a source module:
+    each name in its ``__all__`` (each module-level public function when it has none),
+    and each public method or property of a module-level class."""
+    top = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            top[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    top[target.id] = node
+    listed = top.get("__all__")
+    if listed is None:
+        names = [name for name, node in top.items() if not name.startswith("_")
+                 and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    else:
+        names = ast.literal_eval(listed.value)
+    for name in names:
+        yield f"{module}.{name}", name, top.get(name)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("_")):
+                    yield f"{module}.{node.name}.{member.name}", member.name, member
+
+
+def public_names_without_caller(src, readers):
+    """Qualified names of the public names of the modules in ``src`` that no module in
+    ``readers`` reads outside the name's own definition."""
+    everywhere = sum((referenced_names(tree) for directory in readers
+                      for tree in parsed(directory).values()), Counter())
+    return [qualified for module, tree in parsed(src).items()
+            for qualified, name, node in public_definitions(module, tree)
+            if everywhere[name] == (referenced_names(node)[name] if node else 0)]
+
+
+def caller_rule_faults(src, readers, kept):
+    """(public names with no caller and no reason in ``kept``, names in ``kept`` that are
+    gone or have a caller now): both empty when the rule holds."""
+    flagged = set(public_names_without_caller(src, readers))
+    return sorted(flagged - kept.keys()), sorted(kept.keys() - flagged)
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # a public name that only tests read is API to keep for no user: each has a
+    # caller in the package, a demo or the benchmark (which is only read here),
+    # or a one-line reason in KEPT_WITHOUT_CALLER
+    assert caller_rule_faults(SRC, READERS, KEPT_WITHOUT_CALLER) == ([], [])
+    checked = [qualified for module, tree in parsed(SRC).items()
+               for qualified, *_ in public_definitions(module, tree)]
+    assert {"cli.main", "bounds.NATS", "stat_model.PriorDensity.gaussian"} <= set(checked)
+
+
+CALLER_RULE_MODULES = {
+    "model": '__all__ = ["Thing", "LIMIT", "used", "unused"]\n'
+             'LIMIT = 3\n'
+             'def used():\n    return Thing().read()\n'
+             'def unused():\n    return unused()\n'  # a call from its own body does not count
+             'class Thing:\n'
+             '    def read(self):\n        return 1\n'
+             '    def unread(self):\n        return 2\n'
+             '    @property\n    def size(self):\n        return 3\n'
+             'def helper():\n    return 4\n',  # not in __all__: not checked
+    "cli": 'from .model import used, LIMIT\n'  # an import does not count
+           'def main():\n    return used()\n'
+           'def orphan():\n    return 0\n'
+           'def _private():\n    return 0\n'
+           'if __name__ == "__main__":\n    main()\n',
+}
+
+
+def write_modules(directory, modules):
+    directory.mkdir()
+    for name, text in modules.items():
+        (directory / f"{name}.py").write_text(text)
+    return directory
+
+
+CALLER_RULE_FLAGS = ["cli.orphan", "model.LIMIT", "model.Thing.unread", "model.unused"]
+
+
+def caller_rule_tree(tmp_path):
+    """(src, readers) of a small tree: CALLER_RULE_MODULES, and a demo that reads a property."""
+    src = write_modules(tmp_path / "src", CALLER_RULE_MODULES)
+    demos = write_modules(tmp_path / "demos", {"demo": "import model\nprint(model.Thing().size)\n"})
+    return src, [src, demos]
+
+
+def test_caller_rule_flags_public_names_only_their_definitions_read(tmp_path):
+    src, readers = caller_rule_tree(tmp_path)
+    assert sorted(public_names_without_caller(src, readers)) == CALLER_RULE_FLAGS
+    assert caller_rule_faults(src, readers, {}) == (CALLER_RULE_FLAGS, [])
+    kept = dict.fromkeys(CALLER_RULE_FLAGS, "a reason")
+    assert caller_rule_faults(src, readers, kept) == ([], [])
+    # without the demo, the property has no caller either
+    assert "model.Thing.size" in public_names_without_caller(src, [src])
+
+
+def test_caller_rule_fails_on_a_stale_reason(tmp_path):
+    src, readers = caller_rule_tree(tmp_path)
+    kept = {**dict.fromkeys(CALLER_RULE_FLAGS, "a reason"),
+            "model.gone": "deleted since",       # no longer exists
+            "model.used": "has a caller now"}    # no longer without a caller
+    assert caller_rule_faults(src, readers, kept) == ([], ["model.gone", "model.used"])
 
 
 def cache_size(decorator, constants):

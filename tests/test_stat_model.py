@@ -24,7 +24,6 @@ from infobounds.stat_model import (
     cos2_model,
     cosine_plateau,
     fisher_information,
-    fisher_under_prior,
     jeffreys_length,
     _median,
     _score_terms,
@@ -80,6 +79,21 @@ class TestPriorDensity:
     def test_gaussian_rejects_bad_sigma(self, pi_grid):
         with pytest.raises(ValueError, match="sigma"):
             PriorDensity.gaussian(pi_grid, 1.0, -0.1)
+
+    @pytest.mark.parametrize("mean, sigma, message", [
+        (0.5, math.nan, "sigma must be positive and finite, got nan"),
+        (0.5, math.inf, "sigma must be positive and finite, got inf"),
+        (0.5, 0.0, "sigma must be positive and finite, got 0.0"),
+        (math.inf, 0.1, "mean must be finite, got inf"),
+        (-math.inf, 0.1, "mean must be finite, got -inf"),
+        (math.nan, 0.1, "mean must be finite, got nan"),
+    ])
+    def test_gaussian_rejects_non_finite_parameters_by_name(self, pi_grid, mean, sigma,
+                                                             message):
+        # by name, before a density, mass or derivative is computed from them
+        with pytest.raises(ValueError) as exc:
+            PriorDensity.gaussian(pi_grid, mean, sigma)
+        assert str(exc.value) == message
 
     def test_gaussian_rejects_narrow_grid(self):
         grid = ParameterGrid(-1.0, 1.0, 101)
@@ -500,7 +514,7 @@ class TestCachedFisher:
     def test_constant_value(self, pi_grid):
         # cos2 has F = 1 inside (0, pi) and F = 0 at the endpoints by the 0/0 rule
         assert fisher_information(cos2_model(pi_grid)).constant_value() == pytest.approx(1.0)
-        assert FisherProfile.constant(pi_grid, 2.5).constant_value() == 2.5
+        assert FisherProfile(pi_grid, np.full(pi_grid.points, 2.5)).constant_value() == 2.5
         ramp = FisherProfile(pi_grid, np.linspace(1.0, 2.0, pi_grid.points))
         assert ramp.constant_value() is None
 
@@ -524,7 +538,8 @@ class TestCachedFisher:
         values[[0, 4, -1]] = np.inf
         profile = FisherProfile(pi_grid, values)
         assert np.flatnonzero(profile.divergent).tolist() == [0, 4, pi_grid.points - 1]
-        assert np.flatnonzero(FisherProfile.constant(pi_grid, 1.0).divergent).size == 0
+        constant = FisherProfile(pi_grid, np.full(pi_grid.points, 1.0))
+        assert np.flatnonzero(constant.divergent).size == 0
 
     @pytest.mark.parametrize("shape", [(5,), (2, 101)])
     def test_rejects_values_off_the_grid(self, pi_grid, shape):
@@ -538,9 +553,9 @@ class TestCachedFisher:
                                  np.vstack([-np.ones(11), np.ones(11)]), "analytic")
         inside = JointModel(PriorDensity.rectangle(grid), model)
         with pytest.raises(NumericError, match="diverges where the prior has mass"):
-            fisher_under_prior(inside)
+            inside._fisher_under_prior
         window = PriorDensity.cosine_window(grid, 0.5, 0.8)
-        masked = fisher_under_prior(JointModel(window, model))
+        masked = JointModel(window, model)._fisher_under_prior
         assert masked[0] == 0.0 and masked[-1] == 0.0
         np.testing.assert_array_equal(masked[1:-1], model.fisher.values[1:-1])
 
@@ -548,8 +563,8 @@ class TestCachedFisher:
 class TestCachedBoundInputs:
     def test_fisher_under_prior_is_one_read_only_array(self, pi_grid):
         joint = JointModel(PriorDensity.gaussian(pi_grid, 1.5, 0.3), cos2_model(pi_grid))
-        masked = fisher_under_prior(joint)
-        assert fisher_under_prior(joint) is masked
+        masked = joint._fisher_under_prior
+        assert joint._fisher_under_prior is masked
         assert not masked.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             masked[0] = 1.0
@@ -560,7 +575,7 @@ class TestCachedBoundInputs:
         value = average_fisher(joint)
         monkeypatch.setattr(stat_model, "integrate", None)  # a second integral would fail
         assert average_fisher(joint) == value
-        assert value == integrate(fisher_under_prior(joint) * joint.prior.density, pi_grid)
+        assert value == integrate(joint._fisher_under_prior * joint.prior.density, pi_grid)
 
     def test_divergence_under_the_prior_raises_on_every_call(self):
         grid = ParameterGrid(0.0, 1.0, 11)
@@ -570,20 +585,20 @@ class TestCachedBoundInputs:
         joint = JointModel(PriorDensity.rectangle(grid), model)
         for _ in range(2):
             with pytest.raises(NumericError, match="diverges where the prior has mass"):
-                fisher_under_prior(joint)
+                joint._fisher_under_prior
             with pytest.raises(NumericError, match="diverges where the prior has mass"):
                 average_fisher(joint)
 
 
 class TestJeffreysLength:
     def test_constant_one(self, pi_grid):
-        profile = FisherProfile.constant(pi_grid, 1.0)
+        profile = FisherProfile(pi_grid, np.full(pi_grid.points, 1.0))
         assert jeffreys_length(profile) == pytest.approx(math.pi, abs=1e-12)
 
     def test_constant_n_squared_on_circle(self):
         grid = ParameterGrid(0.0, 2.0 * math.pi, 1001)
         for n in (1, 4, 9):
-            profile = FisherProfile.constant(grid, n ** 2)
+            profile = FisherProfile(grid, np.full(grid.points, n ** 2))
             assert jeffreys_length(profile) == pytest.approx(2.0 * math.pi * n, rel=1e-12)
 
     def test_whole_grid_is_the_simpson_integral_on_the_grid(self, pi_grid):
@@ -593,7 +608,7 @@ class TestJeffreysLength:
         assert jeffreys_length(profile, (pi_grid.lower, pi_grid.upper)) == want
 
     def test_sub_support(self, pi_grid):
-        profile = FisherProfile.constant(pi_grid, 4.0)
+        profile = FisherProfile(pi_grid, np.full(pi_grid.points, 4.0))
         length = jeffreys_length(profile, (0.1 * math.pi, 0.9 * math.pi))
         assert length == pytest.approx(2.0 * 0.8 * math.pi, rel=1e-12)
 
@@ -647,9 +662,9 @@ class TestCallerInputChecks:
         (lambda g: ConditionalModel(g, np.full((2, 11), 0.5), np.zeros((2, 11)),
                                     outcomes=("a", "b", "c")),
          "outcome labels must match the number of rows"),
-        (lambda g: jeffreys_length(FisherProfile.constant(g, 1.0), (0.6, 0.6)),
+        (lambda g: jeffreys_length(FisherProfile(g, np.full(g.points, 1.0)), (0.6, 0.6)),
          "support must be a nondegenerate interval"),
-        (lambda g: jeffreys_length(FisherProfile.constant(g, 1.0), (0.2, 0.5)),
+        (lambda g: jeffreys_length(FisherProfile(g, np.full(g.points, 1.0)), (0.2, 0.5)),
          "support must span an even number of grid subintervals"),
         (lambda g: PriorDensity(g, np.ones(9), "tabulated", np.zeros(11)),
          r"density must be grid-aligned, shape \(11,\), got \(9,\)"),
