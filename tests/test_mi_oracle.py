@@ -16,6 +16,7 @@ from infobounds.mi_oracle import (
     BudgetError,
     MleStudyPoint,
     _information_in_place,
+    _sum_runs,
     _type_probs,
     _type_table,
     bayes_quadratic_cost,
@@ -627,6 +628,19 @@ def assert_same_bits(have, want):
     assert have.tobytes() == want.tobytes()  # also tells -0.0 from +0.0
 
 
+def assert_run_sums(table, keys):
+    """``_sum_runs`` over the rows whose key two rows or more share, stably sorted by key
+    as the study passes them, has the bits of ``reference_group_sum`` of those rows."""
+    keys = np.asarray(keys)
+    shared = np.bincount(keys)[keys] > 1
+    assert shared.any()
+    rows, keys = table[shared], keys[shared]
+    order = np.argsort(keys, kind="stable")
+    work = rows[order]  # a C-contiguous copy, summed in place
+    runs = _sum_runs(work, keys[order])
+    assert_same_bits(work[:runs], reference_group_sum(rows, keys))
+
+
 def erasure_model():
     # its zeros sit in outcomes 0 and 1, not only in the first row
     grid = ParameterGrid(0.0, 2.0 * PI, 1001)
@@ -680,6 +694,22 @@ class TestKernelsBitwise:
         assert mutual_information(rep).mi == reference_information(
             want_p, joint.prior.density, w)[0]
 
+    @pytest.mark.parametrize("name, n", KERNEL_CASES)
+    def test_group_sum(self, name, n):
+        joint = kernel_model(name)
+        rep = repeat_model(joint, n).conditional
+        types = np.array(rep.outcomes)
+        labelings = {
+            "mle": np.argmax(types @ penalized_log(joint.conditional.probs), axis=1),
+            "random": np.random.default_rng(n).integers(0, 7, rep.n_outcomes),
+            "one-run": np.zeros(rep.n_outcomes, dtype=int),
+        }
+        for keys in labelings.values():
+            if not (np.bincount(keys)[keys] > 1).any():
+                continue  # every key has one row: the study sums no run
+            for table in (rep.probs, rep.dprobs):
+                assert_run_sums(table, keys)
+
     @pytest.mark.parametrize("name", KERNEL_MODELS)
     def test_study_rows(self, name):
         joint = kernel_model(name)
@@ -714,7 +744,19 @@ class TestKernelsBitwise:
 
 
 class TestInPlaceKernels:
-    """The kernels that take p ln p in place, against the references."""
+    """The kernels that sum runs and take p ln p in place, against the references."""
+
+    def test_group_sum_with_signed_zeros(self):
+        rng = np.random.default_rng(19)
+        values = np.array([-0.0, 0.0, 1.0, -1.0, 0.5, 1e-300, -2.5])
+        for _ in range(300):
+            rows = int(rng.integers(2, 40))
+            table = rng.choice(values, size=(rows, int(rng.integers(1, 9))))
+            for keys in (rng.integers(0, int(rng.integers(1, rows // 2 + 1)), rows),
+                         np.arange(rows) // 2,   # runs of two rows
+                         np.zeros(rows, dtype=int)):
+                if (np.bincount(keys)[keys] > 1).any():
+                    assert_run_sums(table, keys)
 
     @pytest.mark.parametrize("tail", range(16))
     def test_p_log_p_in_chunks(self, tail):
@@ -741,6 +783,10 @@ class TestInPlaceKernels:
         # 2145 types over 3 outcomes, with zeros in two outcomes
         joint = kernel_model("erasure")
         assert_study_rows(joint, [64])
+        table = repeat_model(joint, 64).conditional.probs
+        keys = np.argmax(np.array(_type_table(64, 3)[0]) @ penalized_log(
+            joint.conditional.probs), axis=1)
+        assert_run_sums(table, keys)
 
 
 SAMPLE_SIZES = sorted({n for ns in KERNEL_SAMPLES.values() for n in ns})
